@@ -6,7 +6,7 @@ from .geometry import (EmitterArray, RingMeta, TwoRingConfig, build_chain, build
                        build_two_rings, ring_radius)
 from .spectrum import (ModeSpectrum, assemble_heff, canonical_m_range, classify_modes,
                        decay_matrix, eigenmodes, light_line_threshold, min_decay_scan,
-                       ring_eigenvalue, spin_wave_state, wrap_m)
+                       ring_eigenvalue, ring_spectrum, spin_wave_state, wrap_m)
 from .transfer import (FidelityScan, FidelityTrace, Propagation, RingRingCoupling,
                        default_horizon, eta_map, farthest_site, fidelity_scan,
                        fidelity_trace, gaussian_packet, propagate, ring_ring_coupling,

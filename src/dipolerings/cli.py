@@ -13,8 +13,8 @@ from .emfield import SingularityError
 from .fieldmap import GridSpec, intensity_map
 from .geometry import TwoRingConfig, build_chain, build_ring, build_two_rings
 from .output import interleave_complex, write_csv, write_json
-from .spectrum import (assemble_heff, classify_modes, eigenmodes, light_line_threshold,
-                       min_decay_scan)
+from .spectrum import (assemble_heff, eigenmodes, light_line_threshold, min_decay_scan,
+                       ring_spectrum)
 from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                        fidelity_trace, gaussian_packet, ring_ring_coupling,
                        single_ring_eigenvalues)
@@ -220,24 +220,34 @@ def _array_hash(array) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig):
-    ring = _build_system(cfg)
-    spec = eigenmodes(assemble_heff(ring))
-    labels = [""] * spec.n
-    if cfg.arrangement == "single" and len(ring.groups) == 1:
-        spec = classify_modes(spec, ring)
-        labels = [str(int(m)) for m in spec.labels]
-    rows = [(k, labels[k], float(spec.shifts[k]), float(spec.rates[k]))
-            for k in range(spec.n)]
+    system = _build_system(cfg)
+    if cfg.arrangement == "single":
+        # circulant ring: FFT eigenvalues, labelled by construction
+        ms, vals = ring_spectrum(system)
+        order = np.lexsort((np.imag(vals), np.real(vals)))
+        ms, vals = ms[order], vals[order]
+        labels = [str(int(m)) for m in ms]
+    else:
+        spec = eigenmodes(assemble_heff(system))
+        vals, labels = spec.eigenvalues, [""] * spec.n
+    shifts, rates = np.real(vals), -2.0 * np.imag(vals)
+    rows = [(k, labels[k], float(shifts[k]), float(rates[k])) for k in range(len(vals))]
     if cfg.format == "json":
+        if cfg.arrangement == "single":
+            # exact spin waves, site 0 the real positive lead component
+            angles = system.ring_meta[0].angles
+            vecs = np.exp(1j * np.outer(angles - angles[0], ms)) / np.sqrt(len(ms))
+        else:
+            vecs = spec.eigenvectors
         payload = {
             "modes": [{
                 "index": k,
                 "m_label": labels[k],
-                "J_over_Gamma0": float(spec.shifts[k]),
-                "Gamma_over_Gamma0": float(spec.rates[k]),
-                "eigenvalue": interleave_complex([spec.eigenvalues[k]]),
-                "eigenvector": interleave_complex(spec.eigenvectors[:, k]),
-            } for k in range(spec.n)],
+                "J_over_Gamma0": float(shifts[k]),
+                "Gamma_over_Gamma0": float(rates[k]),
+                "eigenvalue": interleave_complex([vals[k]]),
+                "eigenvector": interleave_complex(vecs[:, k]),
+            } for k in range(len(vals))],
         }
         return None, payload
     return (("index", "m_label", "J_over_Gamma0", "Gamma_over_Gamma0"), rows), None
@@ -435,14 +445,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error(EXIT_CONFIG_ERROR, exc)
         return EXIT_CONFIG_ERROR
-    except (ArithmeticError, SingularityError, ValueError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, MemoryError, SingularityError, ValueError,
+            np.linalg.LinAlgError) as exc:
         _emit_error(EXIT_NUMERIC_ERROR, exc)
         return EXIT_NUMERIC_ERROR
     return 0
 
 
 def _emit_error(code: int, exc: Exception) -> None:
-    info = {"error": {"code": code, "message": str(exc)}}
+    info = {"error": {"code": code, "message": str(exc) or type(exc).__name__}}
     line = getattr(exc, "line", None)
     if line is not None:
         info["error"]["line"] = line

@@ -124,27 +124,33 @@ def spin_wave_state(array: EmitterArray, m: int, group: int = 0) -> np.ndarray:
     return state
 
 
-def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:
-    """Analytic eigenvalue of a symmetric ring for the spin wave of momentum m.
+def ring_spectrum(array: EmitterArray, group: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of a symmetric ring from one row of its Hamiltonian.
 
-    Uses the circulant structure: lambda_m = -i/2 + sum_l h_{1l} e^{i m (theta_l
-    - theta_1)}.  Requires one of the rotationally symmetric dipole schemes.
+    The ring's h is circulant, so lambda_m = -i/2 + sum_l h_{0l} e^{i m (theta_l
+    - theta_0)} = N ifft(h_0)[m mod N]: O(N) couplings and one FFT.  Returns
+    (ms, lambdas) over the canonical m range; the spin waves of spin_wave_state
+    are the exact eigenvectors.  Requires one of the rotationally symmetric
+    dipole schemes.
     """
     meta = array.ring_meta[group]
     if meta is None or meta.scheme not in SYMMETRIC_SCHEMES:
         raise ValueError("analytic ring eigenvalues need a symmetric polarization scheme")
     idx = np.asarray(array.groups[group])
     n = len(idx)
-    if n == 1:
-        return -0.5j * GAMMA0
     pos = array.positions[idx]
     dip = array.dipoles[idx]
-    sep = pos[0] - pos[1:]
-    g = projected_green(sep, np.tile(dip[0], (n - 1, 1)), dip[1:])
-    h_row = -(3.0 * np.pi * GAMMA0 / K0) * np.real(g) - 0.5j * (
-        (6.0 * np.pi * GAMMA0 / K0) * np.imag(g))
-    phases = np.exp(1j * m * (meta.angles[1:] - meta.angles[0]))
-    return complex(-0.5j * GAMMA0 + np.sum(h_row * phases))
+    row = np.empty(n, dtype=complex)
+    row[0] = -0.5j * GAMMA0
+    row[1:] = -(3.0 * np.pi * GAMMA0 / K0) * projected_green(pos[0] - pos[1:], dip[0], dip[1:])
+    ms = canonical_m_range(n)
+    return ms, n * np.fft.ifft(row)[ms % n]
+
+
+def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:
+    """Eigenvalue of a symmetric ring for the spin wave of momentum m (m taken mod N)."""
+    ms, lambdas = ring_spectrum(array, group)
+    return complex(lambdas[(m - ms[0]) % len(ms)])
 
 
 def classify_modes(spec: ModeSpectrum, array: EmitterArray, group: int = 0,
@@ -215,6 +221,8 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
     """Minimum collective decay rate versus emitter number at fixed lambda/d.
 
     kind is 'ring' or 'chain'.  Returns an array of rows (n, min_k Gamma_k).
+    Rings with a symmetric polarization scheme take their rates from
+    ring_spectrum; other rings and chains are diagonalized.
     """
     if kind not in ("ring", "chain"):
         raise ValueError(f"unknown geometry kind {kind!r}")
@@ -226,11 +234,12 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
     def one(n):
         if kind == "ring":
             array = build_ring(n, d, polarization)
+            if array.ring_meta[0].scheme in SYMMETRIC_SCHEMES:
+                return float(np.min(-2.0 * np.imag(ring_spectrum(array)[1])))
         else:
             dip = (0, 0, 1) if polarization == "transverse" else polarization
             array = build_chain(n, d, dip)
-        spec = eigenmodes(assemble_heff(array))
-        return float(np.min(spec.rates))
+        return float(np.min(eigenmodes(assemble_heff(array)).rates))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

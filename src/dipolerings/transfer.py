@@ -7,7 +7,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .geometry import EmitterArray, TwoRingConfig, build_ring, build_two_rings
-from .spectrum import assemble_heff, canonical_m_range, ring_eigenvalue
+from .spectrum import assemble_heff, canonical_m_range, ring_spectrum
 
 
 @dataclass
@@ -60,8 +60,7 @@ def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> Ring
 
 def single_ring_eigenvalues(n: int, d: float, polarization="tangential") -> np.ndarray:
     """Isolated-ring eigenvalues lambda_m over the canonical m range."""
-    ring = build_ring(n, d, polarization)
-    return np.array([ring_eigenvalue(ring, m) for m in canonical_m_range(n)])
+    return ring_spectrum(build_ring(n, d, polarization))[1]
 
 
 def eta_map(coupling: RingRingCoupling, ring1_lambdas: np.ndarray,

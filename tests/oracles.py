@@ -1,8 +1,11 @@
-"""Independent oracles: closed-form two-atom couplings and a fixed-step RK4
-propagator.  These deliberately avoid the library's Green's tensor and
-eigendecomposition code paths."""
+"""Independent oracles: closed-form two-atom couplings, a fixed-step RK4
+propagator and a direct circulant ring sum.  These deliberately avoid the
+library's vectorized Green's kernels, its FFT and its eigendecomposition code
+paths; the ring sum takes its couplings one pair at a time from pair_coupling."""
 
 import numpy as np
+
+from dipolerings.emfield import pair_coupling
 
 K0 = 2.0 * np.pi
 
@@ -58,3 +61,13 @@ def random_geometry(rng, n, box=1.5, min_sep=0.05):
     positions = np.array(pts)
     dipoles = np.tile([0.0, 0.0, 1.0], (n, 1))
     return positions, dipoles
+
+
+def circulant_ring_eigenvalues(ring, ms):
+    """lambda_m = -i/2 + sum_l h_0l e^{i m (theta_l - theta_0)} of a one-group
+    symmetric ring, summed directly with each h_0l from pair_coupling."""
+    pos, dip, angles = ring.positions, ring.dipoles, ring.ring_meta[0].angles
+    terms = [(pair_coupling(pos[0], dip[0], pos[l], dip[l]).h, angles[l] - angles[0])
+             for l in range(1, len(pos))]
+    return np.array([-0.5j + sum(h * np.exp(1j * m * dtheta) for h, dtheta in terms)
+                     for m in ms])

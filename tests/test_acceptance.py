@@ -1,7 +1,7 @@
 """Acceptance suite: one test (or clause) per criterion, each printing a
 PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -s` to see them.
 
-Three clauses are marked strict-xfail: the model provably cannot satisfy them
+Five clauses are marked strict-xfail: the model provably cannot satisfy them
 (details in the reasons and in each test body).
 """
 

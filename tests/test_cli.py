@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from dipolerings import cli
 from dipolerings.cli import (ConfigError, RunConfig, config_items, main, parse_config,
                              resolve_config)
+from dipolerings.geometry import build_ring
+from dipolerings.spectrum import assemble_heff, classify_modes, eigenmodes
 
 
 def run_cli(args):
@@ -179,3 +183,44 @@ def test_byte_identical_reruns(tmp_path, args):
     first = out.read_bytes()
     assert run_cli(args + ["--out", str(out)]) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_single_ring_spectrum_matches_labelled_eig(tmp_path, n):
+    out = tmp_path / "spec.json"
+    assert run_cli(["spectrum", "--out", str(out), "--format", "json",
+                    "--set", f"geometry.n={n}", "--set", "geometry.d=0.1",
+                    "--set", "geometry.polarization=tangential"]) == 0
+    modes = json.loads(out.read_text())["modes"]
+    ring = build_ring(n, 0.1, "tangential")
+    h = assemble_heff(ring)
+    spec = classify_modes(eigenmodes(h), ring)
+    expected = {int(m): (j, g) for m, j, g in zip(spec.labels, spec.shifts, spec.rates)}
+    got = {int(mode["m_label"]): (mode["J_over_Gamma0"], mode["Gamma_over_Gamma0"])
+           for mode in modes}
+    assert len(modes) == n and set(got) == set(expected)
+    for m, (j, g) in got.items():
+        assert abs(j - expected[m][0]) < 1e-10 and abs(g - expected[m][1]) < 1e-10
+    shifts, rates = np.array(list(got.values())).T
+    assert abs(np.sum(rates) - n) < 1e-10 and abs(np.sum(shifts)) < 1e-10
+    # the written eigenvectors are exact, unit-norm, with site 0 real positive
+    for mode in modes:
+        lam = complex(*mode["eigenvalue"])
+        v = np.array(mode["eigenvector"][0::2]) + 1j * np.array(mode["eigenvector"][1::2])
+        assert np.linalg.norm(h @ v - lam * v) < 1e-10
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12 and v[0].real > 0 and v[0].imag == 0
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 80 GiB"), MemoryError()])
+def test_memory_error_is_a_numeric_error(tmp_path, capsys, monkeypatch, exc):
+    def out_of_memory(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "spectrum", out_of_memory)
+    out = tmp_path / "x.csv"
+    assert run_cli(["spectrum", "--out", str(out)]) == cli.EXIT_NUMERIC_ERROR == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    info = json.loads(err)["error"]
+    assert info["code"] == 3 and info["message"] == (str(exc) or "MemoryError")
+    assert not out.exists()

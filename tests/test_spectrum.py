@@ -5,9 +5,9 @@ from dipolerings.emfield import SingularityError, pair_coupling
 from dipolerings.geometry import EmitterArray, build_ring
 from dipolerings.spectrum import (assemble_heff, canonical_m_range, classify_modes,
                                   decay_matrix, eigenmodes, light_line_threshold,
-                                  min_decay_scan, ring_eigenvalue, spin_wave_state,
-                                  wrap_m)
-from oracles import random_geometry
+                                  min_decay_scan, ring_eigenvalue, ring_spectrum,
+                                  spin_wave_state, wrap_m)
+from oracles import circulant_ring_eigenvalues, random_geometry
 
 
 def test_canonical_m_range():
@@ -208,3 +208,13 @@ def test_min_decay_scan_threaded_matches_serial():
     serial = min_decay_scan("ring", [8, 12, 16], 3.0)
     threaded = min_decay_scan("ring", [8, 12, 16], 3.0, threads=3)
     assert np.allclose(serial, threaded, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.37])
+@pytest.mark.parametrize("pol", ["transverse", "tangential", "radial"])
+@pytest.mark.parametrize("n", [1, 2, 7, 10, 64])
+def test_ring_spectrum_matches_circulant_sum(n, pol, offset):
+    ring = build_ring(n, 0.15, pol, angular_offset=offset)
+    ms, lambdas = ring_spectrum(ring)
+    assert ms.tolist() == canonical_m_range(n).tolist()
+    assert np.max(np.abs(lambdas - circulant_ring_eigenvalues(ring, ms))) < 1e-12

@@ -9,12 +9,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .emfield import SingularityError
 from .fieldmap import GridSpec, intensity_map
 from .geometry import TwoRingConfig, build_chain, build_ring, build_two_rings
 from .output import interleave_complex, write_csv, write_json
 from .spectrum import (assemble_heff, eigenmodes, light_line_threshold, min_decay_scan,
-                       ring_spectrum)
+                       ring_spectrum, spin_wave_state)
 from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                        fidelity_trace, gaussian_packet, ring_ring_coupling,
                        single_ring_eigenvalues)
@@ -153,6 +152,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         bad(f"unknown arrangement {cfg.arrangement!r}")
     if cfg.x <= 0:
         bad("x must be positive")
+    if not -1 <= cfg.center_site < cfg.n:
+        bad("center_site must be -1 (the farthest site) or a site index below n")
     if cfg.delta_theta <= 0:
         bad("delta_theta must be positive")
     if cfg.t_steps < 2:
@@ -219,6 +220,11 @@ def _array_hash(array) -> str:
     return digest.hexdigest()
 
 
+def _rows(*columns) -> list[tuple]:
+    """Table rows of Python scalars from equal-size arrays, each flattened row-major."""
+    return list(zip(*(np.ravel(c).tolist() for c in columns)))
+
+
 def cmd_spectrum(cfg: RunConfig):
     system = _build_system(cfg)
     if cfg.arrangement == "single":
@@ -230,8 +236,8 @@ def cmd_spectrum(cfg: RunConfig):
     else:
         spec = eigenmodes(assemble_heff(system))
         vals, labels = spec.eigenvalues, [""] * spec.n
-    shifts, rates = np.real(vals), -2.0 * np.imag(vals)
-    rows = [(k, labels[k], float(shifts[k]), float(rates[k])) for k in range(len(vals))]
+    columns = ("index", "m_label", "J_over_Gamma0", "Gamma_over_Gamma0")
+    rows = _rows(np.arange(len(vals)), labels, np.real(vals), -2.0 * np.imag(vals))
     if cfg.format == "json":
         if cfg.arrangement == "single":
             # exact spin waves, site 0 the real positive lead component
@@ -239,18 +245,10 @@ def cmd_spectrum(cfg: RunConfig):
             vecs = np.exp(1j * np.outer(angles - angles[0], ms)) / np.sqrt(len(ms))
         else:
             vecs = spec.eigenvectors
-        payload = {
-            "modes": [{
-                "index": k,
-                "m_label": labels[k],
-                "J_over_Gamma0": float(shifts[k]),
-                "Gamma_over_Gamma0": float(rates[k]),
-                "eigenvalue": interleave_complex([vals[k]]),
-                "eigenvector": interleave_complex(vecs[:, k]),
-            } for k in range(len(vals))],
-        }
-        return None, payload
-    return (("index", "m_label", "J_over_Gamma0", "Gamma_over_Gamma0"), rows), None
+        columns += ("eigenvalue", "eigenvector")
+        rows = [row + (interleave_complex([val]), interleave_complex(vec))
+                for row, val, vec in zip(rows, vals, vecs.T)]
+    return "modes", columns, rows
 
 
 def cmd_decay_scan(cfg: RunConfig):
@@ -261,79 +259,39 @@ def cmd_decay_scan(cfg: RunConfig):
                                polarization=cfg.polarization if kind == "ring" else "transverse",
                                threads=cfg.threads)
         rows += [(kind, int(n), float(g)) for n, g in table]
-    if cfg.format == "json":
-        return None, {"series": [{"geometry": k, "N": n, "min_gamma": g} for k, n, g in rows]}
-    return (("geometry", "N", "min_gamma"), rows), None
-
-
-def _grid_from_config(cfg: RunConfig) -> GridSpec:
-    extent = ((-cfg.extent, cfg.extent), (-cfg.extent, cfg.extent))
-    if cfg.plane == "xy":
-        return GridSpec.xy(cfg.plane_offset, extent, cfg.resolution)
-    if cfg.plane == "xz":
-        return GridSpec.xz(cfg.plane_offset, extent, cfg.resolution)
-    return GridSpec.yz(cfg.plane_offset, extent, cfg.resolution)
+    return "series", ("geometry", "N", "min_gamma"), rows
 
 
 def cmd_fieldmap(cfg: RunConfig):
     ring = _build_system(cfg)
     if len(ring.groups) != 1 or ring.ring_meta[0] is None:
         raise ConfigError("fieldmap expects a single-ring geometry")
-    from .spectrum import spin_wave_state
-    state = spin_wave_state(ring, cfg.m)
-    grid = _grid_from_config(cfg)
-    fmap = intensity_map(ring, state, grid)
+    extent = (-cfg.extent, cfg.extent)
+    grid = getattr(GridSpec, cfg.plane)(cfg.plane_offset, (extent, extent), cfg.resolution)
+    fmap = intensity_map(ring, spin_wave_state(ring, cfg.m), grid)
     pts = grid.points()
-    vals = fmap.values.reshape(-1)
-    mask = fmap.mask.reshape(-1)
-    rows = [(float(p[0]), float(p[1]), float(p[2]), float(v), bool(msk))
-            for p, v, msk in zip(pts, vals, mask)]
     meta = {
         "grid": {"plane": cfg.plane, "offset": cfg.plane_offset,
                  "extent": cfg.extent, "resolution": cfg.resolution},
         "state": f"spin wave m = {cfg.m} on ring of {cfg.n} sites",
         "array_sha256": _array_hash(ring),
     }
-    if cfg.format == "json":
-        return None, {"metadata": meta,
-                      "points": [{"x": r[0], "y": r[1], "z": r[2],
-                                  "intensity": r[3], "masked": r[4]} for r in rows]}
-    return (("x", "y", "z", "intensity", "masked"), rows), None
-
-
-def _coupling_rows(cfg: RunConfig, with_eta: bool):
-    if cfg.arrangement not in ("site-site", "site-edge"):
-        raise ConfigError("coupling commands need a two-ring arrangement")
-    system = _build_system(cfg)
-    cpl = ring_ring_coupling(system)
-    rows = []
-    if with_eta:
-        lams = single_ring_eigenvalues(cfg.n, cfg.d, cfg.polarization)
-        eta = eta_map(cpl, lams)
-        m_star = light_line_threshold(cfg.n, cfg.d)
-    for i, m1 in enumerate(cpl.m1_values):
-        for j, m2 in enumerate(cpl.m2_values):
-            row = [int(m1), int(m2), float(cpl.shifts[i, j]), float(cpl.rates[i, j])]
-            if with_eta:
-                row += [float(eta[i, j]), float(m_star)]
-            rows.append(tuple(row))
-    return rows
+    return ("points", ("x", "y", "z", "intensity", "masked"),
+            _rows(pts[:, 0], pts[:, 1], pts[:, 2], fmap.values, fmap.mask), {"metadata": meta})
 
 
 def cmd_coupling(cfg: RunConfig):
-    rows = _coupling_rows(cfg, with_eta=False)
-    if cfg.format == "json":
-        return None, {"couplings": [{"m1": r[0], "m2": r[1], "J": r[2], "Gamma": r[3]}
-                                    for r in rows]}
-    return (("m1", "m2", "J", "Gamma"), rows), None
-
-
-def cmd_eta(cfg: RunConfig):
-    rows = _coupling_rows(cfg, with_eta=True)
-    if cfg.format == "json":
-        return None, {"eta": [{"m1": r[0], "m2": r[1], "J": r[2], "Gamma": r[3],
-                               "eta": r[4], "m_star": r[5]} for r in rows]}
-    return (("m1", "m2", "J", "Gamma", "eta", "m_star"), rows), None
+    """Ring-to-ring couplings over (m1, m2); `eta` adds the figure of merit and m*."""
+    if cfg.arrangement not in ("site-site", "site-edge"):
+        raise ConfigError("coupling commands need a two-ring arrangement")
+    cpl = ring_ring_coupling(_build_system(cfg))
+    m1, m2 = np.meshgrid(cpl.m1_values, cpl.m2_values, indexing="ij")
+    key, columns, arrays = "couplings", ("m1", "m2", "J", "Gamma"), [m1, m2, cpl.shifts, cpl.rates]
+    if cfg.command == "eta":
+        key, columns = "eta", columns + ("eta", "m_star")
+        arrays += [eta_map(cpl, single_ring_eigenvalues(cfg.n, cfg.d, cfg.polarization)),
+                   np.full(m1.shape, light_line_threshold(cfg.n, cfg.d))]
+    return key, columns, _rows(*arrays)
 
 
 def cmd_fidelity(cfg: RunConfig):
@@ -346,12 +304,8 @@ def cmd_fidelity(cfg: RunConfig):
     horizon = cfg.t_max or default_horizon(ring_ring_coupling(system, h), cfg.m)
     times = np.linspace(0.0, horizon, cfg.t_steps)
     trace = fidelity_trace(system, psi0, cfg.m, cfg.delta_theta, times, h=h)
-    rows = [(float(t), float(f), int(k))
-            for t, f, k in zip(trace.times, trace.fidelity, trace.argmax_site)]
-    if cfg.format == "json":
-        return None, {"trace": [{"t": r[0], "fidelity": r[1], "argmax_site": r[2]}
-                                for r in rows]}
-    return (("t", "fidelity", "argmax_site"), rows), None
+    return ("trace", ("t", "fidelity", "argmax_site"),
+            _rows(trace.times, trace.fidelity, trace.argmax_site))
 
 
 def cmd_fidelity_scan(cfg: RunConfig):
@@ -361,15 +315,9 @@ def cmd_fidelity_scan(cfg: RunConfig):
                          t_max=cfg.t_max or None, t_steps=cfg.t_steps,
                          arrangement="site-site" if cfg.arrangement == "single" else cfg.arrangement,
                          threads=cfg.threads)
-    rows = []
-    for i, x in enumerate(scan.x_values):
-        for j, dt in enumerate(scan.delta_theta_values):
-            rows.append((float(x), float(scan.widths[i, j]), float(dt),
-                         float(scan.max_fidelity[i, j]), float(scan.t_at_max[i, j])))
-    if cfg.format == "json":
-        return None, {"scan": [{"x": r[0], "width": r[1], "delta_theta": r[2],
-                                "max_fidelity": r[3], "t_at_max": r[4]} for r in rows]}
-    return (("x", "width", "delta_theta", "max_fidelity", "t_at_max"), rows), None
+    x, dt = np.meshgrid(scan.x_values, scan.delta_theta_values, indexing="ij")
+    return ("scan", ("x", "width", "delta_theta", "max_fidelity", "t_at_max"),
+            _rows(x, scan.widths, dt, scan.max_fidelity, scan.t_at_max))
 
 
 _DISPATCH = {
@@ -377,20 +325,22 @@ _DISPATCH = {
     "decay-scan": cmd_decay_scan,
     "fieldmap": cmd_fieldmap,
     "coupling": cmd_coupling,
-    "eta": cmd_eta,
+    "eta": cmd_coupling,
     "fidelity": cmd_fidelity,
     "fidelity-scan": cmd_fidelity_scan,
 }
 
 
 def run(cfg: RunConfig) -> None:
-    """Execute one command and write its artifact file."""
-    csv_part, json_payload = _DISPATCH[cfg.command](cfg)
+    """Execute one command and write its table: CSV rows, or JSON records plus extras."""
+    key, columns, rows, *extras = _DISPATCH[cfg.command](cfg)
     items = config_items(cfg)
     if cfg.format == "json":
-        write_json(cfg.out, __version__, items, json_payload)
+        payload = {key: [dict(zip(columns, row)) for row in rows]}
+        for extra in extras:
+            payload.update(extra)
+        write_json(cfg.out, __version__, items, payload)
     else:
-        columns, rows = csv_part
         write_csv(cfg.out, __version__, items, columns, rows, digits=cfg.precision)
 
 
@@ -427,37 +377,25 @@ def main(argv=None) -> int:
                 raise ConfigError(f"unknown key {key!r}")
             name = _KEY_OF[key]
             cli_values[name] = _convert(name, raw.strip())
-        if args.out is not None:
-            cli_values["out"] = args.out
-        if args.format is not None:
-            cli_values["format"] = args.format
-        if args.threads is not None:
-            cli_values["threads"] = args.threads
-        cfg = resolve_config(file_values, cli_values)
-    except ConfigError as exc:
-        _emit_error(EXIT_CONFIG_ERROR, exc)
-        return EXIT_CONFIG_ERROR
-    except OSError as exc:
-        _emit_error(EXIT_CONFIG_ERROR, exc)
-        return EXIT_CONFIG_ERROR
-    try:
-        run(cfg)
-    except ConfigError as exc:
-        _emit_error(EXIT_CONFIG_ERROR, exc)
-        return EXIT_CONFIG_ERROR
-    except (ArithmeticError, MemoryError, SingularityError, ValueError,
-            np.linalg.LinAlgError) as exc:
-        _emit_error(EXIT_NUMERIC_ERROR, exc)
-        return EXIT_NUMERIC_ERROR
+        for name in ("out", "format", "threads"):
+            if getattr(args, name) is not None:
+                cli_values[name] = getattr(args, name)
+        run(resolve_config(file_values, cli_values))
+    except (ConfigError, OSError) as exc:
+        return _emit_error(EXIT_CONFIG_ERROR, exc)
+    except (ArithmeticError, MemoryError, ValueError, np.linalg.LinAlgError) as exc:
+        # SingularityError, a field point on an emitter, is a ValueError
+        return _emit_error(EXIT_NUMERIC_ERROR, exc)
     return 0
 
 
-def _emit_error(code: int, exc: Exception) -> None:
+def _emit_error(code: int, exc: Exception) -> int:
     info = {"error": {"code": code, "message": str(exc) or type(exc).__name__}}
     line = getattr(exc, "line", None)
     if line is not None:
         info["error"]["line"] = line
     print(json.dumps(info, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -102,7 +102,10 @@ def projected_green(separations: np.ndarray, p_left: np.ndarray, p_right: np.nda
     """Vectorized conj(p_left) . G(sep) . p_right over a batch of pairs.
 
     separations: (..., 3) real, p_left/p_right: (..., 3) complex.  Entries with
-    zero separation yield nan (callers mask or treat them separately).
+    zero separation yield nan (callers mask or treat them separately).  With
+    p_left = np.eye(3) and separations of shape (..., 1, 3) the last axis holds
+    the field vector G(sep) . p_right; the identity is kept real, because a
+    complex one makes every product complex-by-complex.
     """
     sep = np.asarray(separations, dtype=float)
     dist = np.linalg.norm(sep, axis=-1)
@@ -117,22 +120,3 @@ def projected_green(separations: np.ndarray, p_left: np.ndarray, p_right: np.nda
         near = 1.0 / x**2 - 1j / x
         return pref * ((dot_lr - dot_ll * dot_rr) + near * (3.0 * dot_ll * dot_rr - dot_lr))
 
-
-def green_apply(separations: np.ndarray, dipole: np.ndarray) -> np.ndarray:
-    """Vectorized G(sep) . p for a batch of separation vectors.
-
-    separations: (..., 3); dipole: complex 3-vector.  Returns (..., 3) complex;
-    zero-separation entries yield nan.
-    """
-    sep = np.asarray(separations, dtype=float)
-    p = np.asarray(dipole, dtype=complex)
-    dist = np.linalg.norm(sep, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhat = sep / dist[..., None]
-        x = K0 * dist
-        rp = np.einsum("...i,i->...", rhat, p)
-        pref = (np.exp(1j * x) / (4.0 * np.pi * dist))[..., None]
-        near = (1.0 / x**2 - 1j / x)[..., None]
-        transverse = p - rhat * rp[..., None]
-        longitudinal = 3.0 * rhat * rp[..., None] - p
-        return pref * (transverse + near * longitudinal)

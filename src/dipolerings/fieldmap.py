@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emfield import SingularityError, green_apply
+from .emfield import SingularityError, projected_green
 from .geometry import EmitterArray
 
 
@@ -71,22 +71,31 @@ class IntensityMap:
     mask: np.ndarray      # (res1, res2) bool, True within d/4 of an emitter
 
 
+def _field(array: EmitterArray, state: np.ndarray, points: np.ndarray) -> tuple:
+    """E+ at each of the (P, 3) points, and the (P, N) point-emitter distances.
+
+    Raises SingularityError if a point coincides with an emitter.
+    """
+    sep = points[:, None, :] - array.positions[None, :, :]
+    dist = np.linalg.norm(sep, axis=-1)
+    if np.any(dist == 0.0):
+        raise SingularityError("field requested on top of an emitter")
+    c = np.asarray(state, dtype=complex)
+    field = np.zeros((len(points), 3), dtype=complex)
+    for i in range(array.n):
+        if c[i] != 0.0:
+            # the identity as left projector: component a is e_a . G . p_i
+            field += c[i] * projected_green(sep[:, i, None, :], np.eye(3), array.dipoles[i])
+    return field, dist
+
+
 def field_amplitude(array: EmitterArray, state: np.ndarray, point) -> np.ndarray:
     """Positive-frequency field E+(r) = sum_i G(r - r_i) . p_i c_i.
 
     The overall prefactor is 1 in internal units; raises SingularityError if
     the point coincides with an emitter.
     """
-    point = np.asarray(point, dtype=float)
-    sep = point[None, :] - array.positions
-    if np.any(np.linalg.norm(sep, axis=1) == 0.0):
-        raise SingularityError("field requested on top of an emitter")
-    field = np.zeros(3, dtype=complex)
-    c = np.asarray(state, dtype=complex)
-    for i in range(array.n):
-        if c[i] != 0.0:
-            field += c[i] * green_apply(sep[i], array.dipoles[i])
-    return field
+    return _field(array, state, np.asarray(point, dtype=float)[None, :])[0][0]
 
 
 def _mask_radius(array: EmitterArray) -> float:
@@ -103,17 +112,11 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
 
     Points within a quarter of the nearest-neighbor distance of any emitter
     are still computed but flagged in the mask (the 1/r^6 near field there is
-    not meaningful on a map).
+    not meaningful on a map).  Raises SingularityError if a grid point
+    coincides with an emitter.
     """
-    pts = grid.points()
-    c = np.asarray(state, dtype=complex)
-    field = np.zeros((pts.shape[0], 3), dtype=complex)
-    sep_all = pts[:, None, :] - array.positions[None, :, :]
-    for i in range(array.n):
-        if c[i] != 0.0:
-            field += c[i] * green_apply(sep_all[:, i, :], array.dipoles[i])
+    field, dist = _field(array, state, grid.points())
     values = np.sum(np.abs(field) ** 2, axis=1)
-    dist = np.linalg.norm(sep_all, axis=-1)
     mask = np.min(dist, axis=1) <= _mask_radius(array)
     shape = (grid.res1, grid.res2)
     return IntensityMap(grid=grid, values=values.reshape(shape), mask=mask.reshape(shape))

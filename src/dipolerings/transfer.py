@@ -232,11 +232,8 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
             row_w.append(radius * dt)
         return row_f, row_t, row_w
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_separation, x_values))
-    else:
-        rows = [one_separation(x) for x in x_values]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(one_separation, x_values))
     maxf = np.array([r[0] for r in rows])
     tat = np.array([r[1] for r in rows])
     widths = np.array([r[2] for r in rows])

@@ -7,6 +7,7 @@ from dipolerings import cli
 from dipolerings.cli import (ConfigError, RunConfig, config_items, main, parse_config,
                              resolve_config)
 from dipolerings.geometry import build_ring
+from dipolerings.output import fmt_value
 from dipolerings.spectrum import assemble_heff, classify_modes, eigenmodes
 
 
@@ -224,3 +225,66 @@ def test_memory_error_is_a_numeric_error(tmp_path, capsys, monkeypatch, exc):
     info = json.loads(err)["error"]
     assert info["code"] == 3 and info["message"] == (str(exc) or "MemoryError")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fieldmap_point_on_emitter_is_a_numeric_error(tmp_path, capsys, fmt):
+    # the n = 2 ring has a site at (0.5, 0, 0), a point of the default xy grid
+    out = tmp_path / f"map.{fmt}"
+    assert run_cli(["fieldmap", "--out", str(out), "--format", fmt,
+                    "--set", "geometry.n=2", "--set", "geometry.d=1.0"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and json.loads(err)["error"]["code"] == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("site", [50, -7, 10, -2])
+def test_center_site_outside_ring_is_a_config_error(tmp_path, capsys, site):
+    out = tmp_path / "fid.csv"
+    assert run_cli(["fidelity", "--out", str(out),
+                    "--set", "geometry.arrangement=site-site", "--set", "geometry.n=10",
+                    "--set", "geometry.polarization=tangential",
+                    "--set", f"physics.center_site={site}", "--set", "physics.t_steps=20"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--set", "geometry.n=7", "--set", "geometry.polarization=tangential"],
+    ["spectrum", "--set", "geometry.arrangement=site-edge", "--set", "geometry.n=5"],
+    ["decay-scan", "--set", "physics.n_min=4", "--set", "physics.n_max=7"],
+    ["fieldmap", "--set", "geometry.n=6", "--set", "geometry.d=0.3",
+     "--set", "physics.m=2", "--set", "physics.resolution=11", "--set", "physics.extent=0.3"],
+    ["coupling", "--set", "geometry.arrangement=site-site", "--set", "geometry.n=6"],
+    ["eta", "--set", "geometry.arrangement=site-edge", "--set", "geometry.n=6"],
+    ["fidelity", "--set", "geometry.arrangement=site-site", "--set", "geometry.n=6",
+     "--set", "physics.m=2", "--set", "physics.t_max=10", "--set", "physics.t_steps=30"],
+    ["fidelity-scan", "--set", "geometry.n=6", "--set", "physics.m=2",
+     "--set", "physics.x_points=2", "--set", "physics.dtheta_points=3",
+     "--set", "physics.t_max=10", "--set", "physics.t_steps=30"],
+])
+def test_json_records_match_csv_table(tmp_path, args):
+    """Both formats come from one table: one JSON record per CSV row, in row order,
+    keyed by the CSV columns (the file sorts each record's keys), with values that
+    print as the CSV cells at its precision."""
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert run_cli(args + ["--out", str(csv_out), "--set", "output.precision=9"]) == 0
+    assert run_cli(args + ["--out", str(json_out), "--format", "json",
+                           "--set", "output.precision=9"]) == 0
+    header, *rows = [line.split(",") for line in csv_out.read_text().splitlines()
+                     if not line.startswith("#")]
+    doc = json.loads(json_out.read_text())
+    (key,) = set(doc) - {"tool", "version", "units", "config", "metadata"}
+    records = doc[key]
+    assert len(records) == len(rows) > 0
+    extra = {"eigenvalue", "eigenvector"} if args[0] == "spectrum" else set()
+    for record, row in zip(records, rows):
+        assert set(record) == set(header) | extra
+        assert [fmt_value(record[c], 9) for c in header] == row
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.csv"
+    assert run_cli(["spectrum", "--out", str(out), "--set", "geometry.n=4"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and json.loads(err)["error"]["code"] == 2

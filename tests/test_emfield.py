@@ -3,6 +3,7 @@ import pytest
 
 from dipolerings.emfield import (K0, SingularityError, green_tensor, pair_coupling,
                                  unit_dipole)
+from dipolerings.emfield import projected_green
 from oracles import two_atom_parallel, two_atom_perpendicular
 
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -92,3 +93,18 @@ def test_dipole_normalization_enforced():
         pair_coupling([0, 0, 0], [0, 0, 2.0], [0.3, 0, 0], ZHAT)
     p = unit_dipole([3, 4j, 0])
     assert abs(np.real(np.vdot(p, p)) - 1.0) < 1e-14
+
+
+def test_projected_green_matches_green_tensor():
+    # the vectorized kernel against the scalar reference, pair by pair: the real
+    # identity as left projector gives the field vector G.p, a dipole the coupling
+    rng = np.random.default_rng(11)
+    sep = rng.uniform(-1.5, 1.5, (40, 3))
+    p = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    q = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    field = projected_green(sep[:, None, :], np.eye(3), p[:, None, :])
+    scalar = projected_green(sep, q, p)
+    for k in range(40):
+        g = green_tensor(sep[k])
+        assert np.linalg.norm(field[k] - g @ p[k]) < 1e-13 * np.linalg.norm(g @ p[k])
+        assert abs(scalar[k] - np.conj(q[k]) @ g @ p[k]) < 1e-13 * abs(np.conj(q[k]) @ g @ p[k])

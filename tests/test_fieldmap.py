@@ -118,3 +118,23 @@ def test_subradiant_mode_evanescent_out_of_plane(ring):
     i_sub = np.sum(np.abs(field_amplitude(ring, spin_wave_state(ring, 5), pt_sub)) ** 2)
     i_rad = np.sum(np.abs(field_amplitude(ring, spin_wave_state(ring, 1), pt_sub)) ** 2)
     assert i_sub < i_rad
+
+
+def test_intensity_map_matches_green_tensor_sum(ring):
+    # complex amplitudes on every site, summed one scalar Green's tensor at a time
+    rng = np.random.default_rng(3)
+    state = rng.normal(size=10) + 1j * rng.normal(size=10)
+    grid = GridSpec.xz(0.07, ((-1.0, 1.0), (-0.5, 0.5)), 9)
+    fmap = intensity_map(ring, state, grid)
+    for k, point in enumerate(grid.points()):
+        field = sum(c * green_tensor(point - r) @ p
+                    for c, r, p in zip(state, ring.positions, ring.dipoles))
+        expected = np.sum(np.abs(field) ** 2)
+        assert abs(fmap.values.reshape(-1)[k] - expected) <= 1e-12 * expected
+
+
+def test_intensity_map_raises_on_grid_point_at_emitter():
+    pair = build_ring(2, 1.0)   # site 0 at (0.5, 0, 0), a point of the grid below
+    grid = GridSpec.xy(0.0, ((-1.0, 1.0), (-1.0, 1.0)), 101)
+    with pytest.raises(SingularityError):
+        intensity_map(pair, spin_wave_state(pair, 0), grid)

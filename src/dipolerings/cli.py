@@ -3,8 +3,9 @@
 import argparse
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,9 +19,6 @@ from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                        fidelity_trace, gaussian_packet, ring_ring_coupling,
                        single_ring_eigenvalues)
 
-COMMANDS = ("spectrum", "decay-scan", "fieldmap", "coupling", "eta",
-            "fidelity", "fidelity-scan")
-
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
@@ -31,72 +29,70 @@ class ConfigError(ValueError):
         self.line = line
 
 
+def _section(name):
+    """Field declarer of one config section: `n: int = _geometry(10)` is key geometry.n."""
+    return lambda default: field(default=default, metadata={"section": name})
+
+
+_geometry, _physics, _output = map(_section, ("geometry", "physics", "output"))
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration (defaults applied, units fixed)."""
+    """Fully resolved run configuration (defaults applied, units fixed).
+
+    Each field is the config key `section.name` (bare `command`) of the field's
+    type; the artifact header echoes them in declaration order."""
 
     command: str = "spectrum"
-    # geometry
-    n: int = 10
-    d: float = 0.1
-    polarization: str = "transverse"
-    arrangement: str = "single"        # single | chain | site-site | site-edge
-    x: float = 0.15
-    angular_offset: float = 0.0
-    # physics
-    m: int = 0
-    center_site: int = -1              # -1: site farthest from the second ring
-    delta_theta: float = 1.0
-    t_max: float = 0.0                 # 0: auto horizon from |J_{m,-m}|
-    t_steps: int = 2000
-    n_min: int = 10
-    n_max: int = 30
-    n_step: int = 1
-    wavelength_over_d: float = 3.0
-    plane: str = "xy"
-    plane_offset: float = 0.0
-    extent: float = 1.0                # half-width of the square map, wavelengths
-    resolution: int = 101
-    x_min: float = 0.05
-    x_max: float = 1.0
-    x_points: int = 10
-    dtheta_min: float = 0.01
-    dtheta_max: float = 3.0
-    dtheta_points: int = 8
-    # output
-    out: str = "out.csv"
-    format: str = "csv"
-    precision: int = 12
-    threads: int = 1
+    n: int = _geometry(10)
+    d: float = _geometry(0.1)
+    polarization: str = _geometry("transverse")
+    arrangement: str = _geometry("single")      # single | chain | site-site | site-edge
+    x: float = _geometry(0.15)
+    angular_offset: float = _geometry(0.0)
+    m: int = _physics(0)
+    center_site: int = _physics(-1)             # -1: site farthest from the second ring
+    delta_theta: float = _physics(1.0)
+    t_max: float = _physics(0.0)                # 0: auto horizon from |J_{m,-m}|
+    t_steps: int = _physics(2000)
+    n_min: int = _physics(10)
+    n_max: int = _physics(30)
+    n_step: int = _physics(1)
+    wavelength_over_d: float = _physics(3.0)
+    plane: str = _physics("xy")
+    plane_offset: float = _physics(0.0)
+    extent: float = _physics(1.0)               # half-width of the square map, wavelengths
+    resolution: int = _physics(101)
+    x_min: float = _physics(0.05)
+    x_max: float = _physics(1.0)
+    x_points: int = _physics(10)
+    dtheta_min: float = _physics(0.01)
+    dtheta_max: float = _physics(3.0)
+    dtheta_points: int = _physics(8)
+    out: str = _output("out.csv")
+    format: str = _output("csv")
+    precision: int = _output(12)
+    threads: int = _output(1)
 
 
-_SECTION_OF = {"command": ""}
-for _f in fields(RunConfig):
-    if _f.name == "command":
-        continue
-    if _f.name in ("n", "d", "polarization", "arrangement", "x", "angular_offset"):
-        _SECTION_OF[_f.name] = "geometry"
-    elif _f.name in ("out", "format", "precision", "threads"):
-        _SECTION_OF[_f.name] = "output"
-    else:
-        _SECTION_OF[_f.name] = "physics"
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_KEY_OF = {}   # 'section.key' and bare key lookup
-for name, sec in _SECTION_OF.items():
-    _KEY_OF[f"{sec}.{name}" if sec else name] = name
+_KEYS = {f"{f.metadata['section']}.{f.name}" if f.metadata else f.name: f
+         for f in fields(RunConfig)}
 
 
-def _convert(name, raw, line=None):
-    kind = _FIELD_TYPES[name]
+def _store(values: dict, key: str, raw: str, section: str = "", line=None) -> None:
+    """Store values[field] = the raw text of config key `key` (read under [section])
+    converted with its RunConfig field's type; nan and inf are invalid floats."""
+    f = _KEYS.get(key if "." in key or not section else f"{section}.{key}")
+    if f is None:
+        raise ConfigError(f"unknown key {key!r}", line=line)
     try:
-        if kind in (int, "int"):
-            return int(raw)
-        if kind in (float, "float"):
-            return float(raw)
-        return str(raw)
+        value = f.type(raw)
+        if f.type is float and not math.isfinite(value):
+            raise ValueError(raw)
     except ValueError:
-        raise ConfigError(f"invalid value {raw!r} for key {name!r}", line=line) from None
+        raise ConfigError(f"invalid value {raw!r} for key {f.name!r}", line=line) from None
+    values[f.name] = value
 
 
 def parse_config(text: str) -> dict:
@@ -121,18 +117,7 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, raw_val = line.partition("=")
-        key = key.strip()
-        raw_val = raw_val.strip()
-        if "." in key:
-            lookup = key
-        elif section:
-            lookup = f"{section}.{key}"
-        else:
-            lookup = key
-        if lookup not in _KEY_OF:
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
-        name = _KEY_OF[lookup]
-        values[name] = _convert(name, raw_val, line=lineno)
+        _store(values, key.strip(), raw_val.strip(), section, line=lineno)
     return values
 
 
@@ -140,7 +125,7 @@ def validate(cfg: RunConfig) -> RunConfig:
     def bad(msg):
         raise ConfigError(msg)
 
-    if cfg.command not in COMMANDS:
+    if cfg.command not in _DISPATCH:
         bad(f"unknown command {cfg.command!r}")
     if cfg.n < 1:
         bad("n must be at least 1")
@@ -193,14 +178,8 @@ def resolve_config(file_values: dict, cli_values: dict) -> RunConfig:
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
-    """The resolved configuration as ('section.key', 'value') pairs."""
-    items = [("command", cfg.command)]
-    for sec in ("geometry", "physics", "output"):
-        for f in fields(RunConfig):
-            if _SECTION_OF[f.name] == sec:
-                v = getattr(cfg, f.name)
-                items.append((f"{sec}.{f.name}", repr(v) if isinstance(v, float) else str(v)))
-    return items
+    """The resolved configuration as ('section.key', 'value') pairs, in field order."""
+    return [(key, str(getattr(cfg, f.name))) for key, f in _KEYS.items()]
 
 
 def _build_system(cfg: RunConfig):
@@ -309,6 +288,8 @@ def cmd_fidelity(cfg: RunConfig):
 
 
 def cmd_fidelity_scan(cfg: RunConfig):
+    if cfg.arrangement == "chain":
+        raise ConfigError("fidelity-scan needs a two-ring arrangement")
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.x_points)
     dts = np.linspace(cfg.dtheta_min, cfg.dtheta_max, cfg.dtheta_points)
     scan = fidelity_scan(cfg.n, cfg.d, cfg.polarization, cfg.m, xs, dts,
@@ -349,7 +330,7 @@ def _parse_args(argv):
                                      description="Collective emitter-ring simulations")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="config file (key = value)")
         p.add_argument("--out", default=None, help="output artifact path")
@@ -367,17 +348,13 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, encoding="utf-8") as f:
                 file_values = parse_config(f.read())
-        cli_values = {"command": args.command}
+        cli_values = {}
         for override in args.set:
             if "=" not in override:
                 raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {override!r}")
             key, _, raw = override.partition("=")
-            key = key.strip()
-            if key not in _KEY_OF:
-                raise ConfigError(f"unknown key {key!r}")
-            name = _KEY_OF[key]
-            cli_values[name] = _convert(name, raw.strip())
-        for name in ("out", "format", "threads"):
+            _store(cli_values, key.strip(), raw.strip())
+        for name in ("command", "out", "format", "threads"):   # the subcommand beats --set
             if getattr(args, name) is not None:
                 cli_values[name] = getattr(args, name)
         run(resolve_config(file_values, cli_values))

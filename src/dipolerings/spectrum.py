@@ -150,7 +150,7 @@ def ring_spectrum(array: EmitterArray, group: int = 0) -> tuple[np.ndarray, np.n
 def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:
     """Eigenvalue of a symmetric ring for the spin wave of momentum m (m taken mod N)."""
     ms, lambdas = ring_spectrum(array, group)
-    return complex(lambdas[(m - ms[0]) % len(ms)])
+    return complex(lambdas[wrap_m(m, len(ms)) - ms[0]])
 
 
 def classify_modes(spec: ModeSpectrum, array: EmitterArray, group: int = 0,

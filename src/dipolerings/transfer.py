@@ -7,7 +7,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .geometry import EmitterArray, TwoRingConfig, build_ring, build_two_rings
-from .spectrum import assemble_heff, canonical_m_range, ring_spectrum
+from .spectrum import assemble_heff, canonical_m_range, ring_spectrum, wrap_m
 
 
 @dataclass
@@ -30,9 +30,8 @@ class RingRingCoupling:
 
     def at(self, m1: int, m2: int) -> complex:
         """lambda at (m1, m2), with mod-N wrapping of out-of-range labels."""
-        n1, n2 = len(self.m1_values), len(self.m2_values)
-        i = np.flatnonzero(self.m1_values == ((m1 - self.m1_values[0]) % n1 + self.m1_values[0]))[0]
-        j = np.flatnonzero(self.m2_values == ((m2 - self.m2_values[0]) % n2 + self.m2_values[0]))[0]
+        i = wrap_m(m1, len(self.m1_values)) - self.m1_values[0]
+        j = wrap_m(m2, len(self.m2_values)) - self.m2_values[0]
         return complex(self.lambda_mm[i, j])
 
 
@@ -100,7 +99,10 @@ def gaussian_packet(array: EmitterArray, ring: int, center_site: int, m: int,
         raise ValueError(f"center site {center_site} outside ring of {n_sites} sites")
     pos = array.positions[idx]
     chord = np.linalg.norm(pos - pos[center_site], axis=1)
-    envelope = np.exp(-(chord**2) / (2.0 * meta.radius**2 * delta_theta**2))
+    if meta.radius > 0:
+        envelope = np.exp(-(chord**2) / (2.0 * meta.radius**2 * delta_theta**2))
+    else:                                   # a one-site ring: the packet is that site
+        envelope = np.ones(n_sites)
     amps = np.exp(1j * m * meta.angles) * envelope
     state = np.zeros(array.n, dtype=complex)
     state[idx] = amps / np.linalg.norm(amps)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -288,3 +289,76 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys):
     assert run_cli(["spectrum", "--out", str(out), "--set", "geometry.n=4"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and json.loads(err)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--set", "geometry.d=nan"],
+    ["fieldmap", "--set", "physics.extent=inf"],
+    ["fidelity", "--set", "geometry.arrangement=site-site", "--set", "physics.t_max=inf"],
+    ["fidelity", "--set", "geometry.arrangement=site-site", "--set", "physics.delta_theta=nan"],
+    ["decay-scan", "--set", "physics.wavelength_over_d=inf"],
+    ["spectrum", "--set", "geometry.x=-inf"],
+])
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    info = json.loads(capsys.readouterr().err)["error"]
+    assert info["code"] == 2 and info["message"].startswith("invalid value")
+    assert not out.exists()
+
+
+def test_non_finite_float_in_file_reports_line_number():
+    with pytest.raises(ConfigError, match="invalid value 'inf' for key 'd'") as err:
+        parse_config("[geometry]\nn = 8\nd = inf\n")
+    assert err.value.line == 3
+
+
+def test_fidelity_scan_chain_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert run_cli(["fidelity-scan", "--out", str(out),
+                    "--set", "geometry.arrangement=chain"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, column", [("fidelity", 1), ("fidelity-scan", 3)])
+def test_one_site_rings_give_finite_fidelities(tmp_path, command, column):
+    out = tmp_path / "f.csv"
+    assert run_cli([command, "--out", str(out), "--set", "geometry.arrangement=site-site",
+                    "--set", "geometry.n=1", "--set", "physics.t_steps=50",
+                    "--set", "physics.x_points=2", "--set", "physics.dtheta_points=2"]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    fidelities = np.array([float(r[column]) for r in rows])
+    assert len(rows) > 0 and np.all(np.isfinite(fidelities))
+    assert np.all((fidelities >= 0.0) & (fidelities <= 1.0)) and fidelities.max() > 0.0
+
+
+def test_subcommand_beats_command_key(tmp_path):
+    cfgfile = tmp_path / "c.txt"
+    cfgfile.write_text("command = fidelity\n")
+    for extra in (["--config", str(cfgfile)], ["--set", "command=fidelity"]):
+        out = tmp_path / "s.csv"
+        assert run_cli(["spectrum", "--out", str(out), "--set", "geometry.n=4"] + extra) == 0
+        lines = out.read_text().splitlines()
+        assert "# config: command = spectrum" in lines
+        assert "index,m_label,J_over_Gamma0,Gamma_over_Gamma0" in lines
+
+
+def test_every_echoed_key_is_a_set_override(tmp_path):
+    """The header lists each RunConfig field once as section.name, and --set
+    accepts every one of those lines back with the same result."""
+    cfg = resolve_config(parse_config("[geometry]\nn = 5\nd = 0.2\n"), {"command": "spectrum"})
+    items = config_items(cfg)
+    assert [k.rpartition(".")[2] for k, _ in items] == [f.name for f in fields(RunConfig)]
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(["spectrum", "--out", str(first), "--set", "geometry.n=5",
+                    "--set", "geometry.d=0.2"]) == 0
+    overrides = [arg for k, v in items if k not in ("command", "output.out")
+                 for arg in ("--set", f"{k}={v}")]
+    assert run_cli(["spectrum", "--out", str(second)] + overrides) == 0
+    assert first.read_text().replace(str(first), "") == second.read_text().replace(str(second), "")
+
+
+def test_unknown_set_key_is_a_config_error(tmp_path, capsys):
+    assert run_cli(["spectrum", "--out", str(tmp_path / "x.csv"), "--set", "geometry.wibble=3"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == "unknown key 'geometry.wibble'"

@@ -169,3 +169,13 @@ def test_fidelity_scan_grid_shape():
     assert np.array_equal(scan.max_fidelity, threaded.max_fidelity)
     with pytest.raises(ValueError):
         fidelity_scan(8, 0.1, "tangential", 2, [], [0.3], t_max=10.0)
+
+
+@pytest.mark.parametrize("ring", [0, 1])
+def test_one_site_packet_is_that_site(ring):
+    # a one-site ring has radius 0: the packet is its site with unit amplitude
+    pair = build_two_rings(TwoRingConfig("site-site", 1, 0.1, 0.15, "tangential"))
+    psi = gaussian_packet(pair, ring, 0, m=3, delta_theta=0.5)
+    site = pair.groups[ring][0]
+    assert abs(abs(psi[site]) - 1.0) < 1e-15
+    assert np.count_nonzero(psi) == 1

@@ -200,8 +200,13 @@ def _array_hash(array) -> str:
 
 
 def _rows(*columns) -> list[tuple]:
-    """Table rows of Python scalars from equal-size arrays, each flattened row-major."""
-    return list(zip(*(np.ravel(c).tolist() for c in columns)))
+    """Table rows of Python scalars from equal-size arrays, each flattened row-major.
+
+    A NaN or infinite number (an overflow upstream) raises ArithmeticError."""
+    arrays = [np.ravel(c) for c in columns]
+    if any(a.dtype.kind in "fc" and not np.isfinite(a).all() for a in arrays):
+        raise ArithmeticError("the result has non-finite values; an input is out of range")
+    return list(zip(*(a.tolist() for a in arrays)))
 
 
 def cmd_spectrum(cfg: RunConfig):

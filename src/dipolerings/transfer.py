@@ -118,6 +118,36 @@ class Propagation:
     method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
 
 
+def _evolve(h: np.ndarray, psi0s: np.ndarray, times: np.ndarray, targets: list[np.ndarray]):
+    """Factor h once for all initial states psi_j = psi0s[:, j]: the method ('eig' or
+    'ode'), cond(V), and lazily per j the (t, k) overlaps <T_jk|psi_j(t)> with T_j = targets[j].
+
+    The overlaps are phases @ (a_j V^T conj(T_j)) with V a_j = psi_j solved (V^{-1} is not
+    V^T/norms on degenerate +-m pairs), so the (t, n) states are never built.  When
+    cond(V) > 1e8 each psi_j is integrated directly (DOP853), then projected.
+    """
+    if np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-negative and ascending")
+    h = np.asarray(h, dtype=complex)
+    psi0s = np.asarray(psi0s, dtype=complex)
+    vals, vecs = np.linalg.eig(h)
+    cond = float(np.linalg.cond(vecs))
+    if cond > 1e8:
+        def integrate(psi0):
+            sol = solve_ivp(lambda t, y: -1j * (h @ y), (0.0, times[-1] if len(times) else 0.0),
+                            psi0, t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
+            if not sol.success:
+                raise ArithmeticError(f"direct integration failed: {sol.message}")
+            return sol.y.T
+        return "ode", cond, (integrate(psi0) @ np.conj(target)
+                             for psi0, target in zip(psi0s.T, targets))
+    a = np.linalg.solve(vecs, psi0s)                              # (n, j)
+    phases = np.outer(times, -1j * vals)                          # (t, n)
+    np.exp(phases, out=phases)
+    return "eig", cond, (phases @ (a_j[:, None] * (vecs.T @ np.conj(target)))
+                         for a_j, target in zip(a.T, targets))
+
+
 def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     """Evolve psi under dpsi/dt = -i h psi.
 
@@ -125,25 +155,12 @@ def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     back to adaptive direct integration when the eigenvector matrix is
     ill-conditioned (condition number above 1e8).
     """
-    h = np.asarray(h, dtype=complex)
-    psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-negative and ascending")
-    vals, vecs = np.linalg.eig(h)
-    if np.linalg.cond(vecs) > 1e8:
-        sol = solve_ivp(lambda t, y: -1j * (h @ y), (0.0, float(times[-1]) if len(times) else 0.0),
-                        psi0, t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
-        if not sol.success:
-            raise ArithmeticError(f"direct integration failed: {sol.message}")
-        return Propagation(times=times, states=sol.y.T.astype(complex), method="ode")
-    a = np.linalg.solve(vecs, psi0)
-    phases = np.exp(-1j * np.outer(times, vals))         # (t, n)
-    states = phases * a[None, :] @ vecs.T
-    return Propagation(times=times, states=states, method="eig")
+    method, _, states = _evolve(h, np.reshape(psi0, (-1, 1)), times, [np.eye(len(psi0))])
+    return Propagation(times=times, states=next(states), method=method)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FidelityTrace:
     """Transfer fidelity versus time for a propagated wave packet."""
 
@@ -151,6 +168,15 @@ class FidelityTrace:
     fidelity: np.ndarray          # max_k |<target_k|psi(t)>|
     argmax_site: np.ndarray       # local site index in ring 2 achieving the max
     squared: np.ndarray = field(default=None)   # |overlap|^2 variant
+    method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
+    cond: float | None = None     # condition number of the eigenvector matrix of h
+
+
+def _targets(array: EmitterArray, m: int, delta_thetas) -> list[np.ndarray]:
+    """Momentum-reversed packets centred on each ring-2 site, one (n, n2) set per width."""
+    return [np.column_stack([gaussian_packet(array, ring=1, center_site=k, m=-m,
+                                             delta_theta=float(dt))
+                             for k in range(len(array.groups[1]))]) for dt in delta_thetas]
 
 
 def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: float,
@@ -163,16 +189,14 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     """
     if h is None:
         h = assemble_heff(array)
-    prop = propagate(h, psi0, times)
-    n2 = len(array.groups[1])
-    targets = np.column_stack([
-        gaussian_packet(array, ring=1, center_site=k, m=-m, delta_theta=delta_theta)
-        for k in range(n2)])
-    overlaps = np.abs(prop.states @ np.conj(targets))        # (t, k)
+    times = np.asarray(times, dtype=float)
+    method, cond, overlaps = _evolve(h, np.reshape(psi0, (-1, 1)), times,
+                                     _targets(array, m, [delta_theta]))
+    overlaps = np.abs(next(overlaps))                        # (t, k)
     best = np.argmax(overlaps, axis=1)
-    fid = overlaps[np.arange(len(prop.times)), best]
-    return FidelityTrace(times=prop.times, fidelity=fid, argmax_site=best,
-                         squared=fid**2)
+    fid = overlaps[np.arange(len(times)), best]
+    return FidelityTrace(times=times, fidelity=fid, argmax_site=best, squared=fid**2,
+                         method=method, cond=cond)
 
 
 def farthest_site(array: EmitterArray, ring: int = 0) -> int:
@@ -208,8 +232,9 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     """Scan max_t F over ring separation and initial packet width.
 
     The packet starts on ring 1 at the site farthest from ring 2.  For each
-    separation the system is built once; each width is propagated on a uniform
-    time grid of t_steps points up to t_max (default 20 pi / |J_{m,-m}|).
+    separation the system is built and h factored once; all widths are
+    propagated together on a uniform time grid of t_steps points up to t_max
+    (default 20 pi / |J_{m,-m}|).
     """
     x_values = np.asarray(x_values, dtype=float)
     dts = np.asarray(delta_theta_values, dtype=float)
@@ -223,16 +248,12 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
         horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
         times = np.linspace(0.0, horizon, t_steps)
         k0_site = farthest_site(system, ring=0)
-        radius = system.ring_meta[0].radius
-        row_f, row_t, row_w = [], [], []
-        for dt in dts:
-            psi0 = gaussian_packet(system, ring=0, center_site=k0_site, m=m, delta_theta=float(dt))
-            trace = fidelity_trace(system, psi0, m=m, delta_theta=float(dt), times=times, h=h)
-            peak = int(np.argmax(trace.fidelity))
-            row_f.append(trace.fidelity[peak])
-            row_t.append(trace.times[peak])
-            row_w.append(radius * dt)
-        return row_f, row_t, row_w
+        psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
+                                                 delta_theta=float(dt)) for dt in dts])
+        _, _, overlaps = _evolve(h, psi0s, times, _targets(system, m, dts))
+        fid = np.column_stack([np.max(np.abs(o), axis=1) for o in overlaps])   # (t, width)
+        peak = np.argmax(fid, axis=0)
+        return fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(one_separation, x_values))

@@ -1,11 +1,18 @@
 """Independent oracles: closed-form two-atom couplings, a fixed-step RK4
 propagator and a direct circulant ring sum.  These deliberately avoid the
 library's vectorized Green's kernels, its FFT and its eigendecomposition code
-paths; the ring sum takes its couplings one pair at a time from pair_coupling."""
+paths; the ring sum takes its couplings one pair at a time from pair_coupling.
+The fidelity-scan reference is the exception: it projects the full states of
+`propagate` (itself checked against RK4) point by point, the direct form that
+`fidelity_scan` factors and projects before the time expansion."""
 
 import numpy as np
 
 from dipolerings.emfield import pair_coupling
+from dipolerings.geometry import TwoRingConfig, build_two_rings
+from dipolerings.spectrum import assemble_heff
+from dipolerings.transfer import (default_horizon, farthest_site, gaussian_packet, propagate,
+                                  ring_ring_coupling)
 
 K0 = 2.0 * np.pi
 
@@ -71,3 +78,22 @@ def circulant_ring_eigenvalues(ring, ms):
              for l in range(1, len(pos))]
     return np.array([-0.5j + sum(h * np.exp(1j * m * dtheta) for h, dtheta in terms)
                      for m in ms])
+
+
+def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_values,
+                              t_max, t_steps, arrangement):
+    """(max_fidelity, t_at_max) over (x, dtheta), one propagate per grid point: the
+    full (t, n) states, projected onto the ring-2 target packets afterwards."""
+    maxf = np.zeros((len(x_values), len(delta_theta_values)))
+    tat = np.zeros_like(maxf)
+    for i, x in enumerate(x_values):
+        system = build_two_rings(TwoRingConfig(arrangement, n, d, float(x), polarization))
+        h = assemble_heff(system)
+        horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
+        times = np.linspace(0.0, horizon, t_steps)
+        for j, dt in enumerate(delta_theta_values):
+            psi0 = gaussian_packet(system, 0, farthest_site(system, 0), m, dt)
+            targets = np.column_stack([gaussian_packet(system, 1, k, -m, dt) for k in range(n)])
+            fid = np.abs(propagate(h, psi0, times).states @ np.conj(targets)).max(axis=1)
+            maxf[i, j], tat[i, j] = fid.max(), times[np.argmax(fid)]
+    return maxf, tat

@@ -362,3 +362,18 @@ def test_every_echoed_key_is_a_set_override(tmp_path):
 def test_unknown_set_key_is_a_config_error(tmp_path, capsys):
     assert run_cli(["spectrum", "--out", str(tmp_path / "x.csv"), "--set", "geometry.wibble=3"]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["message"] == "unknown key 'geometry.wibble'"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy warns of the overflow first
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--set", "geometry.d=1e308"],
+    ["fidelity", "--set", "geometry.arrangement=site-site", "--set", "physics.delta_theta=1e-300"],
+    ["coupling", "--set", "geometry.arrangement=site-site", "--set", "geometry.x=1e308"],
+    ["fieldmap", "--set", "physics.extent=1e308", "--set", "physics.resolution=5"],
+])
+def test_overflow_to_non_finite_is_a_numeric_error(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--out", str(out)]) == 3
+    info = json.loads(capsys.readouterr().err)["error"]
+    assert info["code"] == 3 and "non-finite" in info["message"]
+    assert not out.exists()

@@ -1,12 +1,15 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+from dipolerings import transfer
 from dipolerings.geometry import EmitterArray, TwoRingConfig, build_two_rings
 from dipolerings.spectrum import assemble_heff, canonical_m_range, decay_matrix, spin_wave_state
 from dipolerings.transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                                   fidelity_trace, gaussian_packet, propagate,
                                   ring_ring_coupling, single_ring_eigenvalues)
-from oracles import random_geometry, rk4_propagate
+from oracles import fidelity_scan_from_states, random_geometry, rk4_propagate
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +182,66 @@ def test_one_site_packet_is_that_site(ring):
     site = pair.groups[ring][0]
     assert abs(abs(psi[site]) - 1.0) < 1e-15
     assert np.count_nonzero(psi) == 1
+
+
+def _count_eig(monkeypatch):
+    """Count np.linalg.eig calls from any thread (list.append is atomic under the GIL)."""
+    calls, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or eig(a))
+    return calls
+
+
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+@pytest.mark.parametrize("t_max", [25.0, None])
+def test_fidelity_scan_factors_once_per_separation(monkeypatch, arrangement, t_max):
+    args = (6, 0.1, "tangential", 2, [0.1, 0.15, 0.25], [0.3, 0.8, 1.5, 2.5])
+    kwargs = dict(t_max=t_max, t_steps=150, arrangement=arrangement)
+    expected_f, expected_t = fidelity_scan_from_states(*args, **kwargs)
+    calls = _count_eig(monkeypatch)
+    for threads in (1, 2):
+        calls.clear()
+        scan = fidelity_scan(*args, threads=threads, **kwargs)
+        assert len(calls) == 3
+        assert np.max(np.abs(scan.max_fidelity - expected_f)) < 1e-12
+        assert np.max(np.abs(scan.t_at_max - expected_t)) < 1e-12 * np.max(expected_t)
+
+
+def test_fidelity_trace_factors_once_and_reports_its_path(monkeypatch, pair10, h10):
+    psi0 = gaussian_packet(pair10, 0, farthest_site(pair10, 0), m=4, delta_theta=1.0)
+    cond = np.linalg.cond(np.linalg.eig(h10)[1])
+    calls = _count_eig(monkeypatch)
+    times = np.linspace(0.0, 40.0, 300)
+    trace = fidelity_trace(pair10, psi0, m=4, delta_theta=1.0, times=times, h=h10)
+    assert len(calls) == 1
+    assert trace.method == "eig" and trace.cond == cond and 1.0 <= cond < 1e8
+    with pytest.raises(FrozenInstanceError):
+        trace.method = "ode"
+
+
+def test_defective_h_takes_the_ode_fallback():
+    # h = -i/2 + N with N nilpotent: one eigenvector, so cond(V) is huge and
+    # psi(t) = e^{-t/2} (1, -i t) exactly
+    pair = build_two_rings(TwoRingConfig("site-site", 1, 0.1, 0.15, "tangential"))
+    h = np.array([[-0.5j, 0.0], [1.0, -0.5j]])
+    psi0 = gaussian_packet(pair, 0, 0, m=0, delta_theta=1.0)
+    times = np.linspace(0.0, 12.0, 61)
+    prop = propagate(h, psi0, times)
+    assert prop.method == "ode"
+    decay = np.exp(-times / 2)
+    assert np.max(np.abs(prop.states - np.column_stack([decay, -1j * times * decay]))) < 1e-8
+    trace = fidelity_trace(pair, psi0, m=0, delta_theta=1.0, times=times, h=h)
+    assert trace.method == "ode" and trace.cond > 1e8
+    assert np.max(np.abs(trace.fidelity - times * decay)) < 1e-8
+
+
+def test_fidelity_scan_ode_fallback_matches_eig(monkeypatch):
+    args = (5, 0.1, "tangential", 2, [0.1, 0.2], [0.5, 1.5])
+    eig_scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
+    integrations, solve_ivp = [], transfer.solve_ivp
+    monkeypatch.setattr(transfer, "solve_ivp",
+                        lambda *a, **k: integrations.append(1) or solve_ivp(*a, **k))
+    monkeypatch.setattr(np.linalg, "cond", lambda a: 1e9)
+    ode_scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
+    assert len(integrations) == 4
+    assert np.max(np.abs(ode_scan.max_fidelity - eig_scan.max_fidelity)) < 1e-7
+    assert np.max(np.abs(ode_scan.t_at_max - eig_scan.t_at_max)) < 1e-7

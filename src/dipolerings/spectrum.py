@@ -124,6 +124,15 @@ def spin_wave_state(array: EmitterArray, m: int, group: int = 0) -> np.ndarray:
     return state
 
 
+def _first_row(positions: np.ndarray, dipoles: np.ndarray) -> np.ndarray:
+    """Row 0 of h for the given sites: -i/2, then h_0l for l >= 1."""
+    row = np.empty(len(positions), dtype=complex)
+    row[0] = -0.5j * GAMMA0
+    row[1:] = -(3.0 * np.pi * GAMMA0 / K0) * projected_green(positions[0] - positions[1:],
+                                                             dipoles[0], dipoles[1:])
+    return row
+
+
 def ring_spectrum(array: EmitterArray, group: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of a symmetric ring from one row of its Hamiltonian.
 
@@ -138,11 +147,7 @@ def ring_spectrum(array: EmitterArray, group: int = 0) -> tuple[np.ndarray, np.n
         raise ValueError("analytic ring eigenvalues need a symmetric polarization scheme")
     idx = np.asarray(array.groups[group])
     n = len(idx)
-    pos = array.positions[idx]
-    dip = array.dipoles[idx]
-    row = np.empty(n, dtype=complex)
-    row[0] = -0.5j * GAMMA0
-    row[1:] = -(3.0 * np.pi * GAMMA0 / K0) * projected_green(pos[0] - pos[1:], dip[0], dip[1:])
+    row = _first_row(array.positions[idx], array.dipoles[idx])
     ms = canonical_m_range(n)
     return ms, n * np.fft.ifft(row)[ms % n]
 
@@ -151,6 +156,37 @@ def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:
     """Eigenvalue of a symmetric ring for the spin wave of momentum m (m taken mod N)."""
     ms, lambdas = ring_spectrum(array, group)
     return complex(lambdas[wrap_m(m, len(ms)) - ms[0]])
+
+
+def chain_spectrum(array: EmitterArray) -> np.ndarray:
+    """All eigenvalues of a uniform open chain from one row of its Hamiltonian.
+
+    Equal spacing and one common dipole make h symmetric Toeplitz, h_ij =
+    r_|i-j| with r row 0 of h (G(r) = G(-r)), so h commutes with the site
+    reversal j -> n-1-j.  On the basis (e_i +- e_{n-1-i})/sqrt(2), i < n//2, h
+    splits into the even block T + H and the odd block T - H, with T_ij = r_|i-j|
+    and H_ij = r_{n-1-i-j}; for odd n the even block also holds the middle site,
+    coupled by sqrt(2) r_{n//2-i}.  Returns the eigenvalues of the even block
+    (side ceil(n/2)) then of the odd block (side floor(n/2)), unsorted; no
+    eigenvectors are computed.
+    """
+    pos, dip = array.positions, array.dipoles
+    steps = np.diff(pos, axis=0)
+    if np.any(dip != dip[0]) or np.any(np.abs(steps - steps[:1])
+                                       > 1e-9 * np.abs(steps[:1]).max(initial=0.0)):
+        raise ValueError("chain eigenvalues need equal spacing and one common dipole")
+    row = _first_row(pos, dip)
+    n = len(row)
+    half = n // 2
+    i = np.arange(half)
+    toeplitz = row[np.abs(i[:, None] - i)]
+    hankel = row[n - 1 - i[:, None] - i]
+    even = np.empty((n - half, n - half), dtype=complex)
+    even[:half, :half] = toeplitz + hankel
+    if n % 2:
+        even[:half, half] = even[half, :half] = np.sqrt(2.0) * row[half - i]
+        even[half, half] = row[0]
+    return np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(toeplitz - hankel)])
 
 
 def classify_modes(spec: ModeSpectrum, array: EmitterArray, group: int = 0,
@@ -220,9 +256,12 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
                    polarization="transverse", threads: int = 1) -> np.ndarray:
     """Minimum collective decay rate versus emitter number at fixed lambda/d.
 
-    kind is 'ring' or 'chain'.  Returns an array of rows (n, min_k Gamma_k).
-    Rings with a symmetric polarization scheme take their rates from
-    ring_spectrum; other rings and chains are diagonalized.
+    kind is 'ring' or 'chain'.  Returns an array of rows (n, min_k Gamma_k),
+    computed in a pool of `threads` worker threads.  Rings with a symmetric
+    polarization scheme take their rates from ring_spectrum; rings with a
+    fixed dipole vector from the eigenvalues of the full h.  Chains take
+    `polarization` as their common dipole ('transverse' is z) and their rates
+    from chain_spectrum.  No eigenvectors are computed.
     """
     if kind not in ("ring", "chain"):
         raise ValueError(f"unknown geometry kind {kind!r}")
@@ -232,14 +271,16 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
     d = 1.0 / wavelength_over_d
 
     def one(n):
-        if kind == "ring":
+        if kind == "chain":
+            dip = (0, 0, 1) if polarization == "transverse" else polarization
+            lambdas = chain_spectrum(build_chain(n, d, dip))
+        else:
             array = build_ring(n, d, polarization)
             if array.ring_meta[0].scheme in SYMMETRIC_SCHEMES:
-                return float(np.min(-2.0 * np.imag(ring_spectrum(array)[1])))
-        else:
-            dip = (0, 0, 1) if polarization == "transverse" else polarization
-            array = build_chain(n, d, dip)
-        return float(np.min(eigenmodes(assemble_heff(array)).rates))
+                lambdas = ring_spectrum(array)[1]
+            else:
+                lambdas = np.linalg.eigvals(assemble_heff(array))
+        return float(np.min(-2.0 * np.imag(lambdas)))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         minima = list(pool.map(one, n_list))

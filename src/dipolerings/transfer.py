@@ -224,6 +224,8 @@ class FidelityScan:
     widths: np.ndarray            # R * delta_theta per (x, dtheta), (nx, nw)
     max_fidelity: np.ndarray      # (nx, nw)
     t_at_max: np.ndarray          # (nx, nw)
+    methods: np.ndarray           # (nx,) 'eig' or 'ode' (ill-conditioned fallback) per x
+    conds: np.ndarray             # (nx,) condition number of the eigenvector matrix of h
 
 
 def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_values,
@@ -234,7 +236,8 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     The packet starts on ring 1 at the site farthest from ring 2.  For each
     separation the system is built and h factored once; all widths are
     propagated together on a uniform time grid of t_steps points up to t_max
-    (default 20 pi / |J_{m,-m}|).
+    (default 20 pi / |J_{m,-m}|).  methods and conds record each separation's
+    solver path and cond(V), as FidelityTrace does for one trace.
     """
     x_values = np.asarray(x_values, dtype=float)
     dts = np.asarray(delta_theta_values, dtype=float)
@@ -250,15 +253,14 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
         k0_site = farthest_site(system, ring=0)
         psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
                                                  delta_theta=float(dt)) for dt in dts])
-        _, _, overlaps = _evolve(h, psi0s, times, _targets(system, m, dts))
+        method, cond, overlaps = _evolve(h, psi0s, times, _targets(system, m, dts))
         fid = np.column_stack([np.max(np.abs(o), axis=1) for o in overlaps])   # (t, width)
         peak = np.argmax(fid, axis=0)
-        return fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts
+        return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,
+                method, cond)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(one_separation, x_values))
-    maxf = np.array([r[0] for r in rows])
-    tat = np.array([r[1] for r in rows])
-    widths = np.array([r[2] for r in rows])
+    maxf, tat, widths, methods, conds = (np.array(column) for column in zip(*rows))
     return FidelityScan(x_values=x_values, delta_theta_values=dts, widths=widths,
-                        max_fidelity=maxf, t_at_max=tat)
+                        max_fidelity=maxf, t_at_max=tat, methods=methods, conds=conds)

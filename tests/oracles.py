@@ -1,7 +1,8 @@
 """Independent oracles: closed-form two-atom couplings, a fixed-step RK4
-propagator and a direct circulant ring sum.  These deliberately avoid the
-library's vectorized Green's kernels, its FFT and its eigendecomposition code
-paths; the ring sum takes its couplings one pair at a time from pair_coupling.
+propagator, a direct circulant ring sum and a dense chain matrix.  These
+deliberately avoid the library's vectorized Green's kernels, its FFT and its
+eigendecomposition code paths; the ring sum and the chain matrix take their
+couplings one pair at a time from pair_coupling.
 The fidelity-scan reference is the exception: it projects the full states of
 `propagate` (itself checked against RK4) point by point, the direct form that
 `fidelity_scan` factors and projects before the time expansion."""
@@ -78,6 +79,17 @@ def circulant_ring_eigenvalues(ring, ms):
              for l in range(1, len(pos))]
     return np.array([-0.5j + sum(h * np.exp(1j * m * dtheta) for h, dtheta in terms)
                      for m in ms])
+
+
+def chain_eigenvalues(n, d, dipole):
+    """All eigenvalues of an open chain of n emitters at x = 0, d, .., (n-1) d with one
+    common dipole: every entry h_ij of the dense matrix from pair_coupling, then eigvals."""
+    p = np.asarray(dipole, dtype=complex)
+    p = p / np.sqrt(np.vdot(p, p).real)
+    sites = [np.array([j * d, 0.0, 0.0]) for j in range(n)]
+    h = np.array([[-0.5j if i == j else pair_coupling(sites[i], p, sites[j], p).h
+                   for j in range(n)] for i in range(n)])
+    return np.linalg.eigvals(h)
 
 
 def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_values,

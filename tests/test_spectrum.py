@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from dipolerings import spectrum
 from dipolerings.emfield import SingularityError, pair_coupling
 from dipolerings.geometry import EmitterArray, build_ring
 from dipolerings.spectrum import (assemble_heff, canonical_m_range, classify_modes,
                                   decay_matrix, eigenmodes, light_line_threshold,
                                   min_decay_scan, ring_eigenvalue, ring_spectrum,
                                   spin_wave_state, wrap_m)
+from dipolerings.geometry import build_chain
+from dipolerings.spectrum import chain_spectrum
+from oracles import chain_eigenvalues
 from oracles import circulant_ring_eigenvalues, random_geometry
 
 
@@ -218,3 +223,64 @@ def test_ring_spectrum_matches_circulant_sum(n, pol, offset):
     ms, lambdas = ring_spectrum(ring)
     assert ms.tolist() == canonical_m_range(n).tolist()
     assert np.max(np.abs(lambdas - circulant_ring_eigenvalues(ring, ms))) < 1e-12
+
+
+CHAIN_DIPOLES = [(0, 0, 1), (1, 0, 0), (1 / np.sqrt(2), 1j / np.sqrt(2), 0)]
+
+
+@pytest.mark.parametrize("dipole", CHAIN_DIPOLES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 40, 41])
+def test_chain_spectrum_matches_dense_pair_sum(n, dipole):
+    got = chain_spectrum(build_chain(n, 1.0 / 3.0, dipole))
+    expected = chain_eigenvalues(n, 1.0 / 3.0, dipole)
+    assert got.shape == (n,)
+    gap = np.abs(expected[:, None] - got[None, :])
+    rows, cols = linear_sum_assignment(gap)
+    assert np.all(gap[rows, cols] <= 1e-10 * (1.0 + np.abs(expected[rows])))
+
+
+def test_chain_spectrum_rejects_a_non_uniform_chain():
+    uneven = EmitterArray([[0, 0, 0], [1, 0, 0], [2.5, 0, 0]], [[0, 0, 1]] * 3)
+    mixed = EmitterArray([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 0, 1]] * 2 + [[1, 0, 0]])
+    for array in (uneven, mixed):
+        with pytest.raises(ValueError):
+            chain_spectrum(array)
+
+
+def test_chain_decay_scan_matches_dense_pair_sum():
+    sizes = range(10, 61, 5)
+    expected = [np.min(-2.0 * np.imag(chain_eigenvalues(n, 1.0 / 3.0, (0, 0, 1))))
+                for n in sizes]
+    for threads in (1, 2):
+        table = min_decay_scan("chain", sizes, 3.0, threads=threads)
+        assert table[:, 0].tolist() == list(sizes)
+        assert np.all(np.abs(table[:, 1] - expected) <= 1e-9 * np.abs(expected))
+
+
+def _count_solvers(monkeypatch):
+    """Count np.linalg.eig and assemble_heff calls, and record each np.linalg.eigvals
+    input shape, from any thread."""
+    calls = {"eig": [], "eigvals": [], "assemble_heff": []}
+    eig, eigvals, heff = np.linalg.eig, np.linalg.eigvals, spectrum.assemble_heff
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls["eig"].append(1) or eig(a))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls["eigvals"].append(np.shape(a)) or eigvals(a))
+    monkeypatch.setattr(spectrum, "assemble_heff",
+                        lambda array: calls["assemble_heff"].append(1) or heff(array))
+    return calls
+
+
+def test_chain_decay_scan_takes_two_parity_blocks_per_size(monkeypatch):
+    calls = _count_solvers(monkeypatch)
+    min_decay_scan("chain", [40, 41], 3.0)
+    assert calls["eig"] == [] and calls["assemble_heff"] == []
+    assert sorted(calls["eigvals"]) == [(20, 20), (20, 20), (20, 20), (21, 21)]
+
+
+def test_fixed_dipole_ring_decay_scan_takes_eigenvalues_only(monkeypatch):
+    ring = build_ring(12, 1.0 / 3.0, (1, 0, 0))
+    expected = np.min(eigenmodes(assemble_heff(ring)).rates)
+    calls = _count_solvers(monkeypatch)
+    table = min_decay_scan("ring", [12], 3.0, polarization=(1, 0, 0))
+    assert calls["eig"] == [] and calls["eigvals"] == [(12, 12)]
+    assert abs(table[0, 1] - expected) <= 1e-10 * expected

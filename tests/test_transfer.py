@@ -245,3 +245,18 @@ def test_fidelity_scan_ode_fallback_matches_eig(monkeypatch):
     assert len(integrations) == 4
     assert np.max(np.abs(ode_scan.max_fidelity - eig_scan.max_fidelity)) < 1e-7
     assert np.max(np.abs(ode_scan.t_at_max - eig_scan.t_at_max)) < 1e-7
+
+
+def test_fidelity_scan_reports_its_solver_path(monkeypatch):
+    args = (5, 0.1, "tangential", 2, [0.1, 0.2, 0.4], [0.5, 1.5])
+    conds = [np.linalg.cond(np.linalg.eig(assemble_heff(
+        build_two_rings(TwoRingConfig("site-site", 5, 0.1, x, "tangential"))))[1])
+        for x in args[4]]
+    for threads in (1, 2):
+        scan = fidelity_scan(*args, t_max=20.0, t_steps=120, threads=threads)
+        assert scan.methods.tolist() == ["eig"] * 3
+        assert scan.conds.tolist() == conds
+    monkeypatch.setattr(np.linalg, "cond", lambda a: 1e9)
+    scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
+    assert scan.methods.tolist() == ["ode"] * 3
+    assert scan.conds.tolist() == [1e9] * 3

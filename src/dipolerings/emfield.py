@@ -2,6 +2,12 @@
 
 Internal units: lengths in units of the transition wavelength (so k0 = 2*pi),
 rates and energy shifts in units of the single-emitter decay rate Gamma0 = 1.
+
+There is one Green's kernel: the radial factors pref = e^{ix}/(4 pi r) and
+near = 1/x^2 - i/x (x = k0 r) come from `_radial` alone.  `green_tensor` is
+the 3x3 tensor of one separation, `projected_green` its projections
+conj(p_left).G.p_right over a batch of pairs, and `radiated_field` its summed
+form, the field sum_j c_j G(r - r_j).p_j of a whole array at many points.
 """
 
 from dataclasses import dataclass
@@ -10,6 +16,8 @@ import numpy as np
 
 K0 = 2.0 * np.pi
 GAMMA0 = 1.0
+# Field points per block of radiated_field: its temporaries are (BLOCK_POINTS, N).
+BLOCK_POINTS = 1024
 
 
 class SingularityError(ValueError):
@@ -56,6 +64,12 @@ class PairCoupling:
         return self.omega - 0.5j * self.gamma
 
 
+def _radial(dist):
+    """Radial factors of G at distance dist: e^{ix}/(4 pi r) and 1/x^2 - i/x, x = k0 r."""
+    x = K0 * dist
+    return np.exp(1j * x) / (4.0 * np.pi * dist), 1.0 / x**2 - 1j / x
+
+
 def green_tensor(r) -> np.ndarray:
     """Free-space dyadic Green's tensor G(r) at the transition frequency.
 
@@ -72,11 +86,10 @@ def green_tensor(r) -> np.ndarray:
     if dist == 0.0:
         raise SingularityError("Green's tensor diverges at zero separation")
     rhat = r / dist
-    x = K0 * dist
     rr = np.outer(rhat, rhat)
     eye = np.eye(3)
-    pref = np.exp(1j * x) / (4.0 * np.pi * dist)
-    return pref * ((eye - rr) + (1.0 / x**2 - 1j / x) * (3.0 * rr - eye))
+    pref, near = _radial(dist)
+    return pref * ((eye - rr) + near * (3.0 * rr - eye))
 
 
 def pair_coupling(r_i, p_i, r_j, p_j) -> PairCoupling:
@@ -111,12 +124,49 @@ def projected_green(separations: np.ndarray, p_left: np.ndarray, p_right: np.nda
     dist = np.linalg.norm(sep, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         rhat = sep / dist[..., None]
-        x = K0 * dist
         pl = np.conj(p_left)
         dot_ll = np.einsum("...i,...i->...", pl, rhat)
         dot_rr = np.einsum("...i,...i->...", rhat, p_right)
         dot_lr = np.einsum("...i,...i->...", pl, p_right)
-        pref = np.exp(1j * x) / (4.0 * np.pi * dist)
-        near = 1.0 / x**2 - 1j / x
+        pref, near = _radial(dist)
         return pref * ((dot_lr - dot_ll * dot_rr) + near * (3.0 * dot_ll * dot_rr - dot_lr))
+
+
+def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """Field sum_j c_j G(r - r_j) . p_j at each of the (P, 3) points.
+
+    positions (N, 3), dipoles (N, 3) and amplitudes c (N,) describe the
+    emitters.  Returns the (P, 3) complex field and the (P,) distance from each
+    point to its nearest emitter.  With rhat (rhat . p) = sep (sep . p) / r^2,
+        G . p = pref [(1 - near) p + (3 near - 1) sep (sep . p) / r^2],
+    so the sum over emitters is one matrix product (c pref (1 - near)) @ dipoles
+    plus the row sums sum_j b_j sep_j, b = c pref (3 near - 1) (sep . p) / r^2.
+    The points are taken BLOCK_POINTS at a time, so the work arrays are
+    (BLOCK_POINTS, N) scalars.  Raises SingularityError if a point coincides
+    with an emitter.
+    """
+    points = np.asarray(points, dtype=float)
+    pos = np.asarray(positions, dtype=float)
+    dip = np.asarray(dipoles, dtype=complex)
+    c = np.asarray(amplitudes, dtype=complex)
+    field = np.empty((len(points), 3), dtype=complex)
+    nearest = np.empty(len(points))
+    for start in range(0, len(points), BLOCK_POINTS):
+        rows = slice(start, start + BLOCK_POINTS)
+        sep = [points[rows, a, None] - pos[:, a] for a in range(3)]
+        dist2 = sep[0] * sep[0] + sep[1] * sep[1] + sep[2] * sep[2]
+        dist = np.sqrt(dist2)    # summed in np.linalg.norm's order: the same bits
+        nearest[rows] = np.min(dist, axis=1)
+        if np.any(nearest[rows] == 0.0):
+            raise SingularityError("field requested on top of an emitter")
+        pref, near = _radial(dist)
+        cpref = c * pref
+        b = cpref * (3.0 * near - 1.0)
+        b *= sep[0] * dip[:, 0] + sep[1] * dip[:, 1] + sep[2] * dip[:, 2]
+        b /= dist2
+        block = (cpref * (1.0 - near)) @ dip
+        for a in range(3):
+            block[:, a] += np.sum(b * sep[a], axis=1)
+        field[rows] = block
+    return field, nearest
 

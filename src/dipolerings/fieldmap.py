@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emfield import SingularityError, projected_green
+from .emfield import BLOCK_POINTS, radiated_field
 from .geometry import EmitterArray
 
 
@@ -71,40 +71,28 @@ class IntensityMap:
     mask: np.ndarray      # (res1, res2) bool, True within d/4 of an emitter
 
 
-def _field(array: EmitterArray, state: np.ndarray, points: np.ndarray) -> tuple:
-    """E+ at each of the (P, 3) points, and the (P, N) point-emitter distances.
-
-    Raises SingularityError if a point coincides with an emitter.
-    """
-    sep = points[:, None, :] - array.positions[None, :, :]
-    dist = np.linalg.norm(sep, axis=-1)
-    if np.any(dist == 0.0):
-        raise SingularityError("field requested on top of an emitter")
-    c = np.asarray(state, dtype=complex)
-    field = np.zeros((len(points), 3), dtype=complex)
-    for i in range(array.n):
-        if c[i] != 0.0:
-            # the identity as left projector: component a is e_a . G . p_i
-            field += c[i] * projected_green(sep[:, i, None, :], np.eye(3), array.dipoles[i])
-    return field, dist
-
-
 def field_amplitude(array: EmitterArray, state: np.ndarray, point) -> np.ndarray:
     """Positive-frequency field E+(r) = sum_i G(r - r_i) . p_i c_i.
 
     The overall prefactor is 1 in internal units; raises SingularityError if
     the point coincides with an emitter.
     """
-    return _field(array, state, np.asarray(point, dtype=float)[None, :])[0][0]
+    point = np.asarray(point, dtype=float)[None, :]
+    return radiated_field(point, array.positions, array.dipoles, state)[0][0]
 
 
 def _mask_radius(array: EmitterArray) -> float:
+    """A quarter of the nearest-neighbour distance, taken BLOCK_POINTS emitters at a time."""
     if array.n < 2:
         return 0.0
-    diff = array.positions[:, None, :] - array.positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    return float(np.min(dist)) / 4.0
+    pos = array.positions
+    nearest = np.inf
+    for start in range(0, array.n, BLOCK_POINTS):
+        dist = np.linalg.norm(pos[start:start + BLOCK_POINTS, None, :] - pos, axis=-1)
+        own = np.arange(len(dist))
+        dist[own, start + own] = np.inf
+        nearest = min(nearest, float(np.min(dist)))
+    return nearest / 4.0
 
 
 def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> IntensityMap:
@@ -115,8 +103,8 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
     not meaningful on a map).  Raises SingularityError if a grid point
     coincides with an emitter.
     """
-    field, dist = _field(array, state, grid.points())
+    field, nearest = radiated_field(grid.points(), array.positions, array.dipoles, state)
     values = np.sum(np.abs(field) ** 2, axis=1)
-    mask = np.min(dist, axis=1) <= _mask_radius(array)
+    mask = nearest <= _mask_radius(array)
     shape = (grid.res1, grid.res2)
     return IntensityMap(grid=grid, values=values.reshape(shape), mask=mask.reshape(shape))

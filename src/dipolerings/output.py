@@ -35,10 +35,19 @@ def header_lines(version: str, config_items: list[tuple[str, str]]) -> list[str]
 
 
 def write_csv(path, version, config_items, columns, rows, digits=12):
+    sci, fixed = f".{digits - 1}e", f".{digits}g"
+
+    def cell(v):
+        # fmt_float inlined for the common case, a Python float: same text
+        if v.__class__ is float:
+            if v == 0.0:
+                return "0"
+            return format(v, sci) if abs(v) < 1e-4 else format(v, fixed)
+        return fmt_value(v, digits)
+
     out = header_lines(version, config_items)
     out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(fmt_value(v, digits) for v in row))
+    out += [",".join(map(cell, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(out) + "\n")
 

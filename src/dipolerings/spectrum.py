@@ -1,5 +1,6 @@
 """Effective non-Hermitian Hamiltonian, collective eigenmodes and scans."""
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -125,11 +126,19 @@ def spin_wave_state(array: EmitterArray, m: int, group: int = 0) -> np.ndarray:
 
 
 def _first_row(positions: np.ndarray, dipoles: np.ndarray) -> np.ndarray:
-    """Row 0 of h for the given sites: -i/2, then h_0l for l >= 1."""
+    """Row 0 of h for the given sites: -i/2, then h_0l for l >= 1.
+
+    Raises ArithmeticError if a coupling is not finite: separations so small
+    or so large that their norm underflows to 0 or overflows.
+    """
     row = np.empty(len(positions), dtype=complex)
     row[0] = -0.5j * GAMMA0
     row[1:] = -(3.0 * np.pi * GAMMA0 / K0) * projected_green(positions[0] - positions[1:],
                                                              dipoles[0], dipoles[1:])
+    if not np.isfinite(row).all():
+        step = math.hypot(*(positions[1] - positions[0]))    # a norm that does not underflow
+        raise ArithmeticError(f"row 0 of h has non-finite couplings; an emitter separation "
+                              f"of {step:.3g} wavelengths is out of range")
     return row
 
 
@@ -260,8 +269,9 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
     computed in a pool of `threads` worker threads.  Rings with a symmetric
     polarization scheme take their rates from ring_spectrum; rings with a
     fixed dipole vector from the eigenvalues of the full h.  Chains take
-    `polarization` as their common dipole ('transverse' is z) and their rates
-    from chain_spectrum.  No eigenvectors are computed.
+    `polarization`, 'transverse' (z) or a dipole 3-vector, as their common
+    dipole and their rates from chain_spectrum; any other string raises
+    ValueError.  No eigenvectors are computed.
     """
     if kind not in ("ring", "chain"):
         raise ValueError(f"unknown geometry kind {kind!r}")
@@ -269,11 +279,14 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
     if not n_list:
         raise ValueError("n_list must be nonempty")
     d = 1.0 / wavelength_over_d
+    if kind == "chain" and isinstance(polarization, str):
+        if polarization != "transverse":
+            raise ValueError(f"chains take 'transverse' or a dipole 3-vector, got {polarization!r}")
+        polarization = (0.0, 0.0, 1.0)
 
     def one(n):
         if kind == "chain":
-            dip = (0, 0, 1) if polarization == "transverse" else polarization
-            lambdas = chain_spectrum(build_chain(n, d, dip))
+            lambdas = chain_spectrum(build_chain(n, d, polarization))
         else:
             array = build_ring(n, d, polarization)
             if array.ring_meta[0].scheme in SYMMETRIC_SCHEMES:

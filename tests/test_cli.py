@@ -377,3 +377,15 @@ def test_overflow_to_non_finite_is_a_numeric_error(tmp_path, capsys, args):
     info = json.loads(capsys.readouterr().err)["error"]
     assert info["code"] == 3 and "non-finite" in info["message"]
     assert not out.exists()
+
+
+def test_underflowing_spacing_is_a_numeric_error_naming_the_couplings(tmp_path, capsys):
+    # lambda/d = 1e200: the 1e-200 separations underflow in the norm, so row 0 of h is NaN
+    out = tmp_path / "x.csv"
+    assert run_cli(["decay-scan", "--out", str(out),
+                    "--set", "physics.wavelength_over_d=1e200"]) == 3
+    info = json.loads(capsys.readouterr().err)["error"]
+    assert info["code"] == 3
+    assert "non-finite couplings" in info["message"] and "out of range" in info["message"]
+    assert "1e-200" in info["message"]
+    assert not out.exists()

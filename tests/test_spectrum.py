@@ -284,3 +284,16 @@ def test_fixed_dipole_ring_decay_scan_takes_eigenvalues_only(monkeypatch):
     table = min_decay_scan("ring", [12], 3.0, polarization=(1, 0, 0))
     assert calls["eig"] == [] and calls["eigvals"] == [(12, 12)]
     assert abs(table[0, 1] - expected) <= 1e-10 * expected
+
+
+def test_chain_decay_scan_takes_a_dipole_vector():
+    dipole = np.array([1.0, 0.0, 0.0])
+    expected = [np.min(-2.0 * np.imag(chain_eigenvalues(n, 1.0 / 3.0, dipole))) for n in (10, 11)]
+    table = min_decay_scan("chain", [10, 11], 3.0, polarization=dipole)
+    assert np.all(np.abs(table[:, 1] - expected) <= 1e-9 * np.abs(expected))
+
+
+@pytest.mark.parametrize("name", ["tangential", "radial", "z"])
+def test_chain_decay_scan_rejects_other_scheme_names(name):
+    with pytest.raises(ValueError, match="chains take 'transverse' or a dipole 3-vector"):
+        min_decay_scan("chain", [10], 3.0, polarization=name)

@@ -129,7 +129,12 @@ def projected_green(separations: np.ndarray, p_left: np.ndarray, p_right: np.nda
         dot_rr = np.einsum("...i,...i->...", rhat, p_right)
         dot_lr = np.einsum("...i,...i->...", pl, p_right)
         pref, near = _radial(dist)
-        return pref * ((dot_lr - dot_ll * dot_rr) + near * (3.0 * dot_ll * dot_rr - dot_lr))
+        # One operand order at every batch size: above 256 KiB numpy reuses a temporary
+        # in place as `temp * near`, which moves the last bit of a fused complex multiply.
+        g = np.asarray(dot_lr - dot_ll * dot_rr, dtype=complex)
+        far = np.asarray(3.0 * dot_ll * dot_rr - dot_lr, dtype=complex)
+        g += np.multiply(near, far, out=far)
+        return np.multiply(pref, g, out=g)
 
 
 def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, np.ndarray]:

@@ -29,26 +29,36 @@ def wrap_m(m: int, n: int) -> int:
     return (m - lo) % n + lo
 
 
-def assemble_heff(array: EmitterArray) -> np.ndarray:
-    """Effective Hamiltonian h_ij = Omega_ij - i Gamma_ij / 2 in units of Gamma0.
+def _couplings(array: EmitterArray, rows=None, cols=None) -> np.ndarray:
+    """Block h[rows][:, cols] of the effective Hamiltonian (all sites by default).
 
-    Off the diagonal h_ij = -(3 pi Gamma0 / k0) conj(p_i) . G(r_i - r_j) . p_j;
-    diagonal entries are -i/2 (Omega_ii = 0, Gamma_ii = Gamma0).  Raises
-    SingularityError naming the first coincident pair found.
+    h_ij = -(3 pi Gamma0 / k0) conj(p_i) . G(r_i - r_j) . p_j, and -i/2 on self
+    pairs (Omega_ii = 0, Gamma_ii = Gamma0).  The first non-finite coupling raises
+    SingularityError if its emitters coincide, else ArithmeticError (a separation
+    whose norm underflows or overflows).
     """
-    pos = array.positions
-    n = array.n
-    sep = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(sep, axis=-1)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(dist[off] == 0.0):
-        i, j = np.argwhere((dist == 0.0) & off)[0]
-        raise SingularityError(f"emitters {i} and {j} are coincident")
-    g = projected_green(sep, array.dipoles[:, None, :], array.dipoles[None, :, :])
-    del sep   # freed before h is allocated: measured lower peak RSS in threaded scans
-    h = -(3.0 * np.pi * GAMMA0 / K0) * g
-    np.fill_diagonal(h, -0.5j * GAMMA0)
+    pos, dip = array.positions, array.dipoles
+    rows = np.arange(array.n) if rows is None else np.asarray(rows)
+    cols = np.arange(array.n) if cols is None else np.asarray(cols)
+    sep = pos[rows, None, :] - pos[None, cols, :]
+    h = projected_green(sep, dip[rows, None, :], dip[None, cols, :])
+    del sep   # 24 bytes per pair, not needed past the kernel
+    h *= -(3.0 * np.pi * GAMMA0 / K0)
+    h[rows[:, None] == cols] = -0.5j * GAMMA0
+    bad = np.argwhere(~np.isfinite(h))
+    if len(bad):
+        i, j = rows[bad[0, 0]], cols[bad[0, 1]]
+        step = math.hypot(*(pos[i] - pos[j]))    # a norm that does not underflow
+        if step == 0.0:
+            raise SingularityError(f"emitters {i} and {j} are coincident")
+        raise ArithmeticError(f"h has non-finite couplings; an emitter separation "
+                              f"of {step:.3g} wavelengths is out of range")
     return h
+
+
+def assemble_heff(array: EmitterArray) -> np.ndarray:
+    """Effective Hamiltonian h_ij = Omega_ij - i Gamma_ij / 2 in units of Gamma0; see _couplings."""
+    return _couplings(array)
 
 
 def decay_matrix(h: np.ndarray) -> np.ndarray:
@@ -125,23 +135,6 @@ def spin_wave_state(array: EmitterArray, m: int, group: int = 0) -> np.ndarray:
     return state
 
 
-def _first_row(positions: np.ndarray, dipoles: np.ndarray) -> np.ndarray:
-    """Row 0 of h for the given sites: -i/2, then h_0l for l >= 1.
-
-    Raises ArithmeticError if a coupling is not finite: separations so small
-    or so large that their norm underflows to 0 or overflows.
-    """
-    row = np.empty(len(positions), dtype=complex)
-    row[0] = -0.5j * GAMMA0
-    row[1:] = -(3.0 * np.pi * GAMMA0 / K0) * projected_green(positions[0] - positions[1:],
-                                                             dipoles[0], dipoles[1:])
-    if not np.isfinite(row).all():
-        step = math.hypot(*(positions[1] - positions[0]))    # a norm that does not underflow
-        raise ArithmeticError(f"row 0 of h has non-finite couplings; an emitter separation "
-                              f"of {step:.3g} wavelengths is out of range")
-    return row
-
-
 def ring_spectrum(array: EmitterArray, group: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of a symmetric ring from one row of its Hamiltonian.
 
@@ -156,7 +149,7 @@ def ring_spectrum(array: EmitterArray, group: int = 0) -> tuple[np.ndarray, np.n
         raise ValueError("analytic ring eigenvalues need a symmetric polarization scheme")
     idx = np.asarray(array.groups[group])
     n = len(idx)
-    row = _first_row(array.positions[idx], array.dipoles[idx])
+    row = _couplings(array, idx[:1], idx)[0]
     ms = canonical_m_range(n)
     return ms, n * np.fft.ifft(row)[ms % n]
 
@@ -184,8 +177,8 @@ def chain_spectrum(array: EmitterArray) -> np.ndarray:
     if np.any(dip != dip[0]) or np.any(np.abs(steps - steps[:1])
                                        > 1e-9 * np.abs(steps[:1]).max(initial=0.0)):
         raise ValueError("chain eigenvalues need equal spacing and one common dipole")
-    row = _first_row(pos, dip)
-    n = len(row)
+    n = array.n
+    row = _couplings(array, [0], np.arange(n))[0]
     half = n // 2
     i = np.arange(half)
     toeplitz = row[np.abs(i[:, None] - i)]

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .geometry import EmitterArray, TwoRingConfig, build_ring, build_two_rings
-from .spectrum import assemble_heff, canonical_m_range, ring_spectrum, wrap_m
+from .spectrum import _couplings, assemble_heff, canonical_m_range, ring_spectrum, wrap_m
 
 
 @dataclass
@@ -39,18 +39,17 @@ def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> Ring
     """Angular-momentum-basis coupling between the two rings of a pair system.
 
     lambda_{m1,m2} = (1/N) sum_{i in R1, j in R2} h_ij e^{i(m1 theta_i - m2 theta_j)}
-    with each ring's local site angles.
+    with each ring's local site angles.  Without h only the N x N inter-ring
+    block of h is built.
     """
     if len(array.groups) != 2 or len(array.groups[0]) != len(array.groups[1]):
         raise ValueError("need exactly two equal-size ring groups")
-    if h is None:
-        h = assemble_heff(array)
     idx1, idx2 = (np.asarray(g) for g in array.groups)
+    block = _couplings(array, idx1, idx2) if h is None else h[np.ix_(idx1, idx2)]
     n = len(idx1)
     th1 = array.ring_meta[0].angles
     th2 = array.ring_meta[1].angles
     ms = canonical_m_range(n)
-    block = h[np.ix_(idx1, idx2)]
     e1 = np.exp(1j * np.outer(ms, th1))          # (m1, i)
     e2 = np.exp(-1j * np.outer(th2, ms))         # (j, m2)
     lam = e1 @ block @ e2 / n

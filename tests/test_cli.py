@@ -389,3 +389,26 @@ def test_underflowing_spacing_is_a_numeric_error_naming_the_couplings(tmp_path, 
     assert "non-finite couplings" in info["message"] and "out of range" in info["message"]
     assert "1e-200" in info["message"]
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy warns of the overflow first
+@pytest.mark.parametrize("arrangement", ["chain", "site-site"])
+@pytest.mark.parametrize("d, shown", [("1e-200", "1e-200"), ("1e200", "1e+200")])
+def test_out_of_range_spacing_names_the_couplings(tmp_path, capsys, arrangement, d, shown):
+    out = tmp_path / "x.csv"
+    assert run_cli(["spectrum", "--out", str(out), "--set", f"geometry.arrangement={arrangement}",
+                    "--set", f"geometry.d={d}"]) == 3
+    info = json.loads(capsys.readouterr().err)["error"]
+    assert info["code"] == 3
+    assert "non-finite couplings" in info["message"] and "out of range" in info["message"]
+    assert f"separation of {shown} wavelengths" in info["message"]
+    assert not out.exists()
+
+
+def test_coupling_needs_only_the_inter_ring_couplings_in_range(tmp_path):
+    # the 1e-200 spacing underflows within each ring, not between the rings 0.15 apart
+    out = tmp_path / "c.csv"
+    assert run_cli(["coupling", "--out", str(out), "--set", "geometry.arrangement=site-site",
+                    "--set", "geometry.d=1e-200"]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 100 and all(np.isfinite(float(v)) for r in rows for v in r[2:])

@@ -6,7 +6,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .emfield import GAMMA0, SingularityError, projected_green, K0
 from .geometry import SYMMETRIC_SCHEMES, EmitterArray, build_chain, build_ring
@@ -71,7 +70,8 @@ class ModeSpectrum:
     """Eigendecomposition of the effective Hamiltonian.
 
     eigenvalues are sorted by (Re, Im); eigenvectors are unit-norm columns
-    with the largest-magnitude component rotated to the positive real axis.
+    with the largest-magnitude component (the lowest-index one among ties
+    within 1e-8 relative) rotated to the positive real axis.
     labels holds the angular momentum per mode once classified (None before).
     """
 
@@ -96,8 +96,15 @@ class ModeSpectrum:
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """Unit-norm columns, each rotated so that its leading component is real positive.
+
+    The leading component is the lowest-index one within 1e-8 relative of the
+    column's largest magnitude, so that ties (components j and n-1-j of a
+    chain's parity modes) are not decided by round-off.
+    """
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    idx = np.argmax(np.abs(vecs), axis=0)
+    mags = np.abs(vecs)
+    idx = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
     lead = vecs[idx, np.arange(vecs.shape[1])]
     phase = lead / np.abs(lead)
     return vecs / phase[None, :]
@@ -200,6 +207,8 @@ def classify_modes(spec: ModeSpectrum, array: EmitterArray, group: int = 0,
     with e^{i m theta}.  The assignment is a bijection onto the canonical m
     range; modes whose best overlap stays below overlap_threshold are flagged.
     """
+    from scipy.optimize import linear_sum_assignment   # ~0.5 s to import; only used here
+
     idx = np.asarray(array.groups[group])
     n = len(idx)
     if spec.n != n or len(array.groups) != 1:

@@ -1,13 +1,26 @@
 """Ring-to-ring couplings, wave packets, propagation and transfer fidelity."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import EmitterArray, TwoRingConfig, build_ring, build_two_rings
 from .spectrum import _couplings, assemble_heff, canonical_m_range, ring_spectrum, wrap_m
+
+
+def __getattr__(name):
+    """Module attributes loaded on first use (PEP 562).
+
+    solve_ivp is scipy.integrate's, which takes ~0.5 s to import and only the
+    ill-conditioned fallback of _evolve runs; it is read as a module attribute
+    at call time, so it can be replaced on the module.
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -133,8 +146,9 @@ def _evolve(h: np.ndarray, psi0s: np.ndarray, times: np.ndarray, targets: list[n
     cond = float(np.linalg.cond(vecs))
     if cond > 1e8:
         def integrate(psi0):
-            sol = solve_ivp(lambda t, y: -1j * (h @ y), (0.0, times[-1] if len(times) else 0.0),
-                            psi0, t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
+            sol = sys.modules[__name__].solve_ivp(
+                lambda t, y: -1j * (h @ y), (0.0, times[-1] if len(times) else 0.0),
+                psi0, t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
             if not sol.success:
                 raise ArithmeticError(f"direct integration failed: {sol.message}")
             return sol.y.T

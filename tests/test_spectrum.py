@@ -91,6 +91,17 @@ def test_eigenvalue_sorting_and_phase():
         assert abs(np.imag(lead)) < 1e-10 and np.real(lead) > 0
 
 
+def test_eigenvector_signs_survive_a_last_bit_change_of_h():
+    # a chain's parity modes have |v_j| = |v_{n-1-j}|, so round-off must not pick the lead
+    h = assemble_heff(build_chain(130, 0.1))
+    noise = np.random.default_rng(0).standard_normal(h.shape)
+    perturbed = h * (1.0 + 1e-16 * (noise + noise.T) / 2)
+    assert np.count_nonzero(perturbed != h) > 0
+    a, b = eigenmodes(h), eigenmodes(perturbed)
+    assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) < 1e-12
+    assert np.max(np.abs(a.eigenvectors - b.eigenvectors)) < 1e-9
+
+
 @pytest.mark.parametrize("pol", ["transverse", "tangential", "radial"])
 @pytest.mark.parametrize("n", [8, 11])
 def test_spin_waves_are_exact_eigenvectors(n, pol):

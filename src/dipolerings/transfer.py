@@ -79,7 +79,9 @@ def eta_map(coupling: RingRingCoupling, ring1_lambdas: np.ndarray,
     """Coupling figure of merit eta over (m1, m2).
 
     eta = J_{m1,m2}^2 / (4 Delta^2 + max{Gamma_m1^2, Gamma_m2^2}) with
-    Delta = |J_m1 - J_m2| taken from the isolated single-ring spectra.
+    Delta = |J_m1 - J_m2| taken from the isolated single-ring spectra.  A zero
+    denominator (Delta = 0 and both rates 0, below the float64 floor) raises
+    ArithmeticError naming (m1, m2).
     """
     if ring2_lambdas is None:
         ring2_lambdas = ring1_lambdas
@@ -89,7 +91,35 @@ def eta_map(coupling: RingRingCoupling, ring1_lambdas: np.ndarray,
     g2 = -2.0 * np.imag(ring2_lambdas)
     delta = np.abs(j1[:, None] - j2[None, :])
     gmax2 = np.maximum(g1[:, None] ** 2, g2[None, :] ** 2)
-    return coupling.shifts**2 / (4.0 * delta**2 + gmax2)
+    denominator = 4.0 * delta**2 + gmax2
+    if not np.all(denominator > 0.0):
+        i, j = np.argwhere(~(denominator > 0.0))[0]
+        raise ArithmeticError(
+            f"eta is undefined at (m1, m2) = ({coupling.m1_values[i]}, {coupling.m2_values[j]}): "
+            "the detuning is 0 and the isolated-ring rate Gamma_m is below the float64 floor")
+    return coupling.shifts**2 / denominator
+
+
+def _packets(array: EmitterArray, ring: int, centers: np.ndarray, m: int,
+             delta_theta: float) -> np.ndarray:
+    """Gaussian packets on one ring centred on each local site in centers, one (n,) column
+    per centre, from one (centres, sites) table of chord distances; see gaussian_packet."""
+    if delta_theta <= 0:
+        raise ValueError("angular spread must be positive")
+    meta = array.ring_meta[ring]
+    if meta is None:
+        raise ValueError("chosen group has no ring metadata")
+    idx = np.asarray(array.groups[ring])
+    pos = array.positions[idx]
+    chord = np.linalg.norm(pos[None, :, :] - pos[centers, None, :], axis=2)   # (centre, site)
+    if meta.radius > 0:
+        envelope = np.exp(-(chord**2) / (2.0 * meta.radius**2 * delta_theta**2))
+    else:                                   # a one-site ring: the packet is that site
+        envelope = np.ones_like(chord)
+    amps = np.exp(1j * m * meta.angles) * envelope
+    states = np.zeros((array.n, len(centers)), dtype=complex)
+    states[idx] = (amps / np.linalg.norm(amps, axis=1, keepdims=True)).T
+    return states
 
 
 def gaussian_packet(array: EmitterArray, ring: int, center_site: int, m: int,
@@ -100,25 +130,10 @@ def gaussian_packet(array: EmitterArray, ring: int, center_site: int, m: int,
     on the chosen ring's sites (chord distances), zero on the other ring;
     center_site is the local site index k within the ring.  Unit norm.
     """
-    if delta_theta <= 0:
-        raise ValueError("angular spread must be positive")
-    meta = array.ring_meta[ring]
-    if meta is None:
-        raise ValueError("chosen group has no ring metadata")
-    idx = np.asarray(array.groups[ring])
-    n_sites = len(idx)
+    n_sites = len(array.groups[ring])
     if not 0 <= center_site < n_sites:
         raise ValueError(f"center site {center_site} outside ring of {n_sites} sites")
-    pos = array.positions[idx]
-    chord = np.linalg.norm(pos - pos[center_site], axis=1)
-    if meta.radius > 0:
-        envelope = np.exp(-(chord**2) / (2.0 * meta.radius**2 * delta_theta**2))
-    else:                                   # a one-site ring: the packet is that site
-        envelope = np.ones(n_sites)
-    amps = np.exp(1j * m * meta.angles) * envelope
-    state = np.zeros(array.n, dtype=complex)
-    state[idx] = amps / np.linalg.norm(amps)
-    return state
+    return _packets(array, ring, np.array([center_site]), m, delta_theta)[:, 0]
 
 
 @dataclass
@@ -130,19 +145,88 @@ class Propagation:
     method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
 
 
-def _evolve(h: np.ndarray, psi0s: np.ndarray, times: np.ndarray, targets: list[np.ndarray]):
-    """Factor h once for all initial states psi_j = psi0s[:, j]: the method ('eig' or
-    'ode'), cond(V), and lazily per j the (t, k) overlaps <T_jk|psi_j(t)> with T_j = targets[j].
+# Largest |S h S^T - h| / max|h| at which a site involution S counts as a symmetry of h.
+SYMMETRY_RTOL = 1e-10
 
-    The overlaps are phases @ (a_j V^T conj(T_j)) with V a_j = psi_j solved (V^{-1} is not
-    V^T/norms on degenerate +-m pairs), so the (t, n) states are never built.  When
-    cond(V) > 1e8 each psi_j is integrated directly (DOP853), then projected.
+
+def _involution(array: EmitterArray, h: np.ndarray, flip) -> tuple | None:
+    """The map r -> c + flip * (r - c) about the centroid c (flip a diagonal of +-1) as a
+    signed site permutation (perm, sign) with p[perm[i]] = sign[i] * flip * p[i], or None
+    unless it maps the sites onto themselves and S h S^T = h to SYMMETRY_RTOL."""
+    pos, dip = array.positions, array.dipoles
+    center = pos.mean(axis=0)
+    image = center + flip * (pos - center)
+    dist2 = sum((image[:, None, a] - pos[None, :, a]) ** 2 for a in range(3))
+    perm = np.argmin(dist2, axis=1)
+    tol = 1e-9 * (np.max(np.abs(pos - center)) or 1.0)
+    turned = flip * dip
+    sign = np.where(np.real(np.sum(np.conj(dip[perm]) * turned, axis=1)) < 0, -1.0, 1.0)
+    if (np.any(dist2[np.arange(len(pos)), perm] > tol**2)
+            or not np.array_equal(perm[perm], np.arange(len(pos)))
+            or np.any(np.abs(turned - sign[:, None] * dip[perm])
+                      > 1e-9 * np.abs(dip).max(axis=1, keepdims=True))):
+        return None
+    # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
+    residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
+    return (perm, sign) if residual.max() <= SYMMETRY_RTOL * np.abs(h).max() else None
+
+
+def _sectors(array: EmitterArray | None, h: np.ndarray) -> list[np.ndarray]:
+    """Real orthonormal bases Q_s (n, n_s) of the symmetry sectors of h, which h does not mix.
+
+    The candidates are the mirror sigma_y and the C2 rotation about z through the centroid of
+    the sites (both symmetries of a site-site ring pair, sigma_y of a site-edge pair), each
+    kept where it maps the sites and h onto themselves.  Each sector is one character chi of
+    the group G they generate; its basis vectors are chi(g)-signed sums over the orbit {g(i)}
+    of one site i, normalized, so no S is diagonalized.  Without an array, or without a kept
+    symmetry, the one sector is Q = I.
+    """
+    n = len(h)
+    group = [(np.arange(n), np.ones(n))]              # element k holds generator j iff bit j of k
+    flips = ((1.0, -1.0, 1.0), (-1.0, -1.0, 1.0)) if array is not None else ()
+    for flip in flips:
+        gen = _involution(array, h, np.array(flip))
+        if gen is not None:       # diagonal flips about one centre commute: G is Z2^k
+            group += [(gen[0][p], s * gen[1][p]) for p, s in group]    # gen after each element
+    perms = np.array([p for p, _ in group])
+    signs = np.array([s for _, s in group])
+    reps = np.flatnonzero(np.all(perms >= np.arange(n), axis=0))   # lowest site of each orbit
+    column = np.empty(n, dtype=int)
+    column[perms[:, reps]] = np.arange(len(reps))
+    bases = []
+    for chi in range(len(group)):
+        coef = np.zeros(n)
+        for k in range(len(group)):               # chi(g_k) = -1 per generator in both k and chi
+            coef[perms[k, reps]] += (-1) ** (k & chi).bit_count() * signs[k, reps]
+        norm2 = np.bincount(column, coef**2, minlength=len(reps))
+        kept = np.cumsum(norm2 > 0) - 1
+        rows = np.flatnonzero(coef)
+        q = np.zeros((n, np.count_nonzero(norm2)))
+        q[rows, kept[column[rows]]] = coef[rows] / np.sqrt(norm2[column[rows]])
+        if q.size:
+            bases.append(q)
+    return bases
+
+
+def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times: np.ndarray,
+            targets: list[np.ndarray]):
+    """Factor h once per symmetry sector of array (see _sectors) for all initial states
+    psi_j = psi0s[:, j]: the method ('eig' or 'ode'), cond(V), and lazily per j the (t, k)
+    overlaps <T_jk|psi_j(t)> with T_j = targets[j].
+
+    Each sector block Q_s^T h Q_s is factored by eig, and V = [Q_s W_s] holds the eigenvectors
+    of h.  The overlaps are phases @ (a_j V^T conj(T_j)) with V a_j = psi_j solved (V^{-1} is
+    not V^T/norms on degenerate +-m pairs), so the (t, n) states are never built.  When
+    cond(V) > 1e8 each psi_j is integrated directly under the full h (DOP853), then projected.
     """
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
     h = np.asarray(h, dtype=complex)
     psi0s = np.asarray(psi0s, dtype=complex)
-    vals, vecs = np.linalg.eig(h)
+    bases = _sectors(array, h)
+    blocks = [np.linalg.eig(q.T @ h @ q) for q in bases]
+    vals = np.concatenate([w for w, _ in blocks])
+    vecs = np.hstack([q @ v for q, (_, v) in zip(bases, blocks)])
     cond = float(np.linalg.cond(vecs))
     if cond > 1e8:
         def integrate(psi0):
@@ -164,12 +248,14 @@ def _evolve(h: np.ndarray, psi0s: np.ndarray, times: np.ndarray, targets: list[n
 def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     """Evolve psi under dpsi/dt = -i h psi.
 
-    Uses the eigendecomposition psi(t) = V exp(-i Lambda t) V^{-1} psi0; falls
-    back to adaptive direct integration when the eigenvector matrix is
-    ill-conditioned (condition number above 1e8).
+    Uses the eigendecomposition psi(t) = V exp(-i Lambda t) V^{-1} psi0 with h factored
+    once per symmetry sector; without an array no site symmetry is known, so the one
+    sector is Q = I.  Falls back to adaptive direct integration when the eigenvector
+    matrix is ill-conditioned (condition number above 1e8).
     """
     times = np.asarray(times, dtype=float)
-    method, _, states = _evolve(h, np.reshape(psi0, (-1, 1)), times, [np.eye(len(psi0))])
+    method, _, states = _evolve(None, h, np.reshape(psi0, (-1, 1)), times,
+                                [np.eye(len(psi0))])
     return Propagation(times=times, states=next(states), method=method)
 
 
@@ -182,14 +268,13 @@ class FidelityTrace:
     argmax_site: np.ndarray       # local site index in ring 2 achieving the max
     squared: np.ndarray = field(default=None)   # |overlap|^2 variant
     method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
-    cond: float | None = None     # condition number of the eigenvector matrix of h
+    cond: float | None = None     # cond(V), V = [Q_s W_s] from h factored once per symmetry sector
 
 
 def _targets(array: EmitterArray, m: int, delta_thetas) -> list[np.ndarray]:
     """Momentum-reversed packets centred on each ring-2 site, one (n, n2) set per width."""
-    return [np.column_stack([gaussian_packet(array, ring=1, center_site=k, m=-m,
-                                             delta_theta=float(dt))
-                             for k in range(len(array.groups[1]))]) for dt in delta_thetas]
+    centers = np.arange(len(array.groups[1]))
+    return [_packets(array, 1, centers, -m, float(dt)) for dt in delta_thetas]
 
 
 def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: float,
@@ -203,7 +288,7 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     if h is None:
         h = assemble_heff(array)
     times = np.asarray(times, dtype=float)
-    method, cond, overlaps = _evolve(h, np.reshape(psi0, (-1, 1)), times,
+    method, cond, overlaps = _evolve(array, h, np.reshape(psi0, (-1, 1)), times,
                                      _targets(array, m, [delta_theta]))
     overlaps = np.abs(next(overlaps))                        # (t, k)
     best = np.argmax(overlaps, axis=1)
@@ -247,7 +332,7 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     """Scan max_t F over ring separation and initial packet width.
 
     The packet starts on ring 1 at the site farthest from ring 2.  For each
-    separation the system is built and h factored once; all widths are
+    separation the system is built and h factored once per symmetry sector; all widths are
     propagated together on a uniform time grid of t_steps points up to t_max
     (default 20 pi / |J_{m,-m}|).  methods and conds record each separation's
     solver path and cond(V), as FidelityTrace does for one trace.
@@ -266,7 +351,7 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
         k0_site = farthest_site(system, ring=0)
         psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
                                                  delta_theta=float(dt)) for dt in dts])
-        method, cond, overlaps = _evolve(h, psi0s, times, _targets(system, m, dts))
+        method, cond, overlaps = _evolve(system, h, psi0s, times, _targets(system, m, dts))
         fid = np.column_stack([np.max(np.abs(o), axis=1) for o in overlaps])   # (t, width)
         peak = np.argmax(fid, axis=0)
         return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,

@@ -412,3 +412,15 @@ def test_coupling_needs_only_the_inter_ring_couplings_in_range(tmp_path):
                     "--set", "geometry.d=1e-200"]) == 0
     rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 100 and all(np.isfinite(float(v)) for r in rows for v in r[2:])
+
+
+def test_eta_with_a_rate_at_the_float64_floor_is_a_numeric_error(tmp_path, capsys):
+    # one isolated-ring rate of the n = 64 tangential ring comes out exactly 0.0, so eta at
+    # (m, m) would be J^2 / 0; the error names the pair instead of a divide-by-zero warning
+    out = tmp_path / "eta.csv"
+    assert run_cli(["eta", "--out", str(out), "--set", "geometry.arrangement=site-edge",
+                    "--set", "geometry.n=64", "--set", "geometry.polarization=tangential"]) == 3
+    info = json.loads(capsys.readouterr().err)["error"]
+    assert info["code"] == 3
+    assert "(m1, m2) = (32, 32)" in info["message"] and "below the float64 floor" in info["message"]
+    assert not out.exists()

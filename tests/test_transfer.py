@@ -185,9 +185,10 @@ def test_one_site_packet_is_that_site(ring):
 
 
 def _count_eig(monkeypatch):
-    """Count np.linalg.eig calls from any thread (list.append is atomic under the GIL)."""
+    """Record the side of each np.linalg.eig call from any thread (list.append is atomic
+    under the GIL)."""
     calls, eig = [], np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or eig(a))
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(len(a)) or eig(a))
     return calls
 
 
@@ -201,7 +202,9 @@ def test_fidelity_scan_factors_once_per_separation(monkeypatch, arrangement, t_m
     for threads in (1, 2):
         calls.clear()
         scan = fidelity_scan(*args, threads=threads, **kwargs)
-        assert len(calls) == 3
+        # one eig per symmetry sector: C2v (4) site-site, sigma_y (2) site-edge
+        assert len(calls) == 3 * {"site-site": 4, "site-edge": 2}[arrangement]
+        assert sum(calls) == 3 * 2 * args[0]
         assert np.max(np.abs(scan.max_fidelity - expected_f)) < 1e-12
         assert np.max(np.abs(scan.t_at_max - expected_t)) < 1e-12 * np.max(expected_t)
 
@@ -212,8 +215,9 @@ def test_fidelity_trace_factors_once_and_reports_its_path(monkeypatch, pair10, h
     calls = _count_eig(monkeypatch)
     times = np.linspace(0.0, 40.0, 300)
     trace = fidelity_trace(pair10, psi0, m=4, delta_theta=1.0, times=times, h=h10)
-    assert len(calls) == 1
-    assert trace.method == "eig" and trace.cond == cond and 1.0 <= cond < 1e8
+    assert len(calls) == 4 and sum(calls) == len(h10)        # one eig per C2v sector
+    assert trace.method == "eig" and 1.0 <= cond < 1e8
+    assert trace.cond == pytest.approx(cond, rel=1e-12, abs=0)
     with pytest.raises(FrozenInstanceError):
         trace.method = "ode"
 
@@ -255,8 +259,89 @@ def test_fidelity_scan_reports_its_solver_path(monkeypatch):
     for threads in (1, 2):
         scan = fidelity_scan(*args, t_max=20.0, t_steps=120, threads=threads)
         assert scan.methods.tolist() == ["eig"] * 3
-        assert scan.conds.tolist() == conds
+        assert np.allclose(scan.conds, conds, rtol=1e-12, atol=0)
     monkeypatch.setattr(np.linalg, "cond", lambda a: 1e9)
     scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
     assert scan.methods.tolist() == ["ode"] * 3
     assert scan.conds.tolist() == [1e9] * 3
+
+
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+@pytest.mark.parametrize("n", [1, 6, 7, 100])
+def test_targets_match_per_site_packets(arrangement, n):
+    pair = build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, "tangential"))
+    dts = [0.3, 1.7]
+    for dt, targets in zip(dts, transfer._targets(pair, 3, dts)):
+        columns = np.column_stack([gaussian_packet(pair, 1, k, -3, dt) for k in range(n)])
+        assert targets.shape == (2 * n, n)
+        assert np.max(np.abs(targets - columns)) <= 1e-15
+
+
+CIRCULAR = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
+
+
+def _pair_and_h(arrangement, n, polarization):
+    pair = build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, polarization))
+    return pair, assemble_heff(pair)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("arrangement, polarization, count", [
+    ("site-site", "transverse", 4), ("site-site", "tangential", 4), ("site-site", "radial", 4),
+    ("site-edge", "transverse", 2), ("site-edge", "tangential", 2), ("site-edge", "radial", 2),
+    ("site-site", CIRCULAR, 2),      # sigma_y turns (1, i, 0) into (1, -i, 0): C2 only
+    ("site-edge", CIRCULAR, 1),
+])
+def test_sectors_split_h_into_orthonormal_blocks(arrangement, polarization, count, n):
+    pair, h = _pair_and_h(arrangement, n, polarization)
+    bases = transfer._sectors(pair, h)
+    assert len(bases) == count
+    q = np.hstack(bases)
+    assert q.shape == (2 * n, 2 * n) and np.isrealobj(q)
+    assert np.max(np.abs(q.T @ q - np.eye(2 * n))) < 1e-15
+    rotated = q.T @ h @ q
+    edges = np.cumsum([0] + [b.shape[1] for b in bases])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rotated[lo:hi, lo:hi] = 0.0
+    assert np.max(np.abs(rotated)) <= 1e-12 * np.max(np.abs(h))
+    from scipy.optimize import linear_sum_assignment
+    sector_vals = np.concatenate([np.linalg.eigvals(b.T @ h @ b) for b in bases])
+    dense_vals = np.linalg.eigvals(h)
+    distance = np.abs(sector_vals[:, None] - dense_vals[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    assert np.max(distance[rows, cols]) < 1e-10
+
+
+def test_sectors_without_a_verified_symmetry_is_the_identity():
+    rng = np.random.default_rng(5)
+    pos, dip = random_geometry(rng, 9)
+    asymmetric = EmitterArray(pos, dip)
+    # the defective h of a symmetric pair: C2 swaps its sites, but h is not C2-symmetric
+    pair = build_two_rings(TwoRingConfig("site-site", 1, 0.1, 0.15, "tangential"))
+    defective = np.array([[-0.5j, 0.0], [1.0, -0.5j]])
+    for array, h in ((None, assemble_heff(asymmetric)), (asymmetric, assemble_heff(asymmetric)),
+                     (pair, defective)):
+        bases = transfer._sectors(array, h)
+        assert len(bases) == 1 and np.array_equal(bases[0], np.eye(len(h)))
+
+
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_sector_fidelity_scan_matches_the_full_state_oracle(arrangement):
+    args = (40, 0.1, "tangential", 6, [0.1, 0.2], [0.5, 1.5])
+    kwargs = dict(t_max=None, t_steps=200, arrangement=arrangement)
+    expected_f, expected_t = fidelity_scan_from_states(*args, **kwargs)
+    for threads in (1, 2):
+        scan = fidelity_scan(*args, threads=threads, **kwargs)
+        assert np.max(np.abs(scan.max_fidelity - expected_f)) < 1e-10
+        assert np.max(np.abs(scan.t_at_max - expected_t)) < 1e-10 * np.max(expected_t)
+    pair, h = _pair_and_h(arrangement, 40, "tangential")
+    psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=6, delta_theta=1.0)
+    times = np.linspace(0.0, 200.0, 300)
+    trace = fidelity_trace(pair, psi0, m=6, delta_theta=1.0, times=times, h=h)
+    targets = np.column_stack([gaussian_packet(pair, 1, k, -6, 1.0) for k in range(40)])
+    overlaps = np.abs(propagate(h, psi0, times).states @ np.conj(targets))
+    # at t = 0 ring 2 holds only round-off (~1e-16), whose argmax is arbitrary
+    lit = overlaps.max(axis=1) > 1e-8
+    assert np.count_nonzero(lit) == len(times) - 1
+    assert np.array_equal(trace.argmax_site[lit], np.argmax(overlaps, axis=1)[lit])
+    assert np.max(np.abs(trace.fidelity - overlaps.max(axis=1))) < 1e-10

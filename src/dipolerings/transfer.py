@@ -191,20 +191,15 @@ def _sectors(array: EmitterArray | None, h: np.ndarray) -> list[np.ndarray]:
     perms = np.array([p for p, _ in group])
     signs = np.array([s for _, s in group])
     reps = np.flatnonzero(np.all(perms >= np.arange(n), axis=0))   # lowest site of each orbit
-    column = np.empty(n, dtype=int)
-    column[perms[:, reps]] = np.arange(len(reps))
+    orbits = np.arange(len(reps))
     bases = []
     for chi in range(len(group)):
-        coef = np.zeros(n)
+        rows = np.zeros((len(reps), n))           # one chi-signed sum over each orbit
         for k in range(len(group)):               # chi(g_k) = -1 per generator in both k and chi
-            coef[perms[k, reps]] += (-1) ** (k & chi).bit_count() * signs[k, reps]
-        norm2 = np.bincount(column, coef**2, minlength=len(reps))
-        kept = np.cumsum(norm2 > 0) - 1
-        rows = np.flatnonzero(coef)
-        q = np.zeros((n, np.count_nonzero(norm2)))
-        q[rows, kept[column[rows]]] = coef[rows] / np.sqrt(norm2[column[rows]])
-        if q.size:
-            bases.append(q)
+            rows[orbits, perms[k, reps]] += (-1) ** (k & chi).bit_count() * signs[k, reps]
+        norm = np.linalg.norm(rows, axis=1)
+        if np.any(norm > 0):
+            bases.append((rows[norm > 0] / norm[norm > 0, None]).T)
     return bases
 
 
@@ -214,10 +209,11 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
     psi_j = psi0s[:, j]: the method ('eig' or 'ode'), cond(V), and lazily per j the (t, k)
     overlaps <T_jk|psi_j(t)> with T_j = targets[j].
 
-    Each sector block Q_s^T h Q_s is factored by eig, and V = [Q_s W_s] holds the eigenvectors
-    of h.  The overlaps are phases @ (a_j V^T conj(T_j)) with V a_j = psi_j solved (V^{-1} is
-    not V^T/norms on degenerate +-m pairs), so the (t, n) states are never built.  When
-    cond(V) > 1e8 each psi_j is integrated directly under the full h (DOP853), then projected.
+    Each sector block Q_s^T h Q_s is factored by eig into W_s; V = [Q_s W_s] is never formed.
+    Q is orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
+    The overlaps are phases @ (a_j W^T Q^T conj(T_j)) with W_s a_s = Q_s^T psi_j solved per
+    sector (W_s^{-1} is not W_s^T/norms on degenerate +-m pairs), so the (t, n) states are
+    never built.  When cond(V) > 1e8 each psi_j is integrated under the full h (DOP853).
     """
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
@@ -225,9 +221,8 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
     psi0s = np.asarray(psi0s, dtype=complex)
     bases = _sectors(array, h)
     blocks = [np.linalg.eig(q.T @ h @ q) for q in bases]
-    vals = np.concatenate([w for w, _ in blocks])
-    vecs = np.hstack([q @ v for q, (_, v) in zip(bases, blocks)])
-    cond = float(np.linalg.cond(vecs))
+    sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
+    cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
     if cond > 1e8:
         def integrate(psi0):
             sol = sys.modules[__name__].solve_ivp(
@@ -238,11 +233,12 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
             return sol.y.T
         return "ode", cond, (integrate(psi0) @ np.conj(target)
                              for psi0, target in zip(psi0s.T, targets))
-    a = np.linalg.solve(vecs, psi0s)                              # (n, j)
-    phases = np.outer(times, -1j * vals)                          # (t, n)
+    a = np.vstack([np.linalg.solve(w, q.T @ psi0s) for q, (_, w) in zip(bases, blocks)])
+    phases = np.outer(times, -1j * np.concatenate([vals for vals, _ in blocks]))   # (t, n)
     np.exp(phases, out=phases)
-    return "eig", cond, (phases @ (a_j[:, None] * (vecs.T @ np.conj(target)))
-                         for a_j, target in zip(a.T, targets))
+    return "eig", cond, (phases @ (a_j[:, None] * np.vstack([
+        w.T @ (q.T @ conj) for q, (_, w) in zip(bases, blocks)]))
+        for a_j, conj in zip(a.T, map(np.conj, targets)))
 
 
 def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
@@ -261,14 +257,15 @@ def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
 
 @dataclass(frozen=True)
 class FidelityTrace:
-    """Transfer fidelity versus time for a propagated wave packet."""
+    """Transfer fidelity versus time for a propagated wave packet.  argmax_site is -1 where
+    F is round-off (at t = 0, for one): at or below n eps cond(V) ('eig') or n eps ('ode')."""
 
     times: np.ndarray
     fidelity: np.ndarray          # max_k |<target_k|psi(t)>|
-    argmax_site: np.ndarray       # local site index in ring 2 achieving the max
+    argmax_site: np.ndarray       # local site index in ring 2 achieving the max, or -1
     squared: np.ndarray = field(default=None)   # |overlap|^2 variant
     method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
-    cond: float | None = None     # cond(V), V = [Q_s W_s] from h factored once per symmetry sector
+    cond: float | None = None     # cond(V), V = [Q_s W_s], from the singular values of each W_s
 
 
 def _targets(array: EmitterArray, m: int, delta_thetas) -> list[np.ndarray]:
@@ -293,8 +290,9 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     overlaps = np.abs(next(overlaps))                        # (t, k)
     best = np.argmax(overlaps, axis=1)
     fid = overlaps[np.arange(len(times)), best]
-    return FidelityTrace(times=times, fidelity=fid, argmax_site=best, squared=fid**2,
-                         method=method, cond=cond)
+    floor = len(h) * np.finfo(float).eps * (cond if method == "eig" else 1.0)
+    return FidelityTrace(times=times, fidelity=fid, argmax_site=np.where(fid > floor, best, -1),
+                         squared=fid**2, method=method, cond=cond)
 
 
 def farthest_site(array: EmitterArray, ring: int = 0) -> int:
@@ -323,7 +321,7 @@ class FidelityScan:
     max_fidelity: np.ndarray      # (nx, nw)
     t_at_max: np.ndarray          # (nx, nw)
     methods: np.ndarray           # (nx,) 'eig' or 'ode' (ill-conditioned fallback) per x
-    conds: np.ndarray             # (nx,) condition number of the eigenvector matrix of h
+    conds: np.ndarray             # (nx,) cond(V), from the singular values of each W_s
 
 
 def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_values,

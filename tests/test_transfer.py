@@ -233,9 +233,16 @@ def test_defective_h_takes_the_ode_fallback():
     assert prop.method == "ode"
     decay = np.exp(-times / 2)
     assert np.max(np.abs(prop.states - np.column_stack([decay, -1j * times * decay]))) < 1e-8
+    # h = N alone: eig returns two exactly parallel eigenvectors, so cond(V) is inf
+    nilpotent = propagate(np.array([[0.0, 0.0], [1.0, 0.0]]), psi0, times)
+    assert nilpotent.method == "ode"
+    exact = np.column_stack([np.ones_like(times), -1j * times])
+    assert np.max(np.abs(nilpotent.states - exact)) < 1e-8
     trace = fidelity_trace(pair, psi0, m=0, delta_theta=1.0, times=times, h=h)
     assert trace.method == "ode" and trace.cond > 1e8
     assert np.max(np.abs(trace.fidelity - times * decay)) < 1e-8
+    # F(0) = 0 is below the ODE floor n eps = 2 eps: no site; every later F is above it
+    assert trace.argmax_site.tolist() == [-1] + [0] * (len(times) - 1)
 
 
 def test_fidelity_scan_ode_fallback_matches_eig(monkeypatch):
@@ -244,24 +251,27 @@ def test_fidelity_scan_ode_fallback_matches_eig(monkeypatch):
     integrations, solve_ivp = [], transfer.solve_ivp
     monkeypatch.setattr(transfer, "solve_ivp",
                         lambda *a, **k: integrations.append(1) or solve_ivp(*a, **k))
-    monkeypatch.setattr(np.linalg, "cond", lambda a: 1e9)
+    # cond(V) comes from the singular values of the sector blocks: force it to 1e9
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1e9, 1.0]))
     ode_scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
     assert len(integrations) == 4
     assert np.max(np.abs(ode_scan.max_fidelity - eig_scan.max_fidelity)) < 1e-7
     assert np.max(np.abs(ode_scan.t_at_max - eig_scan.t_at_max)) < 1e-7
 
 
-def test_fidelity_scan_reports_its_solver_path(monkeypatch):
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_fidelity_scan_reports_its_solver_path(monkeypatch, arrangement):
     args = (5, 0.1, "tangential", 2, [0.1, 0.2, 0.4], [0.5, 1.5])
     conds = [np.linalg.cond(np.linalg.eig(assemble_heff(
-        build_two_rings(TwoRingConfig("site-site", 5, 0.1, x, "tangential"))))[1])
+        build_two_rings(TwoRingConfig(arrangement, 5, 0.1, x, "tangential"))))[1])
         for x in args[4]]
     for threads in (1, 2):
-        scan = fidelity_scan(*args, t_max=20.0, t_steps=120, threads=threads)
+        scan = fidelity_scan(*args, t_max=20.0, t_steps=120, threads=threads,
+                             arrangement=arrangement)
         assert scan.methods.tolist() == ["eig"] * 3
         assert np.allclose(scan.conds, conds, rtol=1e-12, atol=0)
-    monkeypatch.setattr(np.linalg, "cond", lambda a: 1e9)
-    scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1e9, 1.0]))
+    scan = fidelity_scan(*args, t_max=20.0, t_steps=120, arrangement=arrangement)
     assert scan.methods.tolist() == ["ode"] * 3
     assert scan.conds.tolist() == [1e9] * 3
 
@@ -340,8 +350,31 @@ def test_sector_fidelity_scan_matches_the_full_state_oracle(arrangement):
     trace = fidelity_trace(pair, psi0, m=6, delta_theta=1.0, times=times, h=h)
     targets = np.column_stack([gaussian_packet(pair, 1, k, -6, 1.0) for k in range(40)])
     overlaps = np.abs(propagate(h, psi0, times).states @ np.conj(targets))
-    # at t = 0 ring 2 holds only round-off (~1e-16), whose argmax is arbitrary
+    # at t = 0 ring 2 holds only round-off (~1e-16), below the floor n eps cond(V): no site
     lit = overlaps.max(axis=1) > 1e-8
     assert np.count_nonzero(lit) == len(times) - 1
+    assert trace.fidelity[0] <= len(h) * np.finfo(float).eps * trace.cond
+    assert trace.argmax_site[0] == -1 and np.all(trace.argmax_site[1:] >= 0)
     assert np.array_equal(trace.argmax_site[lit], np.argmax(overlaps, axis=1)[lit])
     assert np.max(np.abs(trace.fidelity - overlaps.max(axis=1))) < 1e-10
+
+
+@pytest.mark.parametrize("arrangement, sizes", [("site-site", [19, 21, 19, 21]),
+                                                ("site-edge", [39, 41])])
+def test_sector_transfer_factors_no_full_size_system(monkeypatch, arrangement, sizes):
+    pair, h = _pair_and_h(arrangement, 40, "tangential")
+    psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=6, delta_theta=1.0)
+    dense = np.linalg.cond(np.hstack([q @ np.linalg.eig(q.T @ h @ q)[1]
+                                      for q in transfer._sectors(pair, h)]))
+    shapes = {"solve": [], "svd": []}
+    for name in shapes:
+        call = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, _call=call, _seen=shapes[name], **k:
+                            _seen.append(np.shape(a)) or _call(a, *r, **k))
+    trace = fidelity_trace(pair, psi0, m=6, delta_theta=1.0, times=np.linspace(0, 50, 40), h=h)
+    assert trace.method == "eig"
+    assert trace.cond == pytest.approx(dense, rel=1e-12, abs=0)
+    # one LU and one SVD per sector block; none of them is 2N x 2N
+    assert shapes["svd"] == [(s, s) for s in sizes]
+    assert [shape[0] for shape in shapes["solve"]] == sizes
+    assert all(shape[0] < len(h) for shape in shapes["solve"] + shapes["svd"])

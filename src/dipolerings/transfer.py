@@ -203,6 +203,53 @@ def _sectors(array: EmitterArray | None, h: np.ndarray) -> list[np.ndarray]:
     return bases
 
 
+def _gathers(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A sector basis Q_s of _sectors as signed row gathers (idx, coef), each (k, n_s) with k
+    the most nonzeros in a column (at most |G|), in ascending row order within a column."""
+    idx = np.argsort(q == 0, axis=0, kind="stable")[:np.count_nonzero(q, axis=0).max()]
+    return idx, np.take_along_axis(q, idx, axis=0)
+
+
+def _project(gather: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Q_s^T x from the signed row gathers of Q_s (see _gathers), with no dense product."""
+    idx, coef = gather
+    out = coef[0][:, None] * x[idx[0]]
+    for rows, c in zip(idx[1:], coef[1:]):
+        out += c[:, None] * x[rows]
+    return out
+
+
+# Row spacing of the exact np.exp anchors of the phase table (see _phases).
+_ANCHOR_ROWS = 64
+# ln sqrt(tiny) = ln 2^-511: phases of smaller analytic magnitude are set to exactly 0.
+_LOG_PHASE_FLOOR = 0.5 * np.log(np.finfo(float).tiny)
+
+
+def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The (t, n) table e^{-i vals t} over ascending times, allocating nothing else of its size.
+
+    Every _ANCHOR_ROWS-th row is an exact np.exp; each row between is the row before times
+    e^{-i vals dt}, one factor per distinct step dt of the grid, so a linspace of T points
+    costs about T/_ANCHOR_ROWS + 13 rows of exp, and re-anchoring keeps the product's error
+    from growing with the number of steps.  Where the analytic magnitude e^{Im(vals) t} is
+    below 2^-511 (sqrt tiny, far below the n eps cond(V) round-off floor of a fidelity) the
+    entry is exactly 0, so no product with it is subnormal; columns with Im(vals) >= 0 keep
+    every row.
+    """
+    table = np.empty((len(times), len(vals)), dtype=complex)
+    steps, step_of = np.unique(np.diff(times), return_inverse=True)
+    factors = np.exp(np.outer(steps, -1j * vals))
+    table[::_ANCHOR_ROWS] = np.exp(np.outer(times[::_ANCHOR_ROWS], -1j * vals))
+    for row in range(1, len(times)):
+        if row % _ANCHOR_ROWS:
+            np.multiply(table[row - 1], factors[step_of[row - 1]], out=table[row])
+    decaying = np.flatnonzero(np.imag(vals) < 0)
+    tails = np.searchsorted(times, _LOG_PHASE_FLOOR / np.imag(vals[decaying]), side="right")
+    for col, start in zip(decaying, tails):
+        table[start:, col] = 0.0
+    return table
+
+
 def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times: np.ndarray,
             targets: list[np.ndarray]):
     """Factor h once per symmetry sector of array (see _sectors) for all initial states
@@ -210,10 +257,15 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
     overlaps <T_jk|psi_j(t)> with T_j = targets[j].
 
     Each sector block Q_s^T h Q_s is factored by eig into W_s; V = [Q_s W_s] is never formed.
+    The block stays a dense product: any round-off change to it moves the eigenvalues by
+    ~eps |h|, which a long horizon t turns into phase changes of ~eps |h| t.  Q_s^T psi_j and
+    Q_s^T conj(T_j) are at most |G| signed row gathers each (see _project).
     Q is orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
     The overlaps are phases @ (a_j W^T Q^T conj(T_j)) with W_s a_s = Q_s^T psi_j solved per
     sector (W_s^{-1} is not W_s^T/norms on degenerate +-m pairs), so the (t, n) states are
-    never built.  When cond(V) > 1e8 each psi_j is integrated under the full h (DOP853).
+    never built; the (t, n) table e^{-i lambda t} is exact exp anchors joined by running
+    products, with tails below sqrt(tiny) zeroed (see _phases).  When cond(V) > 1e8 each
+    psi_j is integrated under the full h (DOP853).
     """
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
@@ -233,11 +285,11 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
             return sol.y.T
         return "ode", cond, (integrate(psi0) @ np.conj(target)
                              for psi0, target in zip(psi0s.T, targets))
-    a = np.vstack([np.linalg.solve(w, q.T @ psi0s) for q, (_, w) in zip(bases, blocks)])
-    phases = np.outer(times, -1j * np.concatenate([vals for vals, _ in blocks]))   # (t, n)
-    np.exp(phases, out=phases)
+    gathers = [_gathers(q) for q in bases]
+    a = np.vstack([np.linalg.solve(w, _project(g, psi0s)) for g, (_, w) in zip(gathers, blocks)])
+    phases = _phases(times, np.concatenate([vals for vals, _ in blocks]))
     return "eig", cond, (phases @ (a_j[:, None] * np.vstack([
-        w.T @ (q.T @ conj) for q, (_, w) in zip(bases, blocks)]))
+        w.T @ _project(g, conj) for g, (_, w) in zip(gathers, blocks)]))
         for a_j, conj in zip(a.T, map(np.conj, targets)))
 
 
@@ -296,11 +348,15 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
 
 
 def farthest_site(array: EmitterArray, ring: int = 0) -> int:
-    """Local index of the ring's site farthest from the other ring's center."""
+    """Local index of the ring's site farthest from the other ring's center.
+
+    Sites within 1e-12 relative of the largest distance count as tied, and the lowest index
+    wins: for odd n the two mirror-image sites (n-1)/2 and (n+1)/2 differ only by round-off.
+    """
     other = array.ring_meta[1 - ring].center
     idx = np.asarray(array.groups[ring])
     dist = np.linalg.norm(array.positions[idx] - other, axis=1)
-    return int(np.argmax(dist))
+    return int(np.argmax(dist >= (1.0 - 1e-12) * dist.max()))
 
 
 def default_horizon(coupling: RingRingCoupling, m: int) -> float:

@@ -109,3 +109,26 @@ def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_value
             fid = np.abs(propagate(h, psi0, times).states @ np.conj(targets)).max(axis=1)
             maxf[i, j], tat[i, j] = fid.max(), times[np.argmax(fid)]
     return maxf, tat
+
+
+def fidelity_scan_from_dense_eig(n, d, polarization, m, x_values, delta_theta_values,
+                                 t_max, t_steps, arrangement):
+    """(max_fidelity, t_at_max) over (x, dtheta) from the textbook time axis: one dense
+    np.linalg.eig of the full h and the (t, n) table np.exp(np.outer(times, -1j * vals)),
+    with no symmetry sector, running product or zeroed tail of the code under test."""
+    maxf = np.zeros((len(x_values), len(delta_theta_values)))
+    tat = np.zeros_like(maxf)
+    for i, x in enumerate(x_values):
+        system = build_two_rings(TwoRingConfig(arrangement, n, d, float(x), polarization))
+        h = assemble_heff(system)
+        horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
+        times = np.linspace(0.0, horizon, t_steps)
+        vals, vecs = np.linalg.eig(h)
+        phases = np.exp(np.outer(times, -1j * vals))
+        for j, dt in enumerate(delta_theta_values):
+            psi0 = gaussian_packet(system, 0, farthest_site(system, 0), m, dt)
+            targets = np.column_stack([gaussian_packet(system, 1, k, -m, dt) for k in range(n)])
+            states = (phases * np.linalg.solve(vecs, psi0)) @ vecs.T
+            fid = np.abs(states @ np.conj(targets)).max(axis=1)
+            maxf[i, j], tat[i, j] = fid.max(), times[np.argmax(fid)]
+    return maxf, tat

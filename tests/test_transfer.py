@@ -9,7 +9,8 @@ from dipolerings.spectrum import assemble_heff, canonical_m_range, decay_matrix,
 from dipolerings.transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                                   fidelity_trace, gaussian_packet, propagate,
                                   ring_ring_coupling, single_ring_eigenvalues)
-from oracles import fidelity_scan_from_states, random_geometry, rk4_propagate
+from oracles import (fidelity_scan_from_dense_eig, fidelity_scan_from_states, random_geometry,
+                     rk4_propagate)
 
 
 @pytest.fixture(scope="module")
@@ -378,3 +379,115 @@ def test_sector_transfer_factors_no_full_size_system(monkeypatch, arrangement, s
     assert shapes["svd"] == [(s, s) for s in sizes]
     assert [shape[0] for shape in shapes["solve"]] == sizes
     assert all(shape[0] < len(h) for shape in shapes["solve"] + shapes["svd"])
+
+
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+@pytest.mark.parametrize("n", [5, 6, 7, 11, 21, 25])
+def test_farthest_site_is_the_same_at_every_gap(arrangement, n):
+    # for odd n two mirror-image sites are farthest and tie up to round-off: the lower index
+    gaps = [0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.5, 1.0]
+    sites = {farthest_site(build_two_rings(TwoRingConfig(arrangement, n, 0.1, x, "radial")), 0)
+             for x in gaps}
+    assert len(sites) == 1
+    pair = build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, "radial"))
+    dist = np.linalg.norm(pair.positions[pair.groups[0]] - pair.ring_meta[1].center, axis=1)
+    assert sites.pop() == np.flatnonzero(dist >= (1.0 - 1e-9) * dist.max())[0]
+
+
+def _phase_reference(times, vals):
+    """e^{-i vals t} in extended precision, from the exact float64 times and vals."""
+    return np.exp(np.multiply.outer(np.asarray(times, dtype=np.longdouble),
+                                    (-1j * vals).astype(np.clongdouble)))
+
+
+def _phase_error(table, reference):
+    """Largest error, relative where the phase has grown above 1 (Im lambda > 0)."""
+    if table.size == 0:
+        return 0.0
+    return float(np.max(np.abs(table - reference) / np.maximum(1.0, np.abs(reference))))
+
+
+def _slack(times, vals):
+    """What the rows between two anchors may add to the error of one np.exp per entry: at most
+    _ANCHOR_ROWS roundings of a product and of the phase lambda dt of one step."""
+    step = np.max(np.diff(times), initial=0.0)
+    return transfer._ANCHOR_ROWS * np.finfo(float).eps * (1.0 + np.max(np.abs(vals)) * step)
+
+
+_RNG = np.random.default_rng(3)
+# decaying columns from subradiant to radiant (Gamma up to 12), two with Gamma = 0 and one
+# growing (Im lambda > 0), as round-off gives the deepest subradiant modes of h
+_VALS = _RNG.uniform(-3.0, 3.0, 40) - 0.5j * np.concatenate(
+    [10.0 ** _RNG.uniform(-8.0, np.log10(12.0), 37), [0.0, 0.0, -2e-4]])
+
+
+@pytest.mark.parametrize("vals", [_VALS, np.real(_VALS)], ids=["non-hermitian", "hermitian"])
+@pytest.mark.parametrize("times", [np.linspace(0.0, 1e4, 2000), [0.0, 1.0, 3.0],
+                                   [7.0 - 1e-5, 7.0, 7.0 + 1e-5], [0.0, 2.0, 2.0, 5.0], [4.0], []],
+                         ids=["linspace", "steps-1-2", "offset", "repeated", "one", "none"])
+def test_phases_match_an_extended_precision_reference(times, vals):
+    times = np.asarray(times, dtype=float)
+    table = transfer._phases(times, vals)
+    reference = _phase_reference(times, vals)
+    assert table.shape == (len(times), len(vals)) and table.dtype == complex
+    # no worse than one np.exp per entry, up to the roundings between anchors (see _slack)
+    direct = _phase_error(np.exp(np.outer(times, -1j * vals)), reference)
+    assert _phase_error(table, reference) <= direct + _slack(times, vals)
+    # an entry below sqrt(tiny) = 2^-511 in magnitude is exactly 0, and none is subnormal
+    floor = np.sqrt(np.finfo(float).tiny)
+    assert np.all((table == 0.0) == (np.abs(reference) < floor))
+    for part in (table.real, table.imag):
+        assert not np.any((part != 0.0) & (np.abs(part) < np.finfo(float).tiny))
+    assert np.all(table[:, np.imag(vals) >= 0] != 0.0)
+
+
+@pytest.mark.parametrize("horizon", [10.0, 1e4])
+def test_phases_error_does_not_grow_with_the_number_of_steps(horizon):
+    # a running product without anchors reaches 1.1e-11 at 1e5 steps over a horizon of 10
+    # (1.1e-13 at 1e3); with one exact anchor per _ANCHOR_ROWS rows it stays at the level
+    # of np.exp
+    vals = _VALS[[0, 5, 10, 37, 38, 39]]
+    errors = []
+    for steps in (1000, 100_000):
+        times = np.linspace(0.0, horizon, steps)
+        reference = _phase_reference(times, vals)
+        error = _phase_error(transfer._phases(times, vals), reference)
+        direct = _phase_error(np.exp(np.outer(times, -1j * vals)), reference)
+        assert error <= direct + _slack(times, vals)
+        errors.append(error)
+    assert errors[1] <= 2.0 * errors[0]
+
+
+def test_phases_allocate_only_their_table():
+    import tracemalloc
+    times = np.linspace(0.0, 1e3, 2000)
+    tracemalloc.start()
+    try:
+        table = transfer._phases(times, _VALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the anchors' exp argument is 1/_ANCHOR_ROWS of the table; nothing else is (t, n)
+    assert peak - table.nbytes < table.nbytes / 8
+
+
+def test_fidelity_scan_matches_a_dense_eig_time_axis_at_a_long_horizon():
+    # site-edge transverse at x = 0.3: the default horizon for m = 10 is 2.1e5, and 30 of
+    # the 80 phases fall below 2^-511 on the way
+    args = (40, 0.1, "transverse", 10, [0.3], [0.5, 1.0, 2.0])
+    kwargs = dict(t_max=None, t_steps=2000, arrangement="site-edge")
+    expected_f, expected_t = fidelity_scan_from_dense_eig(*args, **kwargs)
+    scan = fidelity_scan(*args, **kwargs)
+    assert np.max(np.abs(scan.max_fidelity - expected_f)) < 1e-10
+    assert np.array_equal(scan.t_at_max, expected_t)
+
+
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_gathers_project_as_the_dense_basis(arrangement):
+    for n in (1, 6, 7, 40):
+        pair, h = _pair_and_h(arrangement, n, "tangential")
+        x = np.random.default_rng(n).normal(size=(2 * n, 3)) + 1j
+        for q in transfer._sectors(pair, h):
+            idx, coef = transfer._gathers(q)
+            assert len(idx) <= {"site-site": 4, "site-edge": 2}[arrangement]
+            assert np.max(np.abs(transfer._project((idx, coef), x) - q.T @ x)) < 1e-15

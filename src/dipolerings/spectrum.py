@@ -1,6 +1,7 @@
 """Effective non-Hermitian Hamiltonian, collective eigenmodes and scans."""
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -167,35 +168,68 @@ def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:
     return complex(lambdas[wrap_m(m, len(ms)) - ms[0]])
 
 
+def _sectors(perms: np.ndarray, signs: np.ndarray) -> list[tuple]:
+    """Sectors of a group G = Z2^k of signed site permutations, as signed orbit gathers.
+
+    Element g maps site i to perms[g, i] with sign signs[g, i], both (|G|, n); element k
+    holds generator j iff bit j of k.  Per character chi of G, (reps, idx, coef, sizes): the
+    lowest site i_a of each orbit a, idx = g(i_a) and coef = chi(g) sign_g(i_a), each (|G|,
+    orbits), and the orbit sizes.  Q_s has the columns sqrt(|O_a|)/|G| sum_g coef e_idx; an
+    orbit whose stabilizer chi does not fix has none, and a sector without orbits is dropped.
+    """
+    order, n = perms.shape
+    reps = np.flatnonzero(np.all(perms >= np.arange(n), axis=0))
+    idx, fixed = perms[:, reps], perms[:, reps] == reps
+    sizes = order // np.count_nonzero(fixed, axis=0)
+    # coefs[chi, g, a] = chi(g) sign_g(i_a), chi(g_k) = -1 per generator in both k and chi
+    chars = [[(-1.0) ** (k & chi).bit_count() for k in range(order)] for chi in range(order)]
+    coefs = np.array(chars)[:, :, None] * signs[:, reps]
+    kept = np.all(~fixed | (coefs > 0), axis=1)
+    return [(reps[k], idx[:, k], c[:, k], sizes[k]) for c, k in zip(coefs, kept) if np.any(k)]
+
+
+def _block(sector, rows: np.ndarray) -> np.ndarray:
+    """Q_s^T h Q_s of a sector of _sectors from rows = h[reps] alone, exact if S_g h S_g^T = h:
+    sqrt(|O_a| |O_b|)/|G| sum_g chi(g) sign_g(i_b) h[i_a, g(i_b)]."""
+    _, idx, coef, sizes = sector
+    block = sum(c * rows[:, i] for i, c in zip(idx, coef))   # one (orbits, orbits) term at a time
+    block *= np.sqrt(np.outer(sizes, sizes)) / len(idx)
+    return block
+
+
+def _project(sector, x: np.ndarray) -> np.ndarray:
+    """Q_s^T x (x 2-D) from the signed orbit gathers of a sector of _sectors."""
+    _, idx, coef, sizes = sector
+    return (np.sqrt(sizes) / len(idx))[:, None] * sum(c[:, None] * x[i] for i, c in zip(idx, coef))
+
+
+def _pool_map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items] on min(threads, len(items), usable CPUs) worker threads."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(threads, len(items), cpus or 1)) as pool:
+        return list(pool.map(fn, items))
+
+
 def chain_spectrum(array: EmitterArray) -> np.ndarray:
     """All eigenvalues of a uniform open chain from one row of its Hamiltonian.
 
-    Equal spacing and one common dipole make h symmetric Toeplitz, h_ij =
-    r_|i-j| with r row 0 of h (G(r) = G(-r)), so h commutes with the site
-    reversal j -> n-1-j.  On the basis (e_i +- e_{n-1-i})/sqrt(2), i < n//2, h
-    splits into the even block T + H and the odd block T - H, with T_ij = r_|i-j|
-    and H_ij = r_{n-1-i-j}; for odd n the even block also holds the middle site,
-    coupled by sqrt(2) r_{n//2-i}.  Returns the eigenvalues of the even block
-    (side ceil(n/2)) then of the odd block (side floor(n/2)), unsorted; no
-    eigenvectors are computed.
+    Equal spacing and one common dipole make h symmetric Toeplitz, h_ij = r_|i-j| with r
+    row 0 of h (G(r) = G(-r)), so h commutes with the site reversal j -> n-1-j.  Returns the
+    eigenvalues of its even sector (side ceil(n/2), with the middle site for odd n), then of
+    its odd one (side floor(n/2)), each block built from the rows r_|i-j| of the sector's
+    representatives (see _sectors and _block), unsorted; no eigenvectors are computed.
     """
     pos, dip = array.positions, array.dipoles
     steps = np.diff(pos, axis=0)
     if np.any(dip != dip[0]) or np.any(np.abs(steps - steps[:1])
                                        > 1e-9 * np.abs(steps[:1]).max(initial=0.0)):
         raise ValueError("chain eigenvalues need equal spacing and one common dipole")
-    n = array.n
-    row = _couplings(array, [0], np.arange(n))[0]
-    half = n // 2
-    i = np.arange(half)
-    toeplitz = row[np.abs(i[:, None] - i)]
-    hankel = row[n - 1 - i[:, None] - i]
-    even = np.empty((n - half, n - half), dtype=complex)
-    even[:half, :half] = toeplitz + hankel
-    if n % 2:
-        even[:half, half] = even[half, :half] = np.sqrt(2.0) * row[half - i]
-        even[half, half] = row[0]
-    return np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(toeplitz - hankel)])
+    sites = np.arange(array.n)
+    row = _couplings(array, [0], sites)[0]
+    # the rows h[i] = r_|i-j| as a view, no copy; each sector's reps are the sites 0, 1, ...
+    rows = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], array.n)[::-1]
+    sectors = _sectors(np.array([sites, sites[::-1]]), np.ones((2, array.n)))
+    return np.concatenate([np.linalg.eigvals(_block(s, rows[:len(s[0])])) for s in sectors])
 
 
 def classify_modes(spec: ModeSpectrum, array: EmitterArray, group: int = 0,
@@ -268,7 +302,7 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
     """Minimum collective decay rate versus emitter number at fixed lambda/d.
 
     kind is 'ring' or 'chain'.  Returns an array of rows (n, min_k Gamma_k),
-    computed in a pool of `threads` worker threads.  Rings with a symmetric
+    computed in a pool of at most `threads` worker threads.  Rings with a symmetric
     polarization scheme take their rates from ring_spectrum; rings with a
     fixed dipole vector from the eigenvalues of the full h.  Chains take
     `polarization`, 'transverse' (z) or a dipole 3-vector, as their common
@@ -297,6 +331,4 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
                 lambdas = np.linalg.eigvals(assemble_heff(array))
         return float(np.min(-2.0 * np.imag(lambdas)))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        minima = list(pool.map(one, n_list))
-    return np.array([[float(n), g] for n, g in zip(n_list, minima)])
+    return np.array([[float(n), g] for n, g in zip(n_list, _pool_map(one, n_list, threads))])

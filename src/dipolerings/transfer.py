@@ -1,13 +1,13 @@
 """Ring-to-ring couplings, wave packets, propagation and transfer fidelity."""
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import EmitterArray, TwoRingConfig, build_ring, build_two_rings
-from .spectrum import _couplings, assemble_heff, canonical_m_range, ring_spectrum, wrap_m
+from .spectrum import (_block, _couplings, _pool_map, _project, _sectors, assemble_heff,
+                       canonical_m_range, ring_spectrum, wrap_m)
 
 
 def __getattr__(name):
@@ -171,52 +171,21 @@ def _involution(array: EmitterArray, h: np.ndarray, flip) -> tuple | None:
     return (perm, sign) if residual.max() <= SYMMETRY_RTOL * np.abs(h).max() else None
 
 
-def _sectors(array: EmitterArray | None, h: np.ndarray) -> list[np.ndarray]:
-    """Real orthonormal bases Q_s (n, n_s) of the symmetry sectors of h, which h does not mix.
+def _symmetry_group(array: EmitterArray | None, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The site symmetries of h as the group G = (perms, signs) of _sectors, each (|G|, n).
 
     The candidates are the mirror sigma_y and the C2 rotation about z through the centroid of
     the sites (both symmetries of a site-site ring pair, sigma_y of a site-edge pair), each
-    kept where it maps the sites and h onto themselves.  Each sector is one character chi of
-    the group G they generate; its basis vectors are chi(g)-signed sums over the orbit {g(i)}
-    of one site i, normalized, so no S is diagonalized.  Without an array, or without a kept
-    symmetry, the one sector is Q = I.
+    kept where it maps the sites and h onto themselves (see _involution).  Without an array,
+    or without a kept symmetry, G is the identity and its one sector is Q = I.
     """
-    n = len(h)
-    group = [(np.arange(n), np.ones(n))]              # element k holds generator j iff bit j of k
+    perms, signs = np.arange(len(h))[None], np.ones((1, len(h)))
     flips = ((1.0, -1.0, 1.0), (-1.0, -1.0, 1.0)) if array is not None else ()
     for flip in flips:
         gen = _involution(array, h, np.array(flip))
-        if gen is not None:       # diagonal flips about one centre commute: G is Z2^k
-            group += [(gen[0][p], s * gen[1][p]) for p, s in group]    # gen after each element
-    perms = np.array([p for p, _ in group])
-    signs = np.array([s for _, s in group])
-    reps = np.flatnonzero(np.all(perms >= np.arange(n), axis=0))   # lowest site of each orbit
-    orbits = np.arange(len(reps))
-    bases = []
-    for chi in range(len(group)):
-        rows = np.zeros((len(reps), n))           # one chi-signed sum over each orbit
-        for k in range(len(group)):               # chi(g_k) = -1 per generator in both k and chi
-            rows[orbits, perms[k, reps]] += (-1) ** (k & chi).bit_count() * signs[k, reps]
-        norm = np.linalg.norm(rows, axis=1)
-        if np.any(norm > 0):
-            bases.append((rows[norm > 0] / norm[norm > 0, None]).T)
-    return bases
-
-
-def _gathers(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A sector basis Q_s of _sectors as signed row gathers (idx, coef), each (k, n_s) with k
-    the most nonzeros in a column (at most |G|), in ascending row order within a column."""
-    idx = np.argsort(q == 0, axis=0, kind="stable")[:np.count_nonzero(q, axis=0).max()]
-    return idx, np.take_along_axis(q, idx, axis=0)
-
-
-def _project(gather: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Q_s^T x from the signed row gathers of Q_s (see _gathers), with no dense product."""
-    idx, coef = gather
-    out = coef[0][:, None] * x[idx[0]]
-    for rows, c in zip(idx[1:], coef[1:]):
-        out += c[:, None] * x[rows]
-    return out
+        if gen is not None:       # gen after each element; diagonal flips commute: G is Z2^k
+            perms, signs = np.r_[perms, gen[0][perms]], np.r_[signs, signs * gen[1][perms]]
+    return perms, signs
 
 
 # Row spacing of the exact np.exp anchors of the phase table (see _phases).
@@ -252,14 +221,12 @@ def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times: np.ndarray,
             targets: list[np.ndarray]):
-    """Factor h once per symmetry sector of array (see _sectors) for all initial states
+    """Factor h once per symmetry sector of array (see _symmetry_group) for all initial states
     psi_j = psi0s[:, j]: the method ('eig' or 'ode'), cond(V), and lazily per j the (t, k)
     overlaps <T_jk|psi_j(t)> with T_j = targets[j].
 
-    Each sector block Q_s^T h Q_s is factored by eig into W_s; V = [Q_s W_s] is never formed.
-    The block stays a dense product: any round-off change to it moves the eigenvalues by
-    ~eps |h|, which a long horizon t turns into phase changes of ~eps |h| t.  Q_s^T psi_j and
-    Q_s^T conj(T_j) are at most |G| signed row gathers each (see _project).
+    Each block Q_s^T h Q_s comes from the rows h[reps] of the orbit representatives alone and
+    is factored by eig into W_s; V = [Q_s W_s] is never formed (see _block and _project).
     Q is orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
     The overlaps are phases @ (a_j W^T Q^T conj(T_j)) with W_s a_s = Q_s^T psi_j solved per
     sector (W_s^{-1} is not W_s^T/norms on degenerate +-m pairs), so the (t, n) states are
@@ -271,8 +238,8 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
         raise ValueError("times must be non-negative and ascending")
     h = np.asarray(h, dtype=complex)
     psi0s = np.asarray(psi0s, dtype=complex)
-    bases = _sectors(array, h)
-    blocks = [np.linalg.eig(q.T @ h @ q) for q in bases]
+    sectors = _sectors(*_symmetry_group(array, h))
+    blocks = [np.linalg.eig(_block(s, h[s[0]])) for s in sectors]   # s[0]: the orbit reps
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
     if cond > 1e8:
@@ -285,11 +252,10 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
             return sol.y.T
         return "ode", cond, (integrate(psi0) @ np.conj(target)
                              for psi0, target in zip(psi0s.T, targets))
-    gathers = [_gathers(q) for q in bases]
-    a = np.vstack([np.linalg.solve(w, _project(g, psi0s)) for g, (_, w) in zip(gathers, blocks)])
+    a = np.vstack([np.linalg.solve(w, _project(s, psi0s)) for s, (_, w) in zip(sectors, blocks)])
     phases = _phases(times, np.concatenate([vals for vals, _ in blocks]))
     return "eig", cond, (phases @ (a_j[:, None] * np.vstack([
-        w.T @ _project(g, conj) for g, (_, w) in zip(gathers, blocks)]))
+        w.T @ _project(s, conj) for s, (_, w) in zip(sectors, blocks)]))
         for a_j, conj in zip(a.T, map(np.conj, targets)))
 
 
@@ -309,8 +275,8 @@ def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
 
 @dataclass(frozen=True)
 class FidelityTrace:
-    """Transfer fidelity versus time for a propagated wave packet.  argmax_site is -1 where
-    F is round-off (at t = 0, for one): at or below n eps cond(V) ('eig') or n eps ('ode')."""
+    """Fidelity versus time of a propagated packet.  argmax_site is the lowest site within the
+    floor n eps cond(V) ('eig') or n eps ('ode') of F, or -1 where F is at or below it (t = 0)."""
 
     times: np.ndarray
     fidelity: np.ndarray          # max_k |<target_k|psi(t)>|
@@ -340,9 +306,9 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     method, cond, overlaps = _evolve(array, h, np.reshape(psi0, (-1, 1)), times,
                                      _targets(array, m, [delta_theta]))
     overlaps = np.abs(next(overlaps))                        # (t, k)
-    best = np.argmax(overlaps, axis=1)
-    fid = overlaps[np.arange(len(times)), best]
+    fid = np.max(overlaps, axis=1)
     floor = len(h) * np.finfo(float).eps * (cond if method == "eig" else 1.0)
+    best = np.argmax(overlaps >= (fid - floor)[:, None], axis=1)   # ties within floor: lowest
     return FidelityTrace(times=times, fidelity=fid, argmax_site=np.where(fid > floor, best, -1),
                          squared=fid**2, method=method, cond=cond)
 
@@ -411,8 +377,7 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
         return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,
                 method, cond)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(one_separation, x_values))
+    rows = _pool_map(one_separation, x_values, threads)
     maxf, tat, widths, methods, conds = (np.array(column) for column in zip(*rows))
     return FidelityScan(x_values=x_values, delta_theta_values=dts, widths=widths,
                         max_fidelity=maxf, t_at_max=tat, methods=methods, conds=conds)

@@ -1,5 +1,6 @@
 """Independent oracles: closed-form two-atom couplings, a fixed-step RK4
-propagator, a direct circulant ring sum and a dense chain matrix.  These
+propagator, a direct circulant ring sum, a dense chain matrix and a chain's
+parity blocks written out by hand.  These
 deliberately avoid the library's vectorized Green's kernels, its FFT and its
 eigendecomposition code paths; the ring sum and the chain matrix take their
 couplings one pair at a time from pair_coupling.
@@ -90,6 +91,28 @@ def chain_eigenvalues(n, d, dipole):
     h = np.array([[-0.5j if i == j else pair_coupling(sites[i], p, sites[j], p).h
                    for j in range(n)] for i in range(n)])
     return np.linalg.eigvals(h)
+
+
+def chain_parity_eigenvalues(row):
+    """Eigenvalues of the symmetric Toeplitz h_ij = row[|i-j|] of a uniform open chain (row:
+    row 0 of h) from its reflection-parity blocks, in chain_spectrum's order.
+
+    On the basis (e_i +- e_{n-1-i})/sqrt(2), i < n//2, h splits into the even block T + H and
+    the odd block T - H, with T_ij = row[|i-j|] and H_ij = row[n-1-i-j]; for odd n the even
+    block also holds the middle site, coupled by sqrt(2) row[n//2-i].  Written out by hand,
+    apart from the sector construction, so chain_spectrum can be held to it bit for bit.
+    """
+    n = len(row)
+    half = n // 2
+    i = np.arange(half)
+    toeplitz = row[np.abs(i[:, None] - i)]
+    hankel = row[n - 1 - i[:, None] - i]
+    even = np.empty((n - half, n - half), dtype=complex)
+    even[:half, :half] = toeplitz + hankel
+    if n % 2:
+        even[:half, half] = even[half, :half] = np.sqrt(2.0) * row[half - i]
+        even[half, half] = row[0]
+    return np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(toeplitz - hankel)])
 
 
 def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_values,

@@ -11,7 +11,7 @@ from dipolerings.spectrum import (assemble_heff, canonical_m_range, classify_mod
                                   spin_wave_state, wrap_m)
 from dipolerings.geometry import build_chain
 from dipolerings.spectrum import chain_spectrum
-from oracles import chain_eigenvalues
+from oracles import chain_eigenvalues, chain_parity_eigenvalues
 from oracles import circulant_ring_eigenvalues, random_geometry
 
 
@@ -248,6 +248,15 @@ def test_chain_spectrum_matches_dense_pair_sum(n, dipole):
     gap = np.abs(expected[:, None] - got[None, :])
     rows, cols = linear_sum_assignment(gap)
     assert np.all(gap[rows, cols] <= 1e-10 * (1.0 + np.abs(expected[rows])))
+
+
+@pytest.mark.parametrize("dipole", [(0, 0, 1), (1, 0, 0), (0.3, 0.4, 0.5)])
+def test_chain_spectrum_is_the_parity_block_formula_bit_for_bit(dipole):
+    # every eigenvalue equal, so the decay-scan artifacts stay byte-identical
+    for n in range(1, 41):
+        chain = build_chain(n, 1.0 / 3.0, dipole)
+        expected = chain_parity_eigenvalues(assemble_heff(chain)[0])
+        assert np.array_equal(chain_spectrum(chain), expected), n
 
 
 def test_chain_spectrum_rejects_a_non_uniform_chain():

@@ -1,11 +1,14 @@
+import os
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from dipolerings import transfer
-from dipolerings.geometry import EmitterArray, TwoRingConfig, build_two_rings
-from dipolerings.spectrum import assemble_heff, canonical_m_range, decay_matrix, spin_wave_state
+from dipolerings import spectrum, transfer
+from dipolerings.geometry import (EmitterArray, TwoRingConfig, build_chain, build_ring,
+                                  build_two_rings)
+from dipolerings.spectrum import (_block, _project, _sectors, assemble_heff, canonical_m_range,
+                                  decay_matrix, min_decay_scan, spin_wave_state)
 from dipolerings.transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                                   fidelity_trace, gaussian_packet, propagate,
                                   ring_ring_coupling, single_ring_eigenvalues)
@@ -296,6 +299,37 @@ def _pair_and_h(arrangement, n, polarization):
     return pair, assemble_heff(pair)
 
 
+def _dense_bases(sectors, n):
+    """Q_s (n, n_s) of each sector of _sectors, built densely from its signed orbit gathers."""
+    bases = []
+    for _, idx, coef, sizes in sectors:
+        q = np.zeros((n, len(sizes)))
+        for rows, c in zip(idx, coef):
+            q[rows, np.arange(len(sizes))] += c
+        bases.append(q * np.sqrt(sizes) / len(idx))
+    return bases
+
+
+def _assert_sectors_split_h(sectors, h):
+    """The dense Q of the gathers is orthonormal and block-diagonalizes h; the blocks from the
+    representative rows and the gathered projections equal Q_s^T h Q_s and Q_s^T x."""
+    n, scale = len(h), np.max(np.abs(h))
+    bases = _dense_bases(sectors, n)
+    q = np.hstack(bases)
+    assert q.shape == (n, n) and np.isrealobj(q)
+    assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-15
+    rotated = q.T @ h @ q
+    edges = np.cumsum([0] + [b.shape[1] for b in bases])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rotated[lo:hi, lo:hi] = 0.0
+    assert np.max(np.abs(rotated)) <= 1e-12 * scale
+    x = np.random.default_rng(n).normal(size=(n, 3)) + 1j
+    for sector, b in zip(sectors, bases):
+        assert np.max(np.abs(_block(sector, h[sector[0]]) - b.T @ h @ b)) <= 1e-13 * scale
+        assert np.max(np.abs(_project(sector, x) - b.T @ x)) <= 1e-13 * np.max(np.abs(x))
+    return bases
+
+
 @pytest.mark.parametrize("n", [6, 7])
 @pytest.mark.parametrize("arrangement, polarization, count", [
     ("site-site", "transverse", 4), ("site-site", "tangential", 4), ("site-site", "radial", 4),
@@ -305,22 +339,47 @@ def _pair_and_h(arrangement, n, polarization):
 ])
 def test_sectors_split_h_into_orthonormal_blocks(arrangement, polarization, count, n):
     pair, h = _pair_and_h(arrangement, n, polarization)
-    bases = transfer._sectors(pair, h)
-    assert len(bases) == count
-    q = np.hstack(bases)
-    assert q.shape == (2 * n, 2 * n) and np.isrealobj(q)
-    assert np.max(np.abs(q.T @ q - np.eye(2 * n))) < 1e-15
-    rotated = q.T @ h @ q
-    edges = np.cumsum([0] + [b.shape[1] for b in bases])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rotated[lo:hi, lo:hi] = 0.0
-    assert np.max(np.abs(rotated)) <= 1e-12 * np.max(np.abs(h))
+    sectors = _sectors(*transfer._symmetry_group(pair, h))
+    assert len(sectors) == count
+    _assert_sectors_split_h(sectors, h)
     from scipy.optimize import linear_sum_assignment
-    sector_vals = np.concatenate([np.linalg.eigvals(b.T @ h @ b) for b in bases])
+    sector_vals = np.concatenate([np.linalg.eigvals(_block(s, h[s[0]])) for s in sectors])
     dense_vals = np.linalg.eigvals(h)
     distance = np.abs(sector_vals[:, None] - dense_vals[None, :])
     rows, cols = linear_sum_assignment(distance)
     assert np.max(distance[rows, cols]) < 1e-10
+
+
+def _reversal(n):
+    """The group {identity, j -> n-1-j} with signs +1 that chain_spectrum passes to _sectors."""
+    sites = np.arange(n)
+    return np.array([sites, sites[::-1]]), np.ones((2, n))
+
+
+@pytest.mark.parametrize("dipole", [(0, 0, 1), (0.3, 0.4, 0.5)], ids=["z", "tilted"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+def test_sectors_of_a_chain(n, dipole):
+    chain = build_chain(n, 1.0 / 3.0, dipole)
+    h = assemble_heff(chain)
+    # sigma_y and C2 of a z-polarized chain; the identity for a tilted dipole
+    _assert_sectors_split_h(_sectors(*transfer._symmetry_group(chain, h)), h)
+    sectors = _sectors(*_reversal(n))
+    _assert_sectors_split_h(sectors, h)
+    # even block first; for odd n it holds the middle site as a one-site orbit
+    assert [len(s[0]) for s in sectors] == [(n + 1) // 2, n // 2][:min(n, 2)]
+    assert list(sectors[0][3]) == [2] * (n // 2) + [1] * (n % 2)
+
+
+@pytest.mark.parametrize("array, count", [
+    *[(build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, "tangential")), 2)
+      for arrangement in ("site-site", "site-edge") for n in (1, 2)],
+    (build_ring(8, 0.1, "tangential"), 4),
+], ids=["site-site-1", "site-site-2", "site-edge-1", "site-edge-2", "ring-8"])
+def test_sectors_of_small_pairs_and_a_ring(array, count):
+    h = assemble_heff(array)
+    sectors = _sectors(*transfer._symmetry_group(array, h))
+    assert len(sectors) == count
+    _assert_sectors_split_h(sectors, h)
 
 
 def test_sectors_without_a_verified_symmetry_is_the_identity():
@@ -332,8 +391,9 @@ def test_sectors_without_a_verified_symmetry_is_the_identity():
     defective = np.array([[-0.5j, 0.0], [1.0, -0.5j]])
     for array, h in ((None, assemble_heff(asymmetric)), (asymmetric, assemble_heff(asymmetric)),
                      (pair, defective)):
-        bases = transfer._sectors(array, h)
-        assert len(bases) == 1 and np.array_equal(bases[0], np.eye(len(h)))
+        sectors = _sectors(*transfer._symmetry_group(array, h))
+        assert len(sectors) == 1 and np.array_equal(_dense_bases(sectors, len(h))[0],
+                                                    np.eye(len(h)))
 
 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
@@ -365,8 +425,8 @@ def test_sector_fidelity_scan_matches_the_full_state_oracle(arrangement):
 def test_sector_transfer_factors_no_full_size_system(monkeypatch, arrangement, sizes):
     pair, h = _pair_and_h(arrangement, 40, "tangential")
     psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=6, delta_theta=1.0)
-    dense = np.linalg.cond(np.hstack([q @ np.linalg.eig(q.T @ h @ q)[1]
-                                      for q in transfer._sectors(pair, h)]))
+    bases = _dense_bases(_sectors(*transfer._symmetry_group(pair, h)), len(h))
+    dense = np.linalg.cond(np.hstack([q @ np.linalg.eig(q.T @ h @ q)[1] for q in bases]))
     shapes = {"solve": [], "svd": []}
     for name in shapes:
         call = getattr(np.linalg, name)
@@ -487,7 +547,40 @@ def test_gathers_project_as_the_dense_basis(arrangement):
     for n in (1, 6, 7, 40):
         pair, h = _pair_and_h(arrangement, n, "tangential")
         x = np.random.default_rng(n).normal(size=(2 * n, 3)) + 1j
-        for q in transfer._sectors(pair, h):
-            idx, coef = transfer._gathers(q)
-            assert len(idx) <= {"site-site": 4, "site-edge": 2}[arrangement]
-            assert np.max(np.abs(transfer._project((idx, coef), x) - q.T @ x)) < 1e-15
+        sectors = _sectors(*transfer._symmetry_group(pair, h))
+        for sector, q in zip(sectors, _dense_bases(sectors, 2 * n)):
+            # each orbit gathers at most |G| distinct sites
+            assert np.max(sector[3]) <= {"site-site": 4, "site-edge": 2}[arrangement]
+            assert np.max(np.abs(_project(sector, x) - q.T @ x)) < 1e-15
+
+
+def test_threads_is_an_upper_bound_on_the_pool_size(monkeypatch):
+    # the pool class is patched to record its size: 10**6 threads are never asked of the system
+    sizes = []
+
+    class Recording(spectrum.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 3))
+
+    monkeypatch.setattr(spectrum, "ThreadPoolExecutor", Recording)
+    min_decay_scan("chain", [4, 5, 6], 3.0, threads=10**6)
+    fidelity_scan(6, 0.1, "tangential", 2, [0.1, 0.2, 0.3], [1.0], t_max=5.0, t_steps=10,
+                  threads=10**6)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert sizes == [min(3, cpus or 1)] * 2
+
+
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_mirror_image_sites_tie_to_the_lower_index(arrangement):
+    # an m = 0 packet from the farthest site is sigma_y-symmetric, so ring-2 sites k and their
+    # mirror images give equal overlaps; round-off must not decide which one is reported
+    pair, h = _pair_and_h(arrangement, 10, "transverse")
+    psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=0, delta_theta=1.0)
+    times = np.linspace(0.0, default_horizon(ring_ring_coupling(pair, h), 0), 2000)
+    trace = fidelity_trace(pair, psi0, m=0, delta_theta=1.0, times=times, h=h)
+    angles = pair.ring_meta[1].angles
+    mirror = np.argmin(np.abs(np.exp(-1j * angles)[:, None] - np.exp(1j * angles)), axis=1)
+    lit = trace.argmax_site >= 0
+    assert np.count_nonzero(lit) == len(times) - 1
+    assert np.all(trace.argmax_site[lit] <= mirror[trace.argmax_site[lit]])

@@ -16,8 +16,7 @@ from .output import interleave_complex, write_csv, write_json
 from .spectrum import (assemble_heff, eigenmodes, light_line_threshold, min_decay_scan,
                        ring_spectrum, spin_wave_state)
 from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
-                       fidelity_trace, gaussian_packet, ring_ring_coupling,
-                       single_ring_eigenvalues)
+                       fidelity_trace, gaussian_packet, ring_ring_coupling)
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
@@ -48,7 +47,7 @@ class RunConfig:
     n: int = _geometry(10)
     d: float = _geometry(0.1)
     polarization: str = _geometry("transverse")
-    arrangement: str = _geometry("single")      # single | chain | site-site | site-edge
+    arrangement: str = _geometry("")            # "": the command's default (_ARRANGEMENTS)
     x: float = _geometry(0.15)
     angular_offset: float = _geometry(0.0)
     m: int = _physics(0)
@@ -133,8 +132,13 @@ def validate(cfg: RunConfig) -> RunConfig:
         bad("d must be positive")
     if cfg.polarization not in ("transverse", "tangential", "radial"):
         bad(f"unknown polarization {cfg.polarization!r}")
-    if cfg.arrangement not in ("single", "chain", "site-site", "site-edge"):
-        bad(f"unknown arrangement {cfg.arrangement!r}")
+    arrangements = _ARRANGEMENTS[cfg.command]
+    cfg.arrangement = cfg.arrangement or arrangements[0]
+    if cfg.arrangement not in arrangements:
+        bad(f"{cfg.command} runs the arrangements {', '.join(arrangements)}, "
+            f"not {cfg.arrangement!r}")
+    if cfg.arrangement == "chain" and cfg.polarization != "transverse":
+        bad(f"a chain carries transverse dipoles only, not {cfg.polarization!r}")
     if cfg.x <= 0:
         bad("x must be positive")
     if not -1 <= cfg.center_site < cfg.n:
@@ -248,8 +252,6 @@ def cmd_decay_scan(cfg: RunConfig):
 
 def cmd_fieldmap(cfg: RunConfig):
     ring = _build_system(cfg)
-    if len(ring.groups) != 1 or ring.ring_meta[0] is None:
-        raise ConfigError("fieldmap expects a single-ring geometry")
     extent = (-cfg.extent, cfg.extent)
     grid = getattr(GridSpec, cfg.plane)(cfg.plane_offset, (extent, extent), cfg.resolution)
     fmap = intensity_map(ring, spin_wave_state(ring, cfg.m), grid)
@@ -266,21 +268,18 @@ def cmd_fieldmap(cfg: RunConfig):
 
 def cmd_coupling(cfg: RunConfig):
     """Ring-to-ring couplings over (m1, m2); `eta` adds the figure of merit and m*."""
-    if cfg.arrangement not in ("site-site", "site-edge"):
-        raise ConfigError("coupling commands need a two-ring arrangement")
-    cpl = ring_ring_coupling(_build_system(cfg))
+    system = _build_system(cfg)
+    cpl = ring_ring_coupling(system)
     m1, m2 = np.meshgrid(cpl.m1_values, cpl.m2_values, indexing="ij")
     key, columns, arrays = "couplings", ("m1", "m2", "J", "Gamma"), [m1, m2, cpl.shifts, cpl.rates]
     if cfg.command == "eta":
         key, columns = "eta", columns + ("eta", "m_star")
-        arrays += [eta_map(cpl, single_ring_eigenvalues(cfg.n, cfg.d, cfg.polarization)),
+        arrays += [eta_map(cpl, ring_spectrum(system)[1]),
                    np.full(m1.shape, light_line_threshold(cfg.n, cfg.d))]
     return key, columns, _rows(*arrays)
 
 
 def cmd_fidelity(cfg: RunConfig):
-    if cfg.arrangement not in ("site-site", "site-edge"):
-        raise ConfigError("fidelity needs a two-ring arrangement")
     system = _build_system(cfg)
     h = assemble_heff(system)
     site = cfg.center_site if cfg.center_site >= 0 else farthest_site(system, 0)
@@ -293,14 +292,11 @@ def cmd_fidelity(cfg: RunConfig):
 
 
 def cmd_fidelity_scan(cfg: RunConfig):
-    if cfg.arrangement == "chain":
-        raise ConfigError("fidelity-scan needs a two-ring arrangement")
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.x_points)
     dts = np.linspace(cfg.dtheta_min, cfg.dtheta_max, cfg.dtheta_points)
     scan = fidelity_scan(cfg.n, cfg.d, cfg.polarization, cfg.m, xs, dts,
                          t_max=cfg.t_max or None, t_steps=cfg.t_steps,
-                         arrangement="site-site" if cfg.arrangement == "single" else cfg.arrangement,
-                         threads=cfg.threads)
+                         arrangement=cfg.arrangement, threads=cfg.threads)
     x, dt = np.meshgrid(scan.x_values, scan.delta_theta_values, indexing="ij")
     return ("scan", ("x", "width", "delta_theta", "max_fidelity", "t_at_max"),
             _rows(x, scan.widths, dt, scan.max_fidelity, scan.t_at_max))
@@ -314,6 +310,18 @@ _DISPATCH = {
     "eta": cmd_coupling,
     "fidelity": cmd_fidelity,
     "fidelity-scan": cmd_fidelity_scan,
+}
+
+# The arrangements each command runs, its default first; validate rejects the others.
+_PAIRS = ("site-site", "site-edge")
+_ARRANGEMENTS = {
+    "spectrum": ("single", "chain", *_PAIRS),
+    "decay-scan": ("single", "chain", *_PAIRS),      # scans rings and chains whatever is set
+    "fieldmap": ("single",),
+    "coupling": _PAIRS,
+    "eta": _PAIRS,
+    "fidelity": _PAIRS,
+    "fidelity-scan": _PAIRS,
 }
 
 

@@ -5,22 +5,31 @@ import json
 UNITS_NOTE = "lengths in transition wavelengths, rates and shifts in units of Gamma0"
 
 
+def _cell_format(digits: int):
+    """The text of one value at `digits` significant figures: a float as "0", scientific
+    below 1e-4 and %g above; a bool as 1 or 0; anything else as str()."""
+    sci, fixed = f".{digits - 1}e", f".{digits}g"
+
+    def cell(v):
+        if v.__class__ is not float:        # a Python float, the common cell, skips this
+            if isinstance(v, bool):
+                return "1" if v else "0"
+            if not isinstance(v, float):    # np.float64 formats as its float
+                return str(v)
+        if v == 0.0:
+            return "0"
+        return format(v, sci) if abs(v) < 1e-4 else format(v, fixed)
+
+    return cell
+
+
 def fmt_float(v: float, digits: int = 12) -> str:
     """Fixed float formatting: `digits` significant figures, scientific below 1e-4."""
-    v = float(v)
-    if v == 0.0:
-        return "0"
-    if abs(v) < 1e-4:
-        return f"{v:.{digits - 1}e}"
-    return f"{v:.{digits}g}"
+    return _cell_format(digits)(float(v))
 
 
 def fmt_value(v, digits: int = 12) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return fmt_float(v, digits)
-    return str(v)
+    return _cell_format(digits)(v)
 
 
 def header_lines(version: str, config_items: list[tuple[str, str]]) -> list[str]:
@@ -35,16 +44,7 @@ def header_lines(version: str, config_items: list[tuple[str, str]]) -> list[str]
 
 
 def write_csv(path, version, config_items, columns, rows, digits=12):
-    sci, fixed = f".{digits - 1}e", f".{digits}g"
-
-    def cell(v):
-        # fmt_float inlined for the common case, a Python float: same text
-        if v.__class__ is float:
-            if v == 0.0:
-                return "0"
-            return format(v, sci) if abs(v) < 1e-4 else format(v, fixed)
-        return fmt_value(v, digits)
-
+    cell = _cell_format(digits)
     out = header_lines(version, config_items)
     out.append(",".join(columns))
     out += [",".join(map(cell, row)) for row in rows]

@@ -1,6 +1,5 @@
 """Ring-to-ring couplings, wave packets, propagation and transfer fidelity."""
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,19 +7,6 @@ import numpy as np
 from .geometry import EmitterArray, TwoRingConfig, build_ring, build_two_rings
 from .spectrum import (_block, _couplings, _pool_map, _project, _sectors, assemble_heff,
                        canonical_m_range, ring_spectrum, wrap_m)
-
-
-def __getattr__(name):
-    """Module attributes loaded on first use (PEP 562).
-
-    solve_ivp is scipy.integrate's, which takes ~0.5 s to import and only the
-    ill-conditioned fallback of _evolve runs; it is read as a module attribute
-    at call time, so it can be replaced on the module.
-    """
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -243,8 +229,10 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
     if cond > 1e8:
+        from scipy.integrate import solve_ivp   # ~0.5 s to import; only this fallback runs it
+
         def integrate(psi0):
-            sol = sys.modules[__name__].solve_ivp(
+            sol = solve_ivp(
                 lambda t, y: -1j * (h @ y), (0.0, times[-1] if len(times) else 0.0),
                 psi0, t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
             if not sol.success:

@@ -8,7 +8,7 @@ from dipolerings import cli
 from dipolerings.cli import (ConfigError, RunConfig, config_items, main, parse_config,
                              resolve_config)
 from dipolerings.geometry import build_ring
-from dipolerings.output import fmt_value
+from dipolerings.output import fmt_float, fmt_value, write_csv
 from dipolerings.spectrum import assemble_heff, classify_modes, eigenmodes
 
 
@@ -424,3 +424,94 @@ def test_eta_with_a_rate_at_the_float64_floor_is_a_numeric_error(tmp_path, capsy
     assert info["code"] == 3
     assert "(m1, m2) = (32, 32)" in info["message"] and "below the float64 floor" in info["message"]
     assert not out.exists()
+
+
+# Small inputs every command accepts; each command reads only its own keys.
+SMALL = ["--set", "geometry.n=6", "--set", "geometry.d=0.3", "--set", "physics.m=2",
+         "--set", "physics.t_max=10", "--set", "physics.t_steps=40",
+         "--set", "physics.x_points=2", "--set", "physics.dtheta_points=2",
+         "--set", "physics.n_min=4", "--set", "physics.n_max=6", "--set", "physics.resolution=9"]
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected run built a geometry")
+    for builder in ("build_ring", "build_chain", "build_two_rings"):
+        monkeypatch.setattr(cli, builder, refuse)
+
+
+@pytest.mark.parametrize("arrangement", ["single", "chain", "site-site", "site-edge", None])
+@pytest.mark.parametrize("command", list(cli._DISPATCH))
+def test_each_command_runs_the_arrangements_of_its_table(tmp_path, capsys, monkeypatch,
+                                                         command, arrangement):
+    out = tmp_path / "a.csv"
+    allowed = cli._ARRANGEMENTS[command]
+    chosen = [] if arrangement is None else ["--set", f"geometry.arrangement={arrangement}"]
+    if arrangement is not None and arrangement not in allowed:
+        _refuse_to_build(monkeypatch)
+        assert run_cli([command, "--out", str(out), *SMALL, *chosen]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
+        assert not out.exists()
+        return
+    assert run_cli([command, "--out", str(out), *SMALL, *chosen]) == 0
+    echoed = f"# config: geometry.arrangement = {arrangement or allowed[0]}"
+    assert echoed in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "decay-scan"])
+@pytest.mark.parametrize("polarization", ["tangential", "radial"])
+def test_chain_with_ring_polarization_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                        command, polarization):
+    out = tmp_path / "chain.csv"
+    _refuse_to_build(monkeypatch)
+    assert run_cli([command, "--out", str(out), "--set", "geometry.arrangement=chain",
+                    "--set", f"geometry.polarization={polarization}",
+                    "--set", "geometry.n=5"]) == 2
+    assert polarization in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not out.exists()
+
+
+def test_dispatch_and_arrangement_tables_agree():
+    assert list(cli._DISPATCH) == list(cli._ARRANGEMENTS)
+    every, pairs = ("single", "chain", "site-site", "site-edge"), ("site-site", "site-edge")
+    assert cli._ARRANGEMENTS == {"spectrum": every, "decay-scan": every, "fieldmap": ("single",),
+                                 "coupling": pairs, "eta": pairs, "fidelity": pairs,
+                                 "fidelity-scan": pairs}
+    # the benchmark tracer wraps the CLI's cmd_* functions where the table holds them
+    for fn in cli._DISPATCH.values():
+        assert fn.__name__.startswith("cmd_") and getattr(cli, fn.__name__) is fn
+
+
+def _reference_cell(v, digits):
+    """Cell text by the rules the artifacts have always had (see output.fmt_value)."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if not isinstance(v, float):
+        return str(v)
+    v = float(v)
+    if v == 0.0:
+        return "0"
+    if abs(v) < 1e-4:
+        return f"{v:.{digits - 1}e}"
+    return f"{v:.{digits}g}"
+
+
+_EDGE = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)]
+_FLOATS = [0.0, -0.0, *_EDGE, *(-v for v in _EDGE), 1e-300, 1e300, np.nan, np.inf, -np.inf]
+CELLS = [*map(float, _FLOATS), *map(np.float64, _FLOATS), True, False, np.True_, np.False_,
+         0, 7, -3, "ring"]
+
+
+@pytest.mark.parametrize("digits", [1, 12, 17])
+def test_cells_keep_their_text(tmp_path, digits):
+    expected = [_reference_cell(v, digits) for v in CELLS]
+    assert [fmt_value(v, digits) for v in CELLS] == expected
+    numbers = [v for v in CELLS if not isinstance(v, str)]
+    assert ([fmt_float(v, digits) for v in numbers]
+            == [_reference_cell(float(v), digits) for v in numbers])
+    out = tmp_path / "cells.csv"
+    write_csv(out, "0", [], [f"c{i}" for i in range(len(CELLS))], [tuple(CELLS)], digits)
+    assert out.read_text().splitlines()[-1].split(",") == expected
+    # the rules at their edges, spelled out
+    assert [fmt_value(v, 12) for v in (-0.0, 1e-4, np.nextafter(1e-4, 0.0), np.True_)] == [
+        "0", "0.0001", "1.00000000000e-04", "True"]

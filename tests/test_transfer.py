@@ -252,8 +252,9 @@ def test_defective_h_takes_the_ode_fallback():
 def test_fidelity_scan_ode_fallback_matches_eig(monkeypatch):
     args = (5, 0.1, "tangential", 2, [0.1, 0.2], [0.5, 1.5])
     eig_scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
-    integrations, solve_ivp = [], transfer.solve_ivp
-    monkeypatch.setattr(transfer, "solve_ivp",
+    import scipy.integrate
+    integrations, solve_ivp = [], scipy.integrate.solve_ivp
+    monkeypatch.setattr(scipy.integrate, "solve_ivp",
                         lambda *a, **k: integrations.append(1) or solve_ivp(*a, **k))
     # cond(V) comes from the singular values of the sector blocks: force it to 1e9
     monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1e9, 1.0]))

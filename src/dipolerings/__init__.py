@@ -10,7 +10,6 @@ from .spectrum import (ModeSpectrum, assemble_heff, canonical_m_range, chain_spe
                        wrap_m)
 from .transfer import (FidelityScan, FidelityTrace, Propagation, RingRingCoupling,
                        default_horizon, eta_map, farthest_site, fidelity_scan,
-                       fidelity_trace, gaussian_packet, propagate, ring_ring_coupling,
-                       single_ring_eigenvalues)
+                       fidelity_trace, gaussian_packet, propagate, ring_ring_coupling)
 
 __version__ = "0.1.0"

@@ -255,7 +255,7 @@ def cmd_fieldmap(cfg: RunConfig):
     extent = (-cfg.extent, cfg.extent)
     grid = getattr(GridSpec, cfg.plane)(cfg.plane_offset, (extent, extent), cfg.resolution)
     fmap = intensity_map(ring, spin_wave_state(ring, cfg.m), grid)
-    pts = grid.points()
+    pts = fmap.points
     meta = {
         "grid": {"plane": cfg.plane, "offset": cfg.plane_offset,
                  "extent": cfg.extent, "resolution": cfg.resolution},

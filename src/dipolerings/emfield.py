@@ -3,11 +3,13 @@
 Internal units: lengths in units of the transition wavelength (so k0 = 2*pi),
 rates and energy shifts in units of the single-emitter decay rate Gamma0 = 1.
 
-There is one Green's kernel: the radial factors pref = e^{ix}/(4 pi r) and
-near = 1/x^2 - i/x (x = k0 r) come from `_radial` alone.  `green_tensor` is
-the 3x3 tensor of one separation, `projected_green` its projections
-conj(p_left).G.p_right over a batch of pairs, and `radiated_field` its summed
-form, the field sum_j c_j G(r - r_j).p_j of a whole array at many points.
+There is one Green's kernel.  For `green_tensor`, the 3x3 tensor of one
+separation, and `projected_green`, its projections conj(p_left).G.p_right
+over a batch of pairs, the radial factors pref = e^{ix}/(4 pi r) and
+near = 1/x^2 - i/x (x = k0 r) come from `_radial`.  `radiated_field`, its
+summed form sum_j c_j G(r - r_j).p_j of a whole array at many points, expands
+the same factors in u = 1/x and folds c into p, so that a map takes few
+passes over its blocks; tests hold it to the per-tensor sum.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 
 K0 = 2.0 * np.pi
 GAMMA0 = 1.0
-# Field points per block of radiated_field: its temporaries are (BLOCK_POINTS, N).
+# Field points per block of radiated_field: its temporaries are (N, BLOCK_POINTS).
 BLOCK_POINTS = 1024
 
 
@@ -142,36 +144,66 @@ def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, 
 
     positions (N, 3), dipoles (N, 3) and amplitudes c (N,) describe the
     emitters.  Returns the (P, 3) complex field and the (P,) distance from each
-    point to its nearest emitter.  With rhat (rhat . p) = sep (sep . p) / r^2,
-        G . p = pref [(1 - near) p + (3 near - 1) sep (sep . p) / r^2],
-    so the sum over emitters is one matrix product (c pref (1 - near)) @ dipoles
-    plus the row sums sum_j b_j sep_j, b = c pref (3 near - 1) (sep . p) / r^2.
-    The points are taken BLOCK_POINTS at a time, so the work arrays are
-    (BLOCK_POINTS, N) scalars.  Raises SingularityError if a point coincides
+    point to its nearest emitter.  Raises SingularityError if a point coincides
     with an emitter.
+
+    With w = c p, u = 1/x and pref = e^{ix} u / 2 (= e^{ix}/(4 pi r), x = k0 r),
+        c G . p = pref [(1 - u^2 + i u) w + (3 u^2 - 1 - 3 i u) sep (sep . w) / r^2],
+    so the field is one matrix product f @ w plus the sums sum_j g_j sep_j.
+    The phase comes from one tan, not a cos and a sin: with t = tan(x/2),
+    e^{ix} = (1 + i t)^2 / (1 + t^2), and 1/(1 + t^2) goes into the real factor
+    s = u / (2 (1 + t^2)).  On an AVX-512 CPU numpy vectorizes float64 tan but
+    not cos or sin, and the phase table costs a third of np.exp(1j * x); without
+    it, one tan still replaces two calls.  The two tables agree to a few ulp.
+
+    The points are taken BLOCK_POINTS at a time.  The work arrays of a block
+    are (N, BLOCK_POINTS), emitters by points, so every elementwise pass runs
+    along the points.  Per block: the separations, r^2 and r (in
+    np.linalg.norm's order, so `nearest` has its bits), one tan, a dozen real
+    passes for s and its u-polynomials, two complex products with the phase
+    for f and g, the matrix product f @ w, sep . w as one real matrix product
+    over (re, im) pairs, and the three sums over emitters of g sep_a.
     """
     points = np.asarray(points, dtype=float)
     pos = np.asarray(positions, dtype=float)
-    dip = np.asarray(dipoles, dtype=complex)
-    c = np.asarray(amplitudes, dtype=complex)
+    w = np.asarray(amplitudes, dtype=complex)[:, None] * np.asarray(dipoles, dtype=complex)
+    w_pairs = w.view(float).reshape(len(w), 3, 2)
+    coords = np.ascontiguousarray(points.T)
     field = np.empty((len(points), 3), dtype=complex)
     nearest = np.empty(len(points))
     for start in range(0, len(points), BLOCK_POINTS):
         rows = slice(start, start + BLOCK_POINTS)
-        sep = [points[rows, a, None] - pos[:, a] for a in range(3)]
-        dist2 = sep[0] * sep[0] + sep[1] * sep[1] + sep[2] * sep[2]
-        dist = np.sqrt(dist2)    # summed in np.linalg.norm's order: the same bits
-        nearest[rows] = np.min(dist, axis=1)
+        sep = coords[:, None, rows] - pos.T[:, :, None]         # (3, N, B)
+        s0, s1, s2 = sep
+        dist2 = s0 * s0 + s1 * s1 + s2 * s2
+        dist = np.sqrt(dist2)
+        nearest[rows] = np.min(dist, axis=0)
         if np.any(nearest[rows] == 0.0):
             raise SingularityError("field requested on top of an emitter")
-        pref, near = _radial(dist)
-        cpref = c * pref
-        b = cpref * (3.0 * near - 1.0)
-        b *= sep[0] * dip[:, 0] + sep[1] * dip[:, 1] + sep[2] * dip[:, 2]
-        b /= dist2
-        block = (cpref * (1.0 - near)) @ dip
+        t = np.tan(np.pi * dist)                                # tan(x/2), exactly half of K0 r
+        u = np.divide(1.0, np.multiply(K0, dist, out=dist), out=dist)
+        phase = np.empty(u.shape, dtype=complex)                # (1 + i t)^2 = e^{ix} (1 + t^2)
+        np.add(t, t, out=phase.imag)
+        t *= t
+        np.subtract(1.0, t, out=phase.real)
+        t += 1.0
+        s = np.divide(0.5 * u, t, out=t)
+        su = s * u
+        su2 = su * u
+        coef = np.empty(u.shape, dtype=complex)                 # f = phase s (1 - u^2 + i u)
+        np.subtract(s, su2, out=coef.real)
+        coef.imag[...] = su
+        coef *= phase
+        block = coef.T @ w
+        inv_r2 = np.divide(1.0, dist2, out=dist2)               # g = phase s (3u^2 - 1 - 3iu) / r^2
+        su2 *= 3.0
+        su2 -= s
+        np.multiply(su2, inv_r2, out=coef.real)
+        su *= -3.0
+        np.multiply(su, inv_r2, out=coef.imag)
+        coef *= phase
+        coef *= np.matmul(sep.transpose(1, 2, 0), w_pairs).view(complex)[..., 0]
         for a in range(3):
-            block[:, a] += np.sum(b * sep[a], axis=1)
+            block[:, a] += np.sum(np.multiply(coef, sep[a], out=phase), axis=0)
         field[rows] = block
     return field, nearest
-

@@ -69,6 +69,7 @@ class IntensityMap:
     grid: GridSpec
     values: np.ndarray    # (res1, res2) float
     mask: np.ndarray      # (res1, res2) bool, True within d/4 of an emitter
+    points: np.ndarray    # (res1*res2, 3) float, grid.points(): the map's points in row order
 
 
 def field_amplitude(array: EmitterArray, state: np.ndarray, point) -> np.ndarray:
@@ -103,8 +104,10 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
     not meaningful on a map).  Raises SingularityError if a grid point
     coincides with an emitter.
     """
-    field, nearest = radiated_field(grid.points(), array.positions, array.dipoles, state)
+    points = grid.points()
+    field, nearest = radiated_field(points, array.positions, array.dipoles, state)
     values = np.sum(np.abs(field) ** 2, axis=1)
     mask = nearest <= _mask_radius(array)
     shape = (grid.res1, grid.res2)
-    return IntensityMap(grid=grid, values=values.reshape(shape), mask=mask.reshape(shape))
+    return IntensityMap(grid=grid, values=values.reshape(shape), mask=mask.reshape(shape),
+                        points=points)

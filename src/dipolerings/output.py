@@ -43,11 +43,37 @@ def header_lines(version: str, config_items: list[tuple[str, str]]) -> list[str]
     return lines
 
 
+# Rows formatted together by write_csv: their cell texts are held until joined into lines.
+CSV_BLOCK_ROWS = 4096
+
+
+def _column_texts(column, cell) -> list[str]:
+    """The texts of one column's cells.  A column of Python floats in which at
+    most half the cells are distinct (a grid coordinate) is formatted once per
+    distinct value; any other column cell by cell."""
+    if set(map(type, column)) == {float}:     # 1, 1.0, True, np.True_ are equal but print apart
+        texts = dict.fromkeys(column)           # -0.0 and 0.0 share an entry: both print 0
+        if 2 * len(texts) <= len(column):
+            for v in texts:
+                texts[v] = cell(v)
+            return list(map(texts.__getitem__, column))
+    return list(map(cell, column))
+
+
 def write_csv(path, version, config_items, columns, rows, digits=12):
+    """Write the header, the column names and one line per row.
+
+    The cells are formatted a column at a time, CSV_BLOCK_ROWS rows at a time
+    (see `_column_texts`).  So a grid coordinate repeated on every row of a map
+    takes one format per distinct value in each block, and the text is that of
+    `fmt_value` cell by cell.
+    """
     cell = _cell_format(digits)
     out = header_lines(version, config_items)
     out.append(",".join(columns))
-    out += [",".join(map(cell, row)) for row in rows]
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = zip(*rows[start:start + CSV_BLOCK_ROWS])
+        out += map(",".join, zip(*[_column_texts(column, cell) for column in block]))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(out) + "\n")
 

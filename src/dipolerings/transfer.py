@@ -4,9 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EmitterArray, TwoRingConfig, build_ring, build_two_rings
+from .geometry import EmitterArray, TwoRingConfig, build_two_rings
 from .spectrum import (_block, _couplings, _pool_map, _project, _sectors, assemble_heff,
-                       canonical_m_range, ring_spectrum, wrap_m)
+                       canonical_m_range, wrap_m)
 
 
 @dataclass
@@ -53,11 +53,6 @@ def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> Ring
     e2 = np.exp(-1j * np.outer(th2, ms))         # (j, m2)
     lam = e1 @ block @ e2 / n
     return RingRingCoupling(m1_values=ms, m2_values=ms.copy(), lambda_mm=lam)
-
-
-def single_ring_eigenvalues(n: int, d: float, polarization="tangential") -> np.ndarray:
-    """Isolated-ring eigenvalues lambda_m over the canonical m range."""
-    return ring_spectrum(build_ring(n, d, polarization))[1]
 
 
 def eta_map(coupling: RingRingCoupling, ring1_lambdas: np.ndarray,

@@ -10,10 +10,9 @@ import pytest
 
 import dipolerings as dr
 from dipolerings.cli import main as cli_main
-from dipolerings.spectrum import canonical_m_range
+from dipolerings.spectrum import canonical_m_range, ring_spectrum
 from dipolerings.transfer import (eta_map, farthest_site, fidelity_scan, fidelity_trace,
-                                  gaussian_packet, ring_ring_coupling,
-                                  single_ring_eigenvalues)
+                                  gaussian_packet, ring_ring_coupling)
 from oracles import random_geometry, rk4_propagate, two_atom_parallel, two_atom_perpendicular
 
 
@@ -132,7 +131,7 @@ def test_criterion_05b_m0_center_maximum(fig3_ring):
 def fig4_setup():
     system = dr.build_two_rings(dr.TwoRingConfig("site-site", 10, 0.1, 0.15, "tangential"))
     cpl = ring_ring_coupling(system)
-    lams = single_ring_eigenvalues(10, 0.1, "tangential")
+    lams = ring_spectrum(dr.build_ring(10, 0.1, "tangential"))[1]
     eta = eta_map(cpl, lams)
     ms = cpl.m1_values
 
@@ -191,7 +190,7 @@ def test_criterion_07_site_edge_null():
 
 @pytest.fixture(scope="module")
 def eta_distance_curve():
-    lams = single_ring_eigenvalues(10, 0.1, "tangential")
+    lams = ring_spectrum(dr.build_ring(10, 0.1, "tangential"))[1]
     ms = canonical_m_range(10)
     i5 = int(np.flatnonzero(ms == 5)[0])
     xs = np.linspace(0.05, 1.5, 100)

@@ -4,9 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from dipolerings import cli
+from dipolerings import cli, output
 from dipolerings.cli import (ConfigError, RunConfig, config_items, main, parse_config,
                              resolve_config)
+from dipolerings.fieldmap import GridSpec
 from dipolerings.geometry import build_ring
 from dipolerings.output import fmt_float, fmt_value, write_csv
 from dipolerings.spectrum import assemble_heff, classify_modes, eigenmodes
@@ -237,6 +238,23 @@ def test_fieldmap_point_on_emitter_is_a_numeric_error(tmp_path, capsys, fmt):
     err = capsys.readouterr().err
     assert "Traceback" not in err and json.loads(err)["error"]["code"] == 3
     assert not out.exists()
+
+
+def test_fieldmap_builds_its_grid_once(tmp_path, monkeypatch):
+    built = []
+    points = GridSpec.points
+
+    def counted(grid):
+        built.append(grid)
+        return points(grid)
+
+    monkeypatch.setattr(GridSpec, "points", counted)
+    out = tmp_path / "map.csv"
+    assert run_cli(["fieldmap", "--out", str(out), "--set", "geometry.n=6",
+                    "--set", "geometry.d=0.3", "--set", "physics.resolution=7"]) == 0
+    assert len(built) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert [r[:3] for r in rows[1:]] == [[fmt_float(v) for v in p] for p in points(built[0])]
 
 
 @pytest.mark.parametrize("site", [50, -7, 10, -2])
@@ -515,3 +533,49 @@ def test_cells_keep_their_text(tmp_path, digits):
     # the rules at their edges, spelled out
     assert [fmt_value(v, 12) for v in (-0.0, 1e-4, np.nextafter(1e-4, 0.0), np.True_)] == [
         "0", "0.0001", "1.00000000000e-04", "True"]
+
+
+def _table_columns():
+    """Columns of a 12-row table: repeated floats, +-0, the 1e-4 edges, a mixed column,
+    strings, and distinct floats."""
+    edge = [float(v) for v in _EDGE]
+    return {
+        "grid": [2.5, 3.75, 2.5, 3.75, 2.5, 3.75, -6.125, 2.5, 3.75, -6.125, 2.5, 3.75],
+        "zeros": [-0.0, 0.0, 0.0, -0.0, 1.5, 1.5, 0.0, -0.0, -0.0, 0.0, 1.5, -0.0],
+        "edge": edge + [-v for v in edge] + edge + [-v for v in edge],
+        "mixed": [1, 1.0, True, np.True_, 1.0, 1, np.True_, True, 0, 0.0, False, np.False_],
+        "label": ["ring", "chain", "ring", "", "ring", "chain", "a b", "ring", "", "x", "y", "z"],
+        "distinct": [1.0 / k for k in range(1, 13)],
+    }
+
+
+@pytest.mark.parametrize("digits", [1, 12, 17])
+def test_multi_row_table_cells_keep_their_text(tmp_path, monkeypatch, digits):
+    columns = _table_columns()
+    rows = list(zip(*columns.values()))
+    formatted = []
+    cell_format = output._cell_format
+
+    def counting_format(d):
+        cell = cell_format(d)
+
+        def counted(v):
+            formatted.append(v)
+            return cell(v)
+        return counted
+
+    monkeypatch.setattr(output, "_cell_format", counting_format)
+    out = tmp_path / "table.csv"
+    write_csv(out, "0", [], list(columns), rows, digits)
+    lines = out.read_text().splitlines()
+    assert lines[-13] == ",".join(columns)
+    assert [line.split(",") for line in lines[-12:]] == [
+        [_reference_cell(v, digits) for v in row] for row in rows]
+    # the float columns that repeat take one format per distinct value
+    assert [formatted.count(v) for v in (2.5, 3.75, -6.125, 1.5)] == [1, 1, 1, 1]
+    # "zeros" once for its +-0; "mixed" cell by cell for its 0, 0.0, False and np.False_
+    assert formatted.count(0.0) == 1 + 4
+    # blocks of 5 rows: the 12 rows in three blocks, some columns memoized in one block only
+    monkeypatch.setattr(output, "CSV_BLOCK_ROWS", 5)
+    write_csv(tmp_path / "blocks.csv", "0", [], list(columns), rows, digits)
+    assert (tmp_path / "blocks.csv").read_text() == out.read_text()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dipolerings import fieldmap
-from dipolerings.emfield import BLOCK_POINTS, SingularityError, green_tensor, radiated_field
+from dipolerings.emfield import (BLOCK_POINTS, SingularityError, green_tensor, radiated_field,
+                                unit_dipole)
 from dipolerings.fieldmap import GridSpec, intensity_map
 from dipolerings.geometry import EmitterArray, build_ring
 from dipolerings.spectrum import spin_wave_state
@@ -55,6 +56,23 @@ def test_radiated_field_matches_green_tensor_sum(pol, count):
     assert field.shape == (count, 3)
     assert err.max() <= 1e-12
 
+
+@pytest.mark.parametrize("dipole", [np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),
+                                    unit_dipole([0.3 - 0.2j, 0.5j, 1.0 + 0.4j])],
+                         ids=["circular", "complex"])
+def test_complex_dipoles_and_amplitudes_match_green_tensor_sum(dipole):
+    # the amplitudes are folded into the dipoles: with complex p and c, a
+    # conjugate or a dropped imaginary part would show
+    ring = build_ring(9, D, "tangential")
+    array = EmitterArray(ring.positions, np.tile(dipole, (ring.n, 1)))
+    state = random_state(array.n, seed=5)
+    points = sample_points(array, BLOCK_POINTS + 2, seed=5)
+    field, _ = radiated_field(points, array.positions, array.dipoles, state)
+    # both sides of the block edge, every 64th point, and the near and far points
+    check = sorted({*range(0, len(points), 64), *range(BLOCK_POINTS - 3, len(points))})
+    expected = tensor_sum(array, state, points[check])
+    err = np.linalg.norm(field[check] - expected, axis=1) / np.linalg.norm(expected, axis=1)
+    assert err.max() <= 1e-12
 
 def test_nearest_distance_is_the_brute_force_minimum_exactly():
     ring = build_ring(12, D, "radial")

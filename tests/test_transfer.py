@@ -8,10 +8,10 @@ from dipolerings import spectrum, transfer
 from dipolerings.geometry import (EmitterArray, TwoRingConfig, build_chain, build_ring,
                                   build_two_rings)
 from dipolerings.spectrum import (_block, _project, _sectors, assemble_heff, canonical_m_range,
-                                  decay_matrix, min_decay_scan, spin_wave_state)
+                                  decay_matrix, min_decay_scan, ring_spectrum, spin_wave_state)
 from dipolerings.transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                                   fidelity_trace, gaussian_packet, propagate,
-                                  ring_ring_coupling, single_ring_eigenvalues)
+                                  ring_ring_coupling)
 from oracles import (fidelity_scan_from_dense_eig, fidelity_scan_from_states, random_geometry,
                      rk4_propagate)
 
@@ -60,7 +60,7 @@ def test_site_edge_exact_null():
 
 def test_eta_map_nonnegative_and_zero_with_j(pair10, h10):
     cpl = ring_ring_coupling(pair10, h10)
-    lams = single_ring_eigenvalues(10, 0.1, "tangential")
+    lams = ring_spectrum(build_ring(10, 0.1, "tangential"))[1]
     eta = eta_map(cpl, lams)
     assert np.all(eta >= 0.0) and np.all(np.isfinite(eta))
     zeroed = ring_ring_coupling(pair10, h10)

@@ -346,9 +346,9 @@ def _parse_args(argv):
     for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="config file (key = value)")
-        p.add_argument("--out", default=None, help="output artifact path")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--threads", default=None, type=int)
+        p.add_argument("--out", default=None, help="output artifact path (output.out)")
+        p.add_argument("--format", default=None, help="csv or json (output.format)")
+        p.add_argument("--threads", default=None, help="worker threads (output.threads)")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override any config key (repeatable)")
     return parser.parse_args(argv)
@@ -367,9 +367,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {override!r}")
             key, _, raw = override.partition("=")
             _store(cli_values, key.strip(), raw.strip())
-        for name in ("command", "out", "format", "threads"):   # the subcommand beats --set
+        for name in ("out", "format", "threads"):   # the flags and the subcommand beat --set
             if getattr(args, name) is not None:
-                cli_values[name] = getattr(args, name)
+                _store(cli_values, f"output.{name}", getattr(args, name))
+        cli_values["command"] = args.command
         run(resolve_config(file_values, cli_values))
     except (ConfigError, OSError) as exc:
         return _emit_error(EXIT_CONFIG_ERROR, exc)

@@ -66,20 +66,9 @@ class GridSpec:
 class IntensityMap:
     """|E+|^2 on a grid, with near-emitter points flagged in mask."""
 
-    grid: GridSpec
     values: np.ndarray    # (res1, res2) float
     mask: np.ndarray      # (res1, res2) bool, True within d/4 of an emitter
     points: np.ndarray    # (res1*res2, 3) float, grid.points(): the map's points in row order
-
-
-def field_amplitude(array: EmitterArray, state: np.ndarray, point) -> np.ndarray:
-    """Positive-frequency field E+(r) = sum_i G(r - r_i) . p_i c_i.
-
-    The overall prefactor is 1 in internal units; raises SingularityError if
-    the point coincides with an emitter.
-    """
-    point = np.asarray(point, dtype=float)[None, :]
-    return radiated_field(point, array.positions, array.dipoles, state)[0][0]
 
 
 def _mask_radius(array: EmitterArray) -> float:
@@ -109,5 +98,4 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
     values = np.sum(np.abs(field) ** 2, axis=1)
     mask = nearest <= _mask_radius(array)
     shape = (grid.res1, grid.res2)
-    return IntensityMap(grid=grid, values=values.reshape(shape), mask=mask.reshape(shape),
-                        points=points)
+    return IntensityMap(values=values.reshape(shape), mask=mask.reshape(shape), points=points)

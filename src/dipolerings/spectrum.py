@@ -61,11 +61,6 @@ def assemble_heff(array: EmitterArray) -> np.ndarray:
     return _couplings(array)
 
 
-def decay_matrix(h: np.ndarray) -> np.ndarray:
-    """Collective decay matrix Gamma_ij = -2 Im{h_ij} (diagonal Gamma0)."""
-    return -2.0 * np.imag(h)
-
-
 @dataclass
 class ModeSpectrum:
     """Eigendecomposition of the effective Hamiltonian.
@@ -73,13 +68,10 @@ class ModeSpectrum:
     eigenvalues are sorted by (Re, Im); eigenvectors are unit-norm columns
     with the largest-magnitude component (the lowest-index one among ties
     within 1e-8 relative) rotated to the positive real axis.
-    labels holds the angular momentum per mode once classified (None before).
     """
 
     eigenvalues: np.ndarray      # (n,) complex
     eigenvectors: np.ndarray     # (n, n) complex, mode k in column k
-    labels: np.ndarray | None = None       # (n,) int
-    label_ok: np.ndarray | None = None     # (n,) bool, False if ambiguous
 
     @property
     def shifts(self) -> np.ndarray:
@@ -162,12 +154,6 @@ def ring_spectrum(array: EmitterArray, group: int = 0) -> tuple[np.ndarray, np.n
     return ms, n * np.fft.ifft(row)[ms % n]
 
 
-def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:
-    """Eigenvalue of a symmetric ring for the spin wave of momentum m (m taken mod N)."""
-    ms, lambdas = ring_spectrum(array, group)
-    return complex(lambdas[wrap_m(m, len(ms)) - ms[0]])
-
-
 def _sectors(perms: np.ndarray, signs: np.ndarray) -> list[tuple]:
     """Sectors of a group G = Z2^k of signed site permutations, as signed orbit gathers.
 
@@ -230,60 +216,6 @@ def chain_spectrum(array: EmitterArray) -> np.ndarray:
     rows = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], array.n)[::-1]
     sectors = _sectors(np.array([sites, sites[::-1]]), np.ones((2, array.n)))
     return np.concatenate([np.linalg.eigvals(_block(s, rows[:len(s[0])])) for s in sectors])
-
-
-def classify_modes(spec: ModeSpectrum, array: EmitterArray, group: int = 0,
-                   overlap_threshold: float = 0.9) -> ModeSpectrum:
-    """Label numerically obtained ring eigenvectors with angular momenta.
-
-    Within degenerate clusters the eigenvectors are replaced by the projections
-    of the spin waves onto the cluster subspace, so each labeled mode aligns
-    with e^{i m theta}.  The assignment is a bijection onto the canonical m
-    range; modes whose best overlap stays below overlap_threshold are flagged.
-    """
-    from scipy.optimize import linear_sum_assignment   # ~0.5 s to import; only used here
-
-    idx = np.asarray(array.groups[group])
-    n = len(idx)
-    if spec.n != n or len(array.groups) != 1:
-        raise ValueError("mode classification expects a single-ring spectrum")
-    ms = canonical_m_range(n)
-    waves = np.column_stack([spin_wave_state(array, m, group)[idx] for m in ms])
-
-    vals = spec.eigenvalues
-    vecs = spec.eigenvectors.copy()
-    # cluster (near-)degenerate eigenvalues, then rotate eigenvectors inside
-    # each cluster onto the spin-wave basis
-    unassigned = list(range(n))
-    clusters = []
-    while unassigned:
-        k = unassigned.pop(0)
-        cluster = [k]
-        for other in list(unassigned):
-            if abs(vals[other] - vals[k]) < 1e-8:
-                cluster.append(other)
-                unassigned.remove(other)
-        clusters.append(cluster)
-    for cluster in clusters:
-        if len(cluster) < 2:
-            continue
-        basis = vecs[:, cluster]
-        q, _ = np.linalg.qr(basis)
-        proj = q @ (q.conj().T @ waves)
-        norms = np.linalg.norm(proj, axis=0)
-        best = np.argsort(norms)[::-1][: len(cluster)]
-        repl = proj[:, best]
-        repl, _ = np.linalg.qr(repl)
-        vecs[:, cluster] = _fix_phases(repl)
-
-    overlap = np.abs(waves.conj().T @ vecs)     # (m, k)
-    row, col = linear_sum_assignment(-overlap)
-    labels = np.empty(n, dtype=int)
-    ok = np.empty(n, dtype=bool)
-    for m_i, k in zip(row, col):
-        labels[k] = ms[m_i]
-        ok[k] = overlap[m_i, k] >= overlap_threshold
-    return ModeSpectrum(eigenvalues=vals, eigenvectors=vecs, labels=labels, label_ok=ok)
 
 
 def light_line_threshold(n: int, d: float) -> float:

@@ -1,6 +1,6 @@
 """Ring-to-ring couplings, wave packets, propagation and transfer fidelity."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -264,7 +264,6 @@ class FidelityTrace:
     times: np.ndarray
     fidelity: np.ndarray          # max_k |<target_k|psi(t)>|
     argmax_site: np.ndarray       # local site index in ring 2 achieving the max, or -1
-    squared: np.ndarray = field(default=None)   # |overlap|^2 variant
     method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
     cond: float | None = None     # cond(V), V = [Q_s W_s], from the singular values of each W_s
 
@@ -293,7 +292,7 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     floor = len(h) * np.finfo(float).eps * (cond if method == "eig" else 1.0)
     best = np.argmax(overlaps >= (fid - floor)[:, None], axis=1)   # ties within floor: lowest
     return FidelityTrace(times=times, fidelity=fid, argmax_site=np.where(fid > floor, best, -1),
-                         squared=fid**2, method=method, cond=cond)
+                         method=method, cond=cond)
 
 
 def farthest_site(array: EmitterArray, ring: int = 0) -> int:

@@ -6,13 +6,22 @@ eigendecomposition code paths; the ring sum and the chain matrix take their
 couplings one pair at a time from pair_coupling.
 The fidelity-scan reference is the exception: it projects the full states of
 `propagate` (itself checked against RK4) point by point, the direct form that
-`fidelity_scan` factors and projects before the time expansion."""
+`fidelity_scan` factors and projects before the time expansion.
+The label oracle `classify_modes` names the modes of a dense `eig` of a ring's h
+by angular momentum: the best spin-wave overlap assignment, with degenerate
+clusters rotated onto the spin waves first.
+`ring_eigenvalue`, `decay_matrix` and `field_amplitude` are not oracles: they are
+thin wrappers over the code under test, kept here for the tests that call them."""
+
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from dipolerings.emfield import pair_coupling
-from dipolerings.geometry import TwoRingConfig, build_two_rings
-from dipolerings.spectrum import assemble_heff
+from dipolerings.emfield import pair_coupling, radiated_field
+from dipolerings.geometry import EmitterArray, TwoRingConfig, build_two_rings
+from dipolerings.spectrum import (ModeSpectrum, _fix_phases, assemble_heff, canonical_m_range,
+                                  ring_spectrum, spin_wave_state, wrap_m)
 from dipolerings.transfer import (default_horizon, farthest_site, gaussian_packet, propagate,
                                   ring_ring_coupling)
 
@@ -155,3 +164,84 @@ def fidelity_scan_from_dense_eig(n, d, polarization, m, x_values, delta_theta_va
             fid = np.abs(states @ np.conj(targets)).max(axis=1)
             maxf[i, j], tat[i, j] = fid.max(), times[np.argmax(fid)]
     return maxf, tat
+
+
+def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:
+    """Eigenvalue of a symmetric ring for the spin wave of momentum m (m taken mod N)."""
+    ms, lambdas = ring_spectrum(array, group)
+    return complex(lambdas[wrap_m(m, len(ms)) - ms[0]])
+
+
+def decay_matrix(h: np.ndarray) -> np.ndarray:
+    """Collective decay matrix Gamma_ij = -2 Im{h_ij} (diagonal Gamma0)."""
+    return -2.0 * np.imag(h)
+
+
+def field_amplitude(array: EmitterArray, state: np.ndarray, point) -> np.ndarray:
+    """Positive-frequency field E+(r) = sum_i G(r - r_i) . p_i c_i.
+
+    The overall prefactor is 1 in internal units; raises SingularityError if
+    the point coincides with an emitter.
+    """
+    point = np.asarray(point, dtype=float)[None, :]
+    return radiated_field(point, array.positions, array.dipoles, state)[0][0]
+
+
+@dataclass
+class LabelledSpectrum(ModeSpectrum):
+    """A ModeSpectrum with the angular momentum of each mode from classify_modes."""
+
+    labels: np.ndarray       # (n,) int
+    label_ok: np.ndarray     # (n,) bool, False if ambiguous
+
+
+def classify_modes(spec: ModeSpectrum, array: EmitterArray, group: int = 0,
+                   overlap_threshold: float = 0.9) -> LabelledSpectrum:
+    """Label numerically obtained ring eigenvectors with angular momenta.
+
+    Within degenerate clusters the eigenvectors are replaced by the projections
+    of the spin waves onto the cluster subspace, so each labeled mode aligns
+    with e^{i m theta}.  The assignment is a bijection onto the canonical m
+    range; modes whose best overlap stays below overlap_threshold are flagged.
+    """
+    idx = np.asarray(array.groups[group])
+    n = len(idx)
+    if spec.n != n or len(array.groups) != 1:
+        raise ValueError("mode classification expects a single-ring spectrum")
+    ms = canonical_m_range(n)
+    waves = np.column_stack([spin_wave_state(array, m, group)[idx] for m in ms])
+
+    vals = spec.eigenvalues
+    vecs = spec.eigenvectors.copy()
+    # cluster (near-)degenerate eigenvalues, then rotate eigenvectors inside
+    # each cluster onto the spin-wave basis
+    unassigned = list(range(n))
+    clusters = []
+    while unassigned:
+        k = unassigned.pop(0)
+        cluster = [k]
+        for other in list(unassigned):
+            if abs(vals[other] - vals[k]) < 1e-8:
+                cluster.append(other)
+                unassigned.remove(other)
+        clusters.append(cluster)
+    for cluster in clusters:
+        if len(cluster) < 2:
+            continue
+        basis = vecs[:, cluster]
+        q, _ = np.linalg.qr(basis)
+        proj = q @ (q.conj().T @ waves)
+        norms = np.linalg.norm(proj, axis=0)
+        best = np.argsort(norms)[::-1][: len(cluster)]
+        repl = proj[:, best]
+        repl, _ = np.linalg.qr(repl)
+        vecs[:, cluster] = _fix_phases(repl)
+
+    overlap = np.abs(waves.conj().T @ vecs)     # (m, k)
+    row, col = linear_sum_assignment(-overlap)
+    labels = np.empty(n, dtype=int)
+    ok = np.empty(n, dtype=bool)
+    for m_i, k in zip(row, col):
+        labels[k] = ms[m_i]
+        ok[k] = overlap[m_i, k] >= overlap_threshold
+    return LabelledSpectrum(eigenvalues=vals, eigenvectors=vecs, labels=labels, label_ok=ok)

@@ -13,7 +13,8 @@ from dipolerings.cli import main as cli_main
 from dipolerings.spectrum import canonical_m_range, ring_spectrum
 from dipolerings.transfer import (eta_map, farthest_site, fidelity_scan, fidelity_trace,
                                   gaussian_packet, ring_ring_coupling)
-from oracles import random_geometry, rk4_propagate, two_atom_parallel, two_atom_perpendicular
+from oracles import (classify_modes, random_geometry, ring_eigenvalue, rk4_propagate,
+                     two_atom_parallel, two_atom_perpendicular)
 
 
 def report(criterion, ok, detail):
@@ -43,23 +44,23 @@ def test_criterion_02_spin_wave_exactness():
                 h = dr.assemble_heff(ring)
                 for m in canonical_m_range(n):
                     psi = dr.spin_wave_state(ring, m)
-                    lam = dr.ring_eigenvalue(ring, m)
+                    lam = ring_eigenvalue(ring, m)
                     worst_res = max(worst_res, np.linalg.norm(h @ psi - lam * psi))
                     if -m in canonical_m_range(n):
                         worst_sym = max(worst_sym,
-                                        abs(lam - dr.ring_eigenvalue(ring, -m)))
+                                        abs(lam - ring_eigenvalue(ring, -m)))
     report(2, worst_res < 1e-10 and worst_sym < 1e-12,
            f"spin-wave residual {worst_res:.2e}, m-symmetry error {worst_sym:.2e}")
 
 
 def test_criterion_03_dicke_limit():
     ring = dr.build_ring(8, 0.005, "transverse")
-    spec = dr.classify_modes(dr.eigenmodes(dr.assemble_heff(ring)), ring)
+    spec = classify_modes(dr.eigenmodes(dr.assemble_heff(ring)), ring)
     rates = dict(zip(spec.labels.tolist(), spec.rates.tolist()))
     ok_t = (abs(rates[0] - 8.0) / 8.0 < 0.05
             and all(rates[m] < 0.05 for m in rates if m != 0))
     ring = dr.build_ring(8, 0.005, "tangential")
-    spec = dr.classify_modes(dr.eigenmodes(dr.assemble_heff(ring)), ring)
+    spec = classify_modes(dr.eigenmodes(dr.assemble_heff(ring)), ring)
     rates = dict(zip(spec.labels.tolist(), spec.rates.tolist()))
     ok_g = (abs(rates[1] - 4.0) / 4.0 < 0.05 and abs(rates[-1] - 4.0) / 4.0 < 0.05
             and rates[0] < 0.05)

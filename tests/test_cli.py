@@ -10,7 +10,8 @@ from dipolerings.cli import (ConfigError, RunConfig, config_items, main, parse_c
 from dipolerings.fieldmap import GridSpec
 from dipolerings.geometry import build_ring
 from dipolerings.output import fmt_float, fmt_value, write_csv
-from dipolerings.spectrum import assemble_heff, classify_modes, eigenmodes
+from dipolerings.spectrum import assemble_heff, eigenmodes
+from oracles import classify_modes
 
 
 def run_cli(args):
@@ -380,6 +381,18 @@ def test_every_echoed_key_is_a_set_override(tmp_path):
 def test_unknown_set_key_is_a_config_error(tmp_path, capsys):
     assert run_cli(["spectrum", "--out", str(tmp_path / "x.csv"), "--set", "geometry.wibble=3"]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["message"] == "unknown key 'geometry.wibble'"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threads", "abc", "invalid value 'abc' for key 'threads'"),
+    ("--format", "xml", "unknown format 'xml'"),
+])
+def test_bad_output_flag_is_the_config_error_of_its_key(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x.csv"
+    for args in ([flag, value], ["--set", f"output.{flag[2:]}={value}"]):
+        assert run_cli(["spectrum", "--out", str(out), *args]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": {"code": 2, "message": message}}
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy warns of the overflow first

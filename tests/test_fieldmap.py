@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from dipolerings.emfield import SingularityError, green_tensor
-from dipolerings.fieldmap import GridSpec, field_amplitude, intensity_map
+from dipolerings.fieldmap import GridSpec, intensity_map
 from dipolerings.geometry import EmitterArray, build_ring
 from dipolerings.spectrum import spin_wave_state
+from oracles import field_amplitude
 
 
 @pytest.fixture(scope="module")

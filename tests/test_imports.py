@@ -1,6 +1,8 @@
-"""scipy is loaded only where it runs: each check starts a fresh interpreter,
-because in this process other test modules have imported scipy already."""
+"""scipy is loaded only where it runs: each runtime check starts a fresh interpreter,
+because in this process other test modules have imported scipy already, and one
+check scans the package source for its scipy imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -59,19 +61,25 @@ def test_every_cli_command_runs_without_scipy(tmp_path):
         """, tmp_path) == [[0] * 9, []]
 
 
-def test_classify_modes_loads_its_assignment_solver_on_demand():
-    loaded_before, labels, ok, loaded_after = fresh("""
-        import json
-        from dipolerings import assemble_heff, build_ring, classify_modes, eigenmodes
-        ring = build_ring(8, 0.1, "tangential")
-        spec = eigenmodes(assemble_heff(ring))
-        before = "scipy.optimize" in sys.modules
-        spec = classify_modes(spec, ring)
-        print(json.dumps([before, sorted(spec.labels.tolist()), bool(spec.label_ok.all()),
-                          "scipy.optimize" in sys.modules]))
-        """)
-    assert labels == list(range(-3, 5)) and ok
-    assert not loaded_before and loaded_after
+def _imports(node, scope):
+    """(scope, module) of each import under node; scope is module[.function...]."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _imports(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Import):
+            yield from ((scope, alias.name) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            yield scope, "." * child.level + (child.module or "")
+        yield from _imports(child, scope)
+
+
+def test_the_only_scipy_import_is_the_ode_fallback_integrator():
+    found = [(scope, module)
+             for path in sorted(Path(SRC, "dipolerings").glob("*.py"))
+             for scope, module in _imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+             if module == "scipy" or module.startswith("scipy.")]
+    assert found == [("transfer._evolve", "scipy.integrate")]
 
 
 def test_ode_fallback_loads_its_integrator_on_demand():

@@ -5,14 +5,14 @@ from scipy.optimize import linear_sum_assignment
 from dipolerings import spectrum
 from dipolerings.emfield import SingularityError, pair_coupling
 from dipolerings.geometry import EmitterArray, build_ring
-from dipolerings.spectrum import (assemble_heff, canonical_m_range, classify_modes,
-                                  decay_matrix, eigenmodes, light_line_threshold,
-                                  min_decay_scan, ring_eigenvalue, ring_spectrum,
+from dipolerings.spectrum import (assemble_heff, canonical_m_range, eigenmodes,
+                                  light_line_threshold, min_decay_scan, ring_spectrum,
                                   spin_wave_state, wrap_m)
 from dipolerings.geometry import build_chain
 from dipolerings.spectrum import chain_spectrum
 from oracles import chain_eigenvalues, chain_parity_eigenvalues
 from oracles import circulant_ring_eigenvalues, random_geometry
+from oracles import classify_modes, decay_matrix, ring_eigenvalue
 
 
 def test_canonical_m_range():

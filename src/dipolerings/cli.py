@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .fieldmap import GridSpec, intensity_map
-from .geometry import TwoRingConfig, build_chain, build_ring, build_two_rings
+from .geometry import build_chain, build_ring, build_two_rings
 from .output import interleave_complex, write_csv, write_json
 from .spectrum import (assemble_heff, eigenmodes, light_line_threshold, min_decay_scan,
                        ring_spectrum, spin_wave_state)
@@ -187,10 +187,8 @@ def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
 
 
 def _build_system(cfg: RunConfig):
-    if cfg.arrangement in ("site-site", "site-edge"):
-        return build_two_rings(TwoRingConfig(arrangement=cfg.arrangement, n=cfg.n,
-                                             d=cfg.d, gap=cfg.x,
-                                             polarization=cfg.polarization))
+    if cfg.arrangement in _PAIRS:
+        return build_two_rings(cfg.arrangement, cfg.n, cfg.d, cfg.x, cfg.polarization)
     if cfg.arrangement == "chain":
         return build_chain(cfg.n, cfg.d)
     return build_ring(cfg.n, cfg.d, cfg.polarization, angular_offset=cfg.angular_offset)
@@ -270,7 +268,7 @@ def cmd_coupling(cfg: RunConfig):
     """Ring-to-ring couplings over (m1, m2); `eta` adds the figure of merit and m*."""
     system = _build_system(cfg)
     cpl = ring_ring_coupling(system)
-    m1, m2 = np.meshgrid(cpl.m1_values, cpl.m2_values, indexing="ij")
+    m1, m2 = np.meshgrid(cpl.m_values, cpl.m_values, indexing="ij")
     key, columns, arrays = "couplings", ("m1", "m2", "J", "Gamma"), [m1, m2, cpl.shifts, cpl.rates]
     if cfg.command == "eta":
         key, columns = "eta", columns + ("eta", "m_star")

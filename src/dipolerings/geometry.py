@@ -49,31 +49,6 @@ class EmitterArray:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
-class TwoRingConfig:
-    """Geometry of two coplanar coupled rings.
-
-    gap is the nearest-approach distance between the facing features of the
-    two rings (site to site, or site to edge midpoint), not center-to-center.
-    """
-
-    arrangement: str            # 'site-site' | 'site-edge'
-    n: int
-    d: float
-    gap: float
-    polarization: str | np.ndarray = "tangential"
-
-    def __post_init__(self):
-        if self.arrangement not in ("site-site", "site-edge"):
-            raise ValueError(f"unknown arrangement {self.arrangement!r}")
-        if self.n < 1:
-            raise ValueError("need at least one emitter per ring")
-        if self.d <= 0:
-            raise ValueError("inter-particle distance d must be positive")
-        if self.gap <= 0:
-            raise ValueError("ring separation must be positive")
-
-
 def _scheme_dipole(polarization, angle: float) -> np.ndarray:
     if isinstance(polarization, str):
         name = polarization.lower()
@@ -134,29 +109,37 @@ def build_chain(n: int, d: float, dipole=(0.0, 0.0, 1.0)) -> EmitterArray:
     return EmitterArray(positions=positions, dipoles=dipoles)
 
 
-def build_two_rings(config: TwoRingConfig) -> EmitterArray:
-    """Two coplanar rings facing each other along the x axis.
+def build_two_rings(arrangement: str, n: int, d: float, gap: float,
+                    polarization="tangential") -> EmitterArray:
+    """Two coplanar rings of n emitters facing each other along the x axis.
 
     Ring 1 is centered at the origin with site 1 at angle 0 (its point nearest
-    ring 2).  In the site-site arrangement ring 2 has a site facing back at
-    distance gap from ring 1's facing site.  In the site-edge arrangement ring
-    2 is additionally rotated by pi/n so an edge midpoint faces ring 1's site,
-    with gap the site-to-midpoint distance along the center line.
+    ring 2).  gap is the nearest-approach distance between the facing features
+    of the two rings, not center-to-center.  In the 'site-site' arrangement
+    ring 2 has a site facing back at distance gap from ring 1's facing site.
+    In the 'site-edge' arrangement ring 2 is additionally rotated by pi/n so an
+    edge midpoint faces ring 1's site, with gap the site-to-midpoint distance
+    along the center line.
     """
-    n, d, x = config.n, config.d, config.gap
-    radius = ring_radius(n, d)
-    ring1 = build_ring(n, d, config.polarization, center=(0.0, 0.0, 0.0),
-                       angular_offset=0.0)
-    if config.arrangement == "site-site":
-        center2_x = 2.0 * radius + x
+    if arrangement not in ("site-site", "site-edge"):
+        raise ValueError(f"unknown arrangement {arrangement!r}")
+    if n < 1:
+        raise ValueError("need at least one emitter per ring")
+    if d <= 0:
+        raise ValueError("inter-particle distance d must be positive")
+    if gap <= 0:
+        raise ValueError("ring separation must be positive")
+    ring1 = build_ring(n, d, polarization)
+    radius = ring1.ring_meta[0].radius
+    if arrangement == "site-site":
+        center2_x = 2.0 * radius + gap
         offset2 = np.pi
     else:
-        center2_x = radius + x + radius * np.cos(np.pi / n)
+        center2_x = radius + gap + radius * np.cos(np.pi / n)
         offset2 = np.pi + np.pi / n
-    ring2 = build_ring(n, d, config.polarization, center=(center2_x, 0.0, 0.0),
+    ring2 = build_ring(n, d, polarization, center=(center2_x, 0.0, 0.0),
                        angular_offset=offset2)
-    positions = np.vstack([ring1.positions, ring2.positions])
-    dipoles = np.vstack([ring1.dipoles, ring2.dipoles])
-    groups = [np.arange(n), np.arange(n, 2 * n)]
-    return EmitterArray(positions=positions, dipoles=dipoles, groups=groups,
+    return EmitterArray(positions=np.vstack([ring1.positions, ring2.positions]),
+                        dipoles=np.vstack([ring1.dipoles, ring2.dipoles]),
+                        groups=[np.arange(n), np.arange(n, 2 * n)],
                         ring_meta=[ring1.ring_meta[0], ring2.ring_meta[0]])

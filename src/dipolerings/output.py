@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 UNITS_NOTE = "lengths in transition wavelengths, rates and shifts in units of Gamma0"
 
 
@@ -93,8 +95,5 @@ def write_json(path, version, config_items, payload):
 
 def interleave_complex(values) -> list[float]:
     """Complex array as a flat [re, im, re, im, ...] list."""
-    out = []
-    for v in values:
-        out.append(float(v.real))
-        out.append(float(v.imag))
-    return out
+    v = np.asarray(values)
+    return np.column_stack((v.real, v.imag)).ravel().tolist()

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EmitterArray, TwoRingConfig, build_two_rings
+from .geometry import EmitterArray, build_two_rings
 from .spectrum import (_block, _couplings, _pool_map, _project, _sectors, assemble_heff,
                        canonical_m_range, wrap_m)
 
@@ -13,8 +13,7 @@ from .spectrum import (_block, _couplings, _pool_map, _project, _sectors, assemb
 class RingRingCoupling:
     """Inter-ring coupling lambda_{m1,m2} in the angular momentum basis."""
 
-    m1_values: np.ndarray        # canonical m labels of ring 1
-    m2_values: np.ndarray        # canonical m labels of ring 2
+    m_values: np.ndarray         # canonical m labels, the same on both rings
     lambda_mm: np.ndarray        # (N, N) complex, units Gamma0
 
     @property
@@ -29,9 +28,8 @@ class RingRingCoupling:
 
     def at(self, m1: int, m2: int) -> complex:
         """lambda at (m1, m2), with mod-N wrapping of out-of-range labels."""
-        i = wrap_m(m1, len(self.m1_values)) - self.m1_values[0]
-        j = wrap_m(m2, len(self.m2_values)) - self.m2_values[0]
-        return complex(self.lambda_mm[i, j])
+        n, m0 = len(self.m_values), self.m_values[0]
+        return complex(self.lambda_mm[wrap_m(m1, n) - m0, wrap_m(m2, n) - m0])
 
 
 def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> RingRingCoupling:
@@ -52,31 +50,25 @@ def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> Ring
     e1 = np.exp(1j * np.outer(ms, th1))          # (m1, i)
     e2 = np.exp(-1j * np.outer(th2, ms))         # (j, m2)
     lam = e1 @ block @ e2 / n
-    return RingRingCoupling(m1_values=ms, m2_values=ms.copy(), lambda_mm=lam)
+    return RingRingCoupling(m_values=ms, lambda_mm=lam)
 
 
-def eta_map(coupling: RingRingCoupling, ring1_lambdas: np.ndarray,
-            ring2_lambdas: np.ndarray | None = None) -> np.ndarray:
+def eta_map(coupling: RingRingCoupling, ring_lambdas: np.ndarray) -> np.ndarray:
     """Coupling figure of merit eta over (m1, m2).
 
     eta = J_{m1,m2}^2 / (4 Delta^2 + max{Gamma_m1^2, Gamma_m2^2}) with
-    Delta = |J_m1 - J_m2| taken from the isolated single-ring spectra.  A zero
-    denominator (Delta = 0 and both rates 0, below the float64 floor) raises
+    Delta = |J_m1 - J_m2| taken from the isolated-ring spectrum ring_lambdas,
+    which the two mirror-image rings of a pair share.  A zero denominator
+    (Delta = 0 and both rates 0, below the float64 floor) raises
     ArithmeticError naming (m1, m2).
     """
-    if ring2_lambdas is None:
-        ring2_lambdas = ring1_lambdas
-    j1 = np.real(ring1_lambdas)
-    j2 = np.real(ring2_lambdas)
-    g1 = -2.0 * np.imag(ring1_lambdas)
-    g2 = -2.0 * np.imag(ring2_lambdas)
-    delta = np.abs(j1[:, None] - j2[None, :])
-    gmax2 = np.maximum(g1[:, None] ** 2, g2[None, :] ** 2)
-    denominator = 4.0 * delta**2 + gmax2
+    j = np.real(ring_lambdas)
+    g2 = (-2.0 * np.imag(ring_lambdas)) ** 2
+    denominator = 4.0 * np.subtract.outer(j, j) ** 2 + np.maximum.outer(g2, g2)
     if not np.all(denominator > 0.0):
-        i, j = np.argwhere(~(denominator > 0.0))[0]
+        i, k = np.argwhere(~(denominator > 0.0))[0]
         raise ArithmeticError(
-            f"eta is undefined at (m1, m2) = ({coupling.m1_values[i]}, {coupling.m2_values[j]}): "
+            f"eta is undefined at (m1, m2) = ({coupling.m_values[i]}, {coupling.m_values[k]}): "
             "the detuning is 0 and the isolated-ring rate Gamma_m is below the float64 floor")
     return coupling.shifts**2 / denominator
 
@@ -345,8 +337,7 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
         raise ValueError("scan ranges must be nonempty")
 
     def one_separation(x):
-        system = build_two_rings(TwoRingConfig(arrangement=arrangement, n=n, d=d,
-                                               gap=float(x), polarization=polarization))
+        system = build_two_rings(arrangement, n, d, float(x), polarization)
         h = assemble_heff(system)
         horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
         times = np.linspace(0.0, horizon, t_steps)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from dipolerings.emfield import pair_coupling, radiated_field
-from dipolerings.geometry import EmitterArray, TwoRingConfig, build_two_rings
+from dipolerings.geometry import EmitterArray, build_two_rings
 from dipolerings.spectrum import (ModeSpectrum, _fix_phases, assemble_heff, canonical_m_range,
                                   ring_spectrum, spin_wave_state, wrap_m)
 from dipolerings.transfer import (default_horizon, farthest_site, gaussian_packet, propagate,
@@ -131,7 +131,7 @@ def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_value
     maxf = np.zeros((len(x_values), len(delta_theta_values)))
     tat = np.zeros_like(maxf)
     for i, x in enumerate(x_values):
-        system = build_two_rings(TwoRingConfig(arrangement, n, d, float(x), polarization))
+        system = build_two_rings(arrangement, n, d, float(x), polarization)
         h = assemble_heff(system)
         horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
         times = np.linspace(0.0, horizon, t_steps)
@@ -151,7 +151,7 @@ def fidelity_scan_from_dense_eig(n, d, polarization, m, x_values, delta_theta_va
     maxf = np.zeros((len(x_values), len(delta_theta_values)))
     tat = np.zeros_like(maxf)
     for i, x in enumerate(x_values):
-        system = build_two_rings(TwoRingConfig(arrangement, n, d, float(x), polarization))
+        system = build_two_rings(arrangement, n, d, float(x), polarization)
         h = assemble_heff(system)
         horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
         times = np.linspace(0.0, horizon, t_steps)

@@ -130,11 +130,11 @@ def test_criterion_05b_m0_center_maximum(fig3_ring):
 
 @pytest.fixture(scope="module")
 def fig4_setup():
-    system = dr.build_two_rings(dr.TwoRingConfig("site-site", 10, 0.1, 0.15, "tangential"))
+    system = dr.build_two_rings("site-site", 10, 0.1, 0.15, "tangential")
     cpl = ring_ring_coupling(system)
     lams = ring_spectrum(dr.build_ring(10, 0.1, "tangential"))[1]
     eta = eta_map(cpl, lams)
-    ms = cpl.m1_values
+    ms = cpl.m_values
 
     def eta_at(m1, m2):
         i = np.flatnonzero(ms == dr.wrap_m(m1, 10))[0]
@@ -184,7 +184,7 @@ def test_criterion_06d_off_pairs_negligible(fig4_setup):
 
 
 def test_criterion_07_site_edge_null():
-    system = dr.build_two_rings(dr.TwoRingConfig("site-edge", 10, 0.1, 0.15, "tangential"))
+    system = dr.build_two_rings("site-edge", 10, 0.1, 0.15, "tangential")
     val = abs(ring_ring_coupling(system).at(5, 5))
     report(7, val < 1e-12, f"site-edge |lambda(5,5)| = {val:.2e} (need < 1e-12)")
 
@@ -197,8 +197,7 @@ def eta_distance_curve():
     xs = np.linspace(0.05, 1.5, 100)
     vals = []
     for x in xs:
-        system = dr.build_two_rings(dr.TwoRingConfig("site-site", 10, 0.1, float(x),
-                                                     "tangential"))
+        system = dr.build_two_rings("site-site", 10, 0.1, float(x), "tangential")
         vals.append(eta_map(ring_ring_coupling(system), lams)[i5, i5])
     return xs, np.array(vals)
 
@@ -230,7 +229,7 @@ def test_criterion_09_transfer_fidelity():
     best_per_x = scan.max_fidelity.max(axis=1)
     best_x = float(scan.x_values[np.argmax(best_per_x)])
     # single-site packet at the reference separation
-    system = dr.build_two_rings(dr.TwoRingConfig("site-site", 20, d, 0.15, "tangential"))
+    system = dr.build_two_rings("site-site", 20, d, 0.15, "tangential")
     h = dr.assemble_heff(system)
     site = farthest_site(system, 0)
     horizon = dr.default_horizon(ring_ring_coupling(system, h), 5)

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from dipolerings.emfield import projected_green
-from dipolerings.geometry import EmitterArray, TwoRingConfig, build_chain, build_ring, build_two_rings
+from dipolerings.geometry import EmitterArray, build_chain, build_ring, build_two_rings
 from dipolerings.spectrum import _couplings, assemble_heff
 from dipolerings.transfer import ring_ring_coupling
 from oracles import random_geometry
 
 
 def two_rings(arrangement, n):
-    return build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, "tangential"))
+    return build_two_rings(arrangement, n, 0.1, 0.15, "tangential")
 
 
 GEOMETRIES = {
@@ -71,7 +71,7 @@ def test_projected_green_does_not_depend_on_the_batch_size():
 
 
 def test_ring_ring_coupling_builds_only_the_inter_ring_block():
-    pair = build_two_rings(TwoRingConfig("site-edge", 400, 0.1, 0.15, "tangential"))
+    pair = build_two_rings("site-edge", 400, 0.1, 0.15, "tangential")
     tracemalloc.start()
     try:
         ring_ring_coupling(pair)

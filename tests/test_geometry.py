@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dipolerings.geometry import (EmitterArray, TwoRingConfig, build_chain, build_ring,
-                                  build_two_rings, ring_radius)
+from dipolerings.geometry import (EmitterArray, build_chain, build_ring, build_two_rings,
+                                  ring_radius)
 
 
 def test_ring_radius_examples():
@@ -58,7 +58,7 @@ def test_chain():
 
 def test_site_site_two_rings():
     n, d, x = 10, 0.1, 0.15
-    system = build_two_rings(TwoRingConfig("site-site", n, d, x))
+    system = build_two_rings("site-site", n, d, x)
     r = ring_radius(n, d)
     c1, c2 = system.ring_meta[0].center, system.ring_meta[1].center
     assert abs(np.linalg.norm(c2 - c1) - (2 * r + x)) < 1e-12
@@ -74,7 +74,7 @@ def test_site_site_two_rings():
 
 def test_site_edge_two_rings():
     n, d, x = 10, 0.1, 0.15
-    system = build_two_rings(TwoRingConfig("site-edge", n, d, x))
+    system = build_two_rings("site-edge", n, d, x)
     r = ring_radius(n, d)
     # edge midpoint of ring 2 faces ring 1's site 1 at distance x
     mid = 0.5 * (system.positions[n] + system.positions[2 * n - 1])
@@ -85,7 +85,7 @@ def test_site_edge_two_rings():
 
 
 def test_groups_partition():
-    system = build_two_rings(TwoRingConfig("site-site", 4, 0.1, 0.2))
+    system = build_two_rings("site-site", 4, 0.1, 0.2)
     assert [len(g) for g in system.groups] == [4, 4]
     with pytest.raises(ValueError):
         EmitterArray(system.positions, system.dipoles, groups=[np.arange(4)])
@@ -99,6 +99,11 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         build_chain(3, 0.0)
     with pytest.raises(ValueError):
-        TwoRingConfig("site-site", 5, 0.1, 0.0)
+        build_two_rings("site-site", 5, 0.1, 0.0)
     with pytest.raises(ValueError):
-        TwoRingConfig("stacked", 5, 0.1, 0.1)
+        build_two_rings("stacked", 5, 0.1, 0.1)
+    # checked before any geometry: ring_radius(0, d) and ring_radius(n, 0) divide by zero
+    with pytest.raises(ValueError):
+        build_two_rings("site-site", 0, 0.1, 0.1)
+    with pytest.raises(ValueError):
+        build_two_rings("site-edge", 5, 0.0, 0.1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dipolerings import spectrum, transfer
-from dipolerings.geometry import (EmitterArray, TwoRingConfig, build_chain, build_ring,
+from dipolerings.geometry import (SYMMETRIC_SCHEMES, EmitterArray, build_chain, build_ring,
                                   build_two_rings)
 from dipolerings.spectrum import (_block, _project, _sectors, assemble_heff, canonical_m_range,
                                   min_decay_scan, ring_spectrum, spin_wave_state)
@@ -18,7 +18,7 @@ from oracles import (decay_matrix, fidelity_scan_from_dense_eig, fidelity_scan_f
 
 @pytest.fixture(scope="module")
 def pair10():
-    return build_two_rings(TwoRingConfig("site-site", 10, 0.1, 0.15, "tangential"))
+    return build_two_rings("site-site", 10, 0.1, 0.15, "tangential")
 
 
 @pytest.fixture(scope="module")
@@ -26,20 +26,29 @@ def h10(pair10):
     return assemble_heff(pair10)
 
 
-def test_coupling_shape_and_group_check(pair10, h10):
-    cpl = ring_ring_coupling(pair10, h10)
-    assert cpl.lambda_mm.shape == (10, 10)
-    assert list(cpl.m1_values) == list(canonical_m_range(10))
-    bad = EmitterArray(pair10.positions, pair10.dipoles,
-                       groups=[np.arange(3), np.arange(3, 20)])
+@pytest.mark.parametrize("polarization", SYMMETRIC_SCHEMES)
+@pytest.mark.parametrize("n", [6, 7, 64])
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_coupling_shape_and_group_check(arrangement, n, polarization):
+    pair = build_two_rings(arrangement, n, 0.1, 0.15, polarization)
+    cpl = ring_ring_coupling(pair, assemble_heff(pair))
+    assert cpl.lambda_mm.shape == (n, n)
+    assert list(cpl.m_values) == list(canonical_m_range(n))
+    # the rings of a pair are mirror images: one spectrum and one m axis serve both
+    ms, lams = ring_spectrum(pair)
+    ms2, lams2 = ring_spectrum(pair, 1)
+    assert list(ms2) == list(ms)
+    assert np.max(np.abs(lams2 - lams)) <= 1e-13 * np.max(np.abs(lams))
+    bad = EmitterArray(pair.positions, pair.dipoles,
+                       groups=[np.arange(3), np.arange(3, 2 * n)])
     with pytest.raises(ValueError):
         ring_ring_coupling(bad)
 
 
 def test_coupling_vanishes_at_large_separation():
-    near = ring_ring_coupling(build_two_rings(TwoRingConfig("site-site", 6, 0.1, 0.1)))
-    far = ring_ring_coupling(build_two_rings(TwoRingConfig("site-site", 6, 0.1, 60.0)))
-    very_far = ring_ring_coupling(build_two_rings(TwoRingConfig("site-site", 6, 0.1, 600.0)))
+    near = ring_ring_coupling(build_two_rings("site-site", 6, 0.1, 0.1))
+    far = ring_ring_coupling(build_two_rings("site-site", 6, 0.1, 60.0))
+    very_far = ring_ring_coupling(build_two_rings("site-site", 6, 0.1, 600.0))
     assert np.max(np.abs(far.lambda_mm)) < 1e-2 * np.max(np.abs(near.lambda_mm))
     # radiative tail falls off at least as 1/r
     assert np.max(np.abs(very_far.lambda_mm)) < 0.15 * np.max(np.abs(far.lambda_mm))
@@ -53,7 +62,7 @@ def test_mirror_symmetry_selection(pair10, h10):
 
 
 def test_site_edge_exact_null():
-    system = build_two_rings(TwoRingConfig("site-edge", 10, 0.1, 0.15, "tangential"))
+    system = build_two_rings("site-edge", 10, 0.1, 0.15, "tangential")
     cpl = ring_ring_coupling(system)
     assert abs(cpl.at(5, 5)) < 1e-12
 
@@ -179,7 +188,7 @@ def test_fidelity_scan_grid_shape():
 @pytest.mark.parametrize("ring", [0, 1])
 def test_one_site_packet_is_that_site(ring):
     # a one-site ring has radius 0: the packet is its site with unit amplitude
-    pair = build_two_rings(TwoRingConfig("site-site", 1, 0.1, 0.15, "tangential"))
+    pair = build_two_rings("site-site", 1, 0.1, 0.15, "tangential")
     psi = gaussian_packet(pair, ring, 0, m=3, delta_theta=0.5)
     site = pair.groups[ring][0]
     assert abs(abs(psi[site]) - 1.0) < 1e-15
@@ -227,7 +236,7 @@ def test_fidelity_trace_factors_once_and_reports_its_path(monkeypatch, pair10, h
 def test_defective_h_takes_the_ode_fallback():
     # h = -i/2 + N with N nilpotent: one eigenvector, so cond(V) is huge and
     # psi(t) = e^{-t/2} (1, -i t) exactly
-    pair = build_two_rings(TwoRingConfig("site-site", 1, 0.1, 0.15, "tangential"))
+    pair = build_two_rings("site-site", 1, 0.1, 0.15, "tangential")
     h = np.array([[-0.5j, 0.0], [1.0, -0.5j]])
     psi0 = gaussian_packet(pair, 0, 0, m=0, delta_theta=1.0)
     times = np.linspace(0.0, 12.0, 61)
@@ -266,7 +275,7 @@ def test_fidelity_scan_ode_fallback_matches_eig(monkeypatch):
 def test_fidelity_scan_reports_its_solver_path(monkeypatch, arrangement):
     args = (5, 0.1, "tangential", 2, [0.1, 0.2, 0.4], [0.5, 1.5])
     conds = [np.linalg.cond(np.linalg.eig(assemble_heff(
-        build_two_rings(TwoRingConfig(arrangement, 5, 0.1, x, "tangential"))))[1])
+        build_two_rings(arrangement, 5, 0.1, x, "tangential")))[1])
         for x in args[4]]
     for threads in (1, 2):
         scan = fidelity_scan(*args, t_max=20.0, t_steps=120, threads=threads,
@@ -282,7 +291,7 @@ def test_fidelity_scan_reports_its_solver_path(monkeypatch, arrangement):
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
 @pytest.mark.parametrize("n", [1, 6, 7, 100])
 def test_targets_match_per_site_packets(arrangement, n):
-    pair = build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, "tangential"))
+    pair = build_two_rings(arrangement, n, 0.1, 0.15, "tangential")
     dts = [0.3, 1.7]
     for dt, targets in zip(dts, transfer._targets(pair, 3, dts)):
         columns = np.column_stack([gaussian_packet(pair, 1, k, -3, dt) for k in range(n)])
@@ -294,7 +303,7 @@ CIRCULAR = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
 
 
 def _pair_and_h(arrangement, n, polarization):
-    pair = build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, polarization))
+    pair = build_two_rings(arrangement, n, 0.1, 0.15, polarization)
     return pair, assemble_heff(pair)
 
 
@@ -370,7 +379,7 @@ def test_sectors_of_a_chain(n, dipole):
 
 
 @pytest.mark.parametrize("array, count", [
-    *[(build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, "tangential")), 2)
+    *[(build_two_rings(arrangement, n, 0.1, 0.15, "tangential"), 2)
       for arrangement in ("site-site", "site-edge") for n in (1, 2)],
     (build_ring(8, 0.1, "tangential"), 4),
 ], ids=["site-site-1", "site-site-2", "site-edge-1", "site-edge-2", "ring-8"])
@@ -386,7 +395,7 @@ def test_sectors_without_a_verified_symmetry_is_the_identity():
     pos, dip = random_geometry(rng, 9)
     asymmetric = EmitterArray(pos, dip)
     # the defective h of a symmetric pair: C2 swaps its sites, but h is not C2-symmetric
-    pair = build_two_rings(TwoRingConfig("site-site", 1, 0.1, 0.15, "tangential"))
+    pair = build_two_rings("site-site", 1, 0.1, 0.15, "tangential")
     defective = np.array([[-0.5j, 0.0], [1.0, -0.5j]])
     for array, h in ((None, assemble_heff(asymmetric)), (asymmetric, assemble_heff(asymmetric)),
                      (pair, defective)):
@@ -445,10 +454,10 @@ def test_sector_transfer_factors_no_full_size_system(monkeypatch, arrangement, s
 def test_farthest_site_is_the_same_at_every_gap(arrangement, n):
     # for odd n two mirror-image sites are farthest and tie up to round-off: the lower index
     gaps = [0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.5, 1.0]
-    sites = {farthest_site(build_two_rings(TwoRingConfig(arrangement, n, 0.1, x, "radial")), 0)
+    sites = {farthest_site(build_two_rings(arrangement, n, 0.1, x, "radial"), 0)
              for x in gaps}
     assert len(sites) == 1
-    pair = build_two_rings(TwoRingConfig(arrangement, n, 0.1, 0.15, "radial"))
+    pair = build_two_rings(arrangement, n, 0.1, 0.15, "radial")
     dist = np.linalg.norm(pair.positions[pair.groups[0]] - pair.ring_meta[1].center, axis=1)
     assert sites.pop() == np.flatnonzero(dist >= (1.0 - 1e-9) * dist.max())[0]
 

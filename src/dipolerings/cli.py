@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .fieldmap import GridSpec, intensity_map
-from .geometry import build_chain, build_ring, build_two_rings
+from .geometry import SYMMETRIC_SCHEMES, build_chain, build_ring, build_two_rings
 from .output import interleave_complex, write_csv, write_json
 from .spectrum import (assemble_heff, eigenmodes, light_line_threshold, min_decay_scan,
                        ring_spectrum, spin_wave_state)
@@ -130,7 +130,7 @@ def validate(cfg: RunConfig) -> RunConfig:
         bad("n must be at least 1")
     if cfg.d <= 0:
         bad("d must be positive")
-    if cfg.polarization not in ("transverse", "tangential", "radial"):
+    if cfg.polarization not in SYMMETRIC_SCHEMES:
         bad(f"unknown polarization {cfg.polarization!r}")
     arrangements = _ARRANGEMENTS[cfg.command]
     cfg.arrangement = cfg.arrangement or arrangements[0]
@@ -340,15 +340,13 @@ def _parse_args(argv):
     parser = argparse.ArgumentParser(prog="dipolerings",
                                      description="Collective emitter-ring simulations")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="config file (key = value)")
-        p.add_argument("--out", default=None, help="output artifact path (output.out)")
-        p.add_argument("--format", default=None, help="csv or json (output.format)")
-        p.add_argument("--threads", default=None, help="worker threads (output.threads)")
-        p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
-                       help="override any config key (repeatable)")
+    parser.add_argument("command", choices=_DISPATCH)
+    parser.add_argument("--config", default=None, help="config file (key = value)")
+    parser.add_argument("--out", default=None, help="output artifact path (output.out)")
+    parser.add_argument("--format", default=None, help="csv or json (output.format)")
+    parser.add_argument("--threads", default=None, help="worker threads (output.threads)")
+    parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                        help="override any config key (repeatable)")
     return parser.parse_args(argv)
 
 
@@ -365,7 +363,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {override!r}")
             key, _, raw = override.partition("=")
             _store(cli_values, key.strip(), raw.strip())
-        for name in ("out", "format", "threads"):   # the flags and the subcommand beat --set
+        for name in ("out", "format", "threads"):   # the flags and the command beat --set
             if getattr(args, name) is not None:
                 _store(cli_values, f"output.{name}", getattr(args, name))
         cli_values["command"] = args.command

@@ -9,7 +9,13 @@ import numpy as np
 
 from .emfield import unit_dipole
 
-SYMMETRIC_SCHEMES = ("transverse", "tangential", "radial")
+# The C_N-symmetric dipole schemes: each name's (x, y, z) dipole columns as
+# functions of the sites' cos and sin.
+SYMMETRIC_SCHEMES = {
+    "transverse": lambda cos, sin: (0.0, 0.0, 1.0),
+    "tangential": lambda cos, sin: (-sin, cos, 0.0),
+    "radial": lambda cos, sin: (cos, sin, 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -49,23 +55,6 @@ class EmitterArray:
         return self.positions.shape[0]
 
 
-def _scheme_dipole(polarization, angle: float) -> np.ndarray:
-    if isinstance(polarization, str):
-        name = polarization.lower()
-        if name == "transverse":
-            return np.array([0.0, 0.0, 1.0], dtype=complex)
-        if name == "tangential":
-            return np.array([-np.sin(angle), np.cos(angle), 0.0], dtype=complex)
-        if name == "radial":
-            return np.array([np.cos(angle), np.sin(angle), 0.0], dtype=complex)
-        raise ValueError(f"unknown polarization scheme {polarization!r}")
-    return unit_dipole(polarization)
-
-
-def _scheme_name(polarization) -> str:
-    return polarization.lower() if isinstance(polarization, str) else "fixed"
-
-
 def ring_radius(n: int, d: float) -> float:
     """Radius of a regular n-gon with side length d (0 for n = 1)."""
     if n == 1:
@@ -77,7 +66,7 @@ def build_ring(n: int, d: float, polarization="transverse",
                center=(0.0, 0.0, 0.0), angular_offset: float = 0.0) -> EmitterArray:
     """Regular ring of n emitters with inter-particle (chord) distance d.
 
-    Site j sits at angle 2*pi*(j-1)/n + angular_offset on the circle of radius
+    Site j (from 0) sits at angle 2*pi*j/n + angular_offset on the circle of radius
     d / (2 sin(pi/n)) about center.  polarization is one of the scheme names
     ('transverse', 'tangential', 'radial') or a fixed orientation vector.
     """
@@ -88,11 +77,17 @@ def build_ring(n: int, d: float, polarization="transverse",
     center = np.asarray(center, dtype=float)
     radius = ring_radius(n, d)
     angles = angular_offset + 2.0 * np.pi * np.arange(n) / n
-    positions = center + radius * np.column_stack(
-        [np.cos(angles), np.sin(angles), np.zeros(n)])
-    dipoles = np.array([_scheme_dipole(polarization, a) for a in angles])
-    meta = RingMeta(center=center, radius=radius, angles=angles,
-                    scheme=_scheme_name(polarization))
+    cos, sin = np.cos(angles), np.sin(angles)
+    positions = center + radius * np.column_stack([cos, sin, np.zeros(n)])
+    if isinstance(polarization, str):
+        scheme = polarization.lower()
+        if scheme not in SYMMETRIC_SCHEMES:
+            raise ValueError(f"unknown polarization scheme {polarization!r}")
+        columns = SYMMETRIC_SCHEMES[scheme](cos, sin)
+        dipoles = np.column_stack([np.broadcast_to(c, n) for c in columns])
+    else:
+        scheme, dipoles = "fixed", np.tile(unit_dipole(polarization), (n, 1))
+    meta = RingMeta(center=center, radius=radius, angles=angles, scheme=scheme)
     return EmitterArray(positions=positions, dipoles=dipoles,
                         groups=[np.arange(n)], ring_meta=[meta])
 

@@ -25,15 +25,6 @@ def _cell_format(digits: int):
     return cell
 
 
-def fmt_float(v: float, digits: int = 12) -> str:
-    """Fixed float formatting: `digits` significant figures, scientific below 1e-4."""
-    return _cell_format(digits)(float(v))
-
-
-def fmt_value(v, digits: int = 12) -> str:
-    return _cell_format(digits)(v)
-
-
 def header_lines(version: str, config_items: list[tuple[str, str]]) -> list[str]:
     """Metadata header: tool version, units note, and the resolved config echo.
 
@@ -68,7 +59,7 @@ def write_csv(path, version, config_items, columns, rows, digits=12):
     The cells are formatted a column at a time, CSV_BLOCK_ROWS rows at a time
     (see `_column_texts`).  So a grid coordinate repeated on every row of a map
     takes one format per distinct value in each block, and the text is that of
-    `fmt_value` cell by cell.
+    `_cell_format` cell by cell.
     """
     cell = _cell_format(digits)
     out = header_lines(version, config_items)

@@ -9,7 +9,7 @@ from dipolerings.cli import (ConfigError, RunConfig, config_items, main, parse_c
                              resolve_config)
 from dipolerings.fieldmap import GridSpec
 from dipolerings.geometry import build_ring
-from dipolerings.output import fmt_float, fmt_value, write_csv
+from dipolerings.output import _cell_format, write_csv
 from dipolerings.spectrum import assemble_heff, eigenmodes
 from oracles import classify_modes
 
@@ -189,6 +189,22 @@ def test_byte_identical_reruns(tmp_path, args):
     assert out.read_bytes() == first
 
 
+def test_one_parser_takes_options_around_the_command(tmp_path, capsys):
+    """No command or an unknown one is argparse's usage error (exit 2); the options
+    may stand before or after the command and write the same artifact."""
+    for args in ([], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    out = tmp_path / "spectrum.csv"
+    assert run_cli(["spectrum", "--set", "geometry.n=5", "--out", str(out)]) == 0
+    after = out.read_bytes()
+    out.unlink()
+    assert run_cli(["--set", "geometry.n=5", "spectrum", "--out", str(out)]) == 0
+    assert out.read_bytes() == after
+
+
 @pytest.mark.parametrize("n", [8, 11])
 def test_single_ring_spectrum_matches_labelled_eig(tmp_path, n):
     out = tmp_path / "spec.json"
@@ -255,7 +271,8 @@ def test_fieldmap_builds_its_grid_once(tmp_path, monkeypatch):
                     "--set", "geometry.d=0.3", "--set", "physics.resolution=7"]) == 0
     assert len(built) == 1
     rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
-    assert [r[:3] for r in rows[1:]] == [[fmt_float(v) for v in p] for p in points(built[0])]
+    assert [r[:3] for r in rows[1:]] == [[_cell_format(12)(float(v)) for v in p]
+                                          for p in points(built[0])]
 
 
 @pytest.mark.parametrize("site", [50, -7, 10, -2])
@@ -300,7 +317,7 @@ def test_json_records_match_csv_table(tmp_path, args):
     extra = {"eigenvalue", "eigenvector"} if args[0] == "spectrum" else set()
     for record, row in zip(records, rows):
         assert set(record) == set(header) | extra
-        assert [fmt_value(record[c], 9) for c in header] == row
+        assert [_cell_format(9)(record[c]) for c in header] == row
 
 
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):
@@ -514,7 +531,7 @@ def test_dispatch_and_arrangement_tables_agree():
 
 
 def _reference_cell(v, digits):
-    """Cell text by the rules the artifacts have always had (see output.fmt_value)."""
+    """Cell text by the rules the artifacts have always had (see output._cell_format)."""
     if isinstance(v, bool):
         return "1" if v else "0"
     if not isinstance(v, float):
@@ -536,15 +553,16 @@ CELLS = [*map(float, _FLOATS), *map(np.float64, _FLOATS), True, False, np.True_,
 @pytest.mark.parametrize("digits", [1, 12, 17])
 def test_cells_keep_their_text(tmp_path, digits):
     expected = [_reference_cell(v, digits) for v in CELLS]
-    assert [fmt_value(v, digits) for v in CELLS] == expected
+    cell = _cell_format(digits)
+    assert [cell(v) for v in CELLS] == expected
     numbers = [v for v in CELLS if not isinstance(v, str)]
-    assert ([fmt_float(v, digits) for v in numbers]
+    assert ([cell(float(v)) for v in numbers]
             == [_reference_cell(float(v), digits) for v in numbers])
     out = tmp_path / "cells.csv"
     write_csv(out, "0", [], [f"c{i}" for i in range(len(CELLS))], [tuple(CELLS)], digits)
     assert out.read_text().splitlines()[-1].split(",") == expected
     # the rules at their edges, spelled out
-    assert [fmt_value(v, 12) for v in (-0.0, 1e-4, np.nextafter(1e-4, 0.0), np.True_)] == [
+    assert [_cell_format(12)(v) for v in (-0.0, 1e-4, np.nextafter(1e-4, 0.0), np.True_)] == [
         "0", "0.0001", "1.00000000000e-04", "True"]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dipolerings.emfield import unit_dipole
 from dipolerings.geometry import (EmitterArray, build_chain, build_ring, build_two_rings,
                                   ring_radius)
 
@@ -10,11 +11,34 @@ def test_ring_radius_examples():
     assert abs(ring_radius(6, 1.0) - 1.0) < 1e-15
 
 
-def test_tangential_dipoles():
-    ring = build_ring(10, 0.1, "tangential")
-    for j, theta in enumerate(ring.ring_meta[0].angles):
-        expected = np.array([-np.sin(theta), np.cos(theta), 0.0])
-        assert np.linalg.norm(ring.dipoles[j] - expected) < 1e-14
+PER_SITE_DIPOLE = {
+    "transverse": lambda theta: (0.0, 0.0, 1.0),
+    "tangential": lambda theta: (-np.sin(theta), np.cos(theta), 0.0),
+    "radial": lambda theta: (np.cos(theta), np.sin(theta), 0.0),
+}
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.37])
+@pytest.mark.parametrize("polarization",
+                         ["transverse", "tangential", "radial", "Radial", (1, 1, 0), "helical"])
+def test_tangential_dipoles(polarization, offset):
+    """Each scheme's dipole at site j, at angle 2*pi*j/n + offset, by its per-site
+    formula; a scheme name in any case; a fixed vector on every site; no other name."""
+    if polarization == "helical":
+        with pytest.raises(ValueError, match="unknown polarization scheme"):
+            build_ring(10, 0.1, polarization, angular_offset=offset)
+        return
+    ring = build_ring(10, 0.1, polarization, angular_offset=offset)
+    meta = ring.ring_meta[0]
+    assert np.allclose(meta.angles, offset + 2 * np.pi * np.arange(10) / 10, rtol=0, atol=1e-15)
+    if isinstance(polarization, str):
+        assert meta.scheme == polarization.lower()
+        for j, theta in enumerate(meta.angles):
+            expected = np.array(PER_SITE_DIPOLE[meta.scheme](theta))
+            assert np.linalg.norm(ring.dipoles[j] - expected) < 1e-14
+    else:
+        assert meta.scheme == "fixed"
+        assert np.array_equal(ring.dipoles, np.tile(unit_dipole(polarization), (10, 1)))
 
 
 def test_nearest_neighbor_chords():

@@ -13,8 +13,8 @@ from . import __version__
 from .fieldmap import GridSpec, intensity_map
 from .geometry import SYMMETRIC_SCHEMES, build_chain, build_ring, build_two_rings
 from .output import interleave_complex, write_csv, write_json
-from .spectrum import (assemble_heff, eigenmodes, light_line_threshold, min_decay_scan,
-                       ring_spectrum, spin_wave_state)
+from .spectrum import (WorkerError, assemble_heff, eigenmodes, light_line_threshold,
+                       min_decay_scan, ring_spectrum, spin_wave_state)
 from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                        fidelity_trace, gaussian_packet, ring_ring_coupling)
 
@@ -344,7 +344,7 @@ def _parse_args(argv):
     parser.add_argument("--config", default=None, help="config file (key = value)")
     parser.add_argument("--out", default=None, help="output artifact path (output.out)")
     parser.add_argument("--format", default=None, help="csv or json (output.format)")
-    parser.add_argument("--threads", default=None, help="worker threads (output.threads)")
+    parser.add_argument("--threads", default=None, help="worker processes (output.threads)")
     parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override any config key (repeatable)")
     return parser.parse_args(argv)
@@ -370,8 +370,9 @@ def main(argv=None) -> int:
         run(resolve_config(file_values, cli_values))
     except (ConfigError, OSError) as exc:
         return _emit_error(EXIT_CONFIG_ERROR, exc)
-    except (ArithmeticError, MemoryError, ValueError, np.linalg.LinAlgError) as exc:
-        # SingularityError, a field point on an emitter, is a ValueError
+    except (ArithmeticError, MemoryError, ValueError, np.linalg.LinAlgError, WorkerError) as exc:
+        # SingularityError, a field point on an emitter, is a ValueError; a worker process
+        # killed by the OS (out of memory, say) is a WorkerError
         return _emit_error(EXIT_NUMERIC_ERROR, exc)
     return 0
 

@@ -1,9 +1,9 @@
 """Effective non-Hermitian Hamiltonian, collective eigenmodes and scans."""
 
+import functools
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,11 +189,67 @@ def _project(sector, x: np.ndarray) -> np.ndarray:
     return (np.sqrt(sizes) / len(idx))[:, None] * sum(c[:, None] * x[i] for i, c in zip(idx, coef))
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or None."""
+    import ctypes
+    libdir = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(np.__file__))),
+                          "numpy.libs")
+    for name in sorted(os.listdir(libdir)) if os.path.isdir(libdir) else ():
+        if "openblas" not in name:
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(libdir, name))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                       "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, symbol.format(op), None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class WorkerError(RuntimeError):
+    """A worker process of _pool_map ended without a result (killed by the OS, say)."""
+
+
 def _pool_map(fn, items, threads: int) -> list:
-    """[fn(item) for item in items] on min(threads, len(items), usable CPUs) worker threads."""
+    """[fn(item) for item in items] on min(threads, len(items), usable CPUs) worker processes,
+    with BLAS on one thread per task, so that the results do not depend on `threads`.
+
+    numpy's eigvals holds the GIL below side ~500, so threads would not overlap; workers are
+    forked (a spawned one re-imports numpy) and each pins its BLAS to one thread, since an
+    unpinned BLAS in every worker oversubscribes the CPUs.  fn and the items must pickle.
+    At one worker, or without fork, the tasks run in this process with its BLAS pinned
+    for their duration; without the BLAS setter they run here unpinned.  Exceptions raised
+    by fn come back with their type; a worker that dies raises WorkerError.  Call it from
+    a single-threaded process, as the CLI is: fork copies only the calling thread.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        return [fn(item) for item in items]
+    get_threads, set_threads = blas
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(threads, len(items), cpus or 1)) as pool:
-        return list(pool.map(fn, items))
+    workers = min(threads, len(items), cpus or 1)
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+            try:
+                with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                         initializer=set_threads, initargs=(1,)) as pool:
+                    return list(pool.map(fn, items))
+            except BrokenProcessPool as exc:
+                raise WorkerError(f"a worker process ended without a result: {exc}") from exc
+    previous = get_threads()
+    set_threads(1)
+    try:
+        return [fn(item) for item in items]
+    finally:
+        set_threads(previous)
 
 
 def chain_spectrum(array: EmitterArray) -> np.ndarray:
@@ -229,16 +285,29 @@ def light_line_threshold(n: int, d: float) -> float:
     return n * d
 
 
+def _min_rate(kind: str, d: float, polarization, n: int) -> float:
+    """min_k Gamma_k of one size of min_decay_scan (module level, so that it pickles)."""
+    if kind == "chain":
+        lambdas = chain_spectrum(build_chain(n, d, polarization))
+    else:
+        array = build_ring(n, d, polarization)
+        if array.ring_meta[0].scheme in SYMMETRIC_SCHEMES:
+            lambdas = ring_spectrum(array)[1]
+        else:
+            lambdas = np.linalg.eigvals(assemble_heff(array))
+    return float(np.min(-2.0 * np.imag(lambdas)))
+
+
 def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
                    polarization="transverse", threads: int = 1) -> np.ndarray:
     """Minimum collective decay rate versus emitter number at fixed lambda/d.
 
-    kind is 'ring' or 'chain'.  Returns an array of rows (n, min_k Gamma_k),
-    computed in a pool of at most `threads` worker threads.  Rings with a symmetric
-    polarization scheme take their rates from ring_spectrum; rings with a
-    fixed dipole vector from the eigenvalues of the full h.  Chains take
-    `polarization`, 'transverse' (z) or a dipole 3-vector, as their common
-    dipole and their rates from chain_spectrum; any other string raises
+    kind is 'ring' or 'chain'.  Returns an array of rows (n, min_k Gamma_k) in n_list
+    order, computed largest n first on at most `threads` worker processes (_pool_map).
+    Rings with a symmetric polarization scheme take their rates from ring_spectrum, one
+    FFT per size, in this process; rings with a fixed dipole vector from the eigenvalues
+    of the full h.  Chains take `polarization`, 'transverse' (z) or a dipole 3-vector, as
+    their common dipole and their rates from chain_spectrum; any other string raises
     ValueError.  No eigenvectors are computed.
     """
     if kind not in ("ring", "chain"):
@@ -251,16 +320,10 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
         if polarization != "transverse":
             raise ValueError(f"chains take 'transverse' or a dipole 3-vector, got {polarization!r}")
         polarization = (0.0, 0.0, 1.0)
-
-    def one(n):
-        if kind == "chain":
-            lambdas = chain_spectrum(build_chain(n, d, polarization))
-        else:
-            array = build_ring(n, d, polarization)
-            if array.ring_meta[0].scheme in SYMMETRIC_SCHEMES:
-                lambdas = ring_spectrum(array)[1]
-            else:
-                lambdas = np.linalg.eigvals(assemble_heff(array))
-        return float(np.min(-2.0 * np.imag(lambdas)))
-
-    return np.array([[float(n), g] for n, g in zip(n_list, _pool_map(one, n_list, threads))])
+    if kind == "ring" and isinstance(polarization, str) and polarization.lower() in SYMMETRIC_SCHEMES:
+        threads = 1   # one FFT per size costs less than forking a worker
+    order = sorted(range(len(n_list)), key=n_list.__getitem__, reverse=True)
+    rates = np.empty(len(n_list))
+    rates[order] = _pool_map(functools.partial(_min_rate, kind, d, polarization),
+                             [n_list[i] for i in order], threads)
+    return np.column_stack([np.array(n_list, dtype=float), rates])

@@ -1,5 +1,6 @@
 """Ring-to-ring couplings, wave packets, propagation and transfer fidelity."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,6 +321,24 @@ class FidelityScan:
     conds: np.ndarray             # (nx,) cond(V), from the singular values of each W_s
 
 
+def _separation_peaks(arrangement: str, n: int, d: float, polarization, m: int,
+                      dts: np.ndarray, t_max: float | None, t_steps: int, x: float) -> tuple:
+    """(max_t F, t at max, widths, method, cond(V)) of one fidelity_scan separation x,
+    module level so that it pickles."""
+    system = build_two_rings(arrangement, n, d, float(x), polarization)
+    h = assemble_heff(system)
+    horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
+    times = np.linspace(0.0, horizon, t_steps)
+    k0_site = farthest_site(system, ring=0)
+    psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
+                                             delta_theta=float(dt)) for dt in dts])
+    method, cond, overlaps = _evolve(system, h, psi0s, times, _targets(system, m, dts))
+    fid = np.column_stack([np.max(np.abs(o), axis=1) for o in overlaps])   # (t, width)
+    peak = np.argmax(fid, axis=0)
+    return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,
+            method, cond)
+
+
 def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_values,
                   t_max: float | None = None, t_steps: int = 2000,
                   arrangement: str = "site-site", threads: int = 1) -> FidelityScan:
@@ -329,28 +348,15 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     separation the system is built and h factored once per symmetry sector; all widths are
     propagated together on a uniform time grid of t_steps points up to t_max
     (default 20 pi / |J_{m,-m}|).  methods and conds record each separation's
-    solver path and cond(V), as FidelityTrace does for one trace.
+    solver path and cond(V), as FidelityTrace does for one trace.  The separations run on
+    at most `threads` worker processes (spectrum._pool_map).
     """
     x_values = np.asarray(x_values, dtype=float)
     dts = np.asarray(delta_theta_values, dtype=float)
     if x_values.size == 0 or dts.size == 0:
         raise ValueError("scan ranges must be nonempty")
-
-    def one_separation(x):
-        system = build_two_rings(arrangement, n, d, float(x), polarization)
-        h = assemble_heff(system)
-        horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
-        times = np.linspace(0.0, horizon, t_steps)
-        k0_site = farthest_site(system, ring=0)
-        psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
-                                                 delta_theta=float(dt)) for dt in dts])
-        method, cond, overlaps = _evolve(system, h, psi0s, times, _targets(system, m, dts))
-        fid = np.column_stack([np.max(np.abs(o), axis=1) for o in overlaps])   # (t, width)
-        peak = np.argmax(fid, axis=0)
-        return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,
-                method, cond)
-
-    rows = _pool_map(one_separation, x_values, threads)
+    rows = _pool_map(functools.partial(_separation_peaks, arrangement, n, d, polarization, m,
+                                       dts, t_max, t_steps), x_values, threads)
     maxf, tat, widths, methods, conds = (np.array(column) for column in zip(*rows))
     return FidelityScan(x_values=x_values, delta_theta_values=dts, widths=widths,
                         max_fidelity=maxf, t_at_max=tat, methods=methods, conds=conds)

@@ -1,12 +1,15 @@
 import json
+import multiprocessing
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dipolerings import cli, output
+from dipolerings import cli, output, spectrum
 from dipolerings.cli import (ConfigError, RunConfig, config_items, main, parse_config,
                              resolve_config)
+from dipolerings.emfield import SingularityError
 from dipolerings.fieldmap import GridSpec
 from dipolerings.geometry import build_ring
 from dipolerings.output import _cell_format, write_csv
@@ -244,6 +247,48 @@ def test_memory_error_is_a_numeric_error(tmp_path, capsys, monkeypatch, exc):
     info = json.loads(err)["error"]
     assert info["code"] == 3 and info["message"] == (str(exc) or "MemoryError")
     assert not out.exists()
+
+
+_MIN_RATE = spectrum._min_rate
+
+
+class _FailsInWorkers:
+    """Stands in for spectrum._min_rate (it pickles, unlike a closure): the test process
+    computes, a forked worker raises `error`, or, with None, ends as if the OS killed it."""
+
+    def __init__(self, error):
+        self.error, self.parent = error, os.getpid()
+
+    def __call__(self, *args):
+        if os.getpid() == self.parent:
+            return _MIN_RATE(*args)
+        if self.error is None:
+            os._exit(1)
+        raise self.error
+
+
+@pytest.mark.skipif(spectrum._blas_threads() is None
+                    or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+                    or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="decay-scan runs in-process here")
+@pytest.mark.parametrize("error", [SingularityError("emitters 0 and 1 are coincident"),
+                                   ArithmeticError("h has non-finite couplings"),
+                                   ValueError("bad size"), None])
+def test_worker_failures_are_numeric_errors(tmp_path, capsys, monkeypatch, error):
+    monkeypatch.setattr(spectrum, "_min_rate", _FailsInWorkers(error))
+    out = tmp_path / "scan.csv"
+    assert run_cli(["decay-scan", "--set", "physics.n_min=10", "--set", "physics.n_max=20",
+                    "--set", "physics.n_step=5", "--threads", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    info = json.loads(err)["error"]
+    assert info["code"] == 3
+    if error is None:
+        assert info["message"].startswith("a worker process ended without a result")
+    else:
+        assert info["message"] == str(error)
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -35,6 +35,16 @@ def test_import_loads_no_scipy():
         """) == []
 
 
+def test_import_loads_no_process_pool():
+    # multiprocessing alone costs 15-27 ms to import; only a pooled scan needs it
+    assert fresh("""
+        import json
+        import dipolerings.cli
+        print(json.dumps([m for m in ("multiprocessing", "concurrent.futures.process")
+                          if m in sys.modules]))
+        """) == []
+
+
 def test_every_cli_command_runs_without_scipy(tmp_path):
     assert fresh(f"""
         import json
@@ -80,6 +90,16 @@ def test_the_only_scipy_import_is_the_ode_fallback_integrator():
              for scope, module in _imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
              if module == "scipy" or module.startswith("scipy.")]
     assert found == [("transfer._evolve", "scipy.integrate")]
+
+
+def test_process_pool_modules_are_imported_by_the_pool_helpers_alone():
+    found = [(scope, module)
+             for path in sorted(Path(SRC, "dipolerings").glob("*.py"))
+             for scope, module in _imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+             if module.split(".")[0] in ("multiprocessing", "ctypes", "concurrent")]
+    assert found == [("spectrum._blas_threads", "ctypes"),
+                     ("spectrum._pool_map", "multiprocessing"),
+                     ("spectrum._pool_map", "concurrent.futures.process")]
 
 
 def test_ode_fallback_loads_its_integrator_on_demand():

@@ -1,3 +1,6 @@
+import concurrent.futures.process
+import multiprocessing
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -221,9 +224,52 @@ def test_min_decay_scan_basics():
 
 
 def test_min_decay_scan_threaded_matches_serial():
-    serial = min_decay_scan("ring", [8, 12, 16], 3.0)
-    threaded = min_decay_scan("ring", [8, 12, 16], 3.0, threads=3)
-    assert np.allclose(serial, threaded, atol=0, rtol=0)
+    # FFT rings, fixed-dipole rings and even and odd chains; shuffled sizes with a repeat
+    cases = [("ring", [8, 12, 16], "transverse"), ("ring", [9, 6, 12, 6], (1.0, 0.0, 0.0)),
+             ("chain", [41, 10, 40, 10, 25], "transverse")]
+    for kind, sizes, pol in cases:
+        serial = min_decay_scan(kind, sizes, 3.0, pol)
+        assert multiprocessing.active_children() == []
+        threaded = min_decay_scan(kind, sizes, 3.0, pol, threads=3)
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(serial, threaded)
+        # rows in input order, each the scan of its size alone
+        assert serial[:, 0].tolist() == sizes
+        assert np.array_equal(serial[:, 1], [min_decay_scan(kind, [n], 3.0, pol)[0, 1]
+                                             for n in sizes])
+
+
+def test_no_pool_for_ring_ffts_or_without_the_blas_setter(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was constructed")
+
+    expected = min_decay_scan("chain", [10, 21], 3.0)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
+    for pol in ("transverse", "Tangential", "radial"):
+        assert np.array_equal(min_decay_scan("ring", [8, 12, 16], 3.0, pol, threads=2),
+                              min_decay_scan("ring", [8, 12, 16], 3.0, pol))
+    monkeypatch.setattr(spectrum, "_blas_threads", lambda: None)
+    assert np.array_equal(min_decay_scan("chain", [10, 21], 3.0, threads=2), expected)
+
+
+def _task_blas_threads(_):
+    """The BLAS thread count a _pool_map task sees (module level, so that it pickles)."""
+    return spectrum._blas_threads()[0]()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tasks_pin_blas_to_one_thread_and_restore_it(threads):
+    # threads = 2 runs on two forked workers where there are two CPUs, else in-process
+    if spectrum._blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread setter")
+    get_threads, set_threads = spectrum._blas_threads()
+    previous = get_threads()
+    set_threads(2)
+    try:
+        assert spectrum._pool_map(_task_blas_threads, [0, 1], threads) == [1, 1]
+        assert get_threads() == 2
+    finally:
+        set_threads(previous)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.37])

@@ -1,5 +1,7 @@
+import concurrent.futures.process
+import multiprocessing
 import os
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from dipolerings.geometry import (SYMMETRIC_SCHEMES, EmitterArray, build_chain, 
                                   build_two_rings)
 from dipolerings.spectrum import (_block, _project, _sectors, assemble_heff, canonical_m_range,
                                   min_decay_scan, ring_spectrum, spin_wave_state)
-from dipolerings.transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
-                                  fidelity_trace, gaussian_packet, propagate,
+from dipolerings.transfer import (FidelityScan, default_horizon, eta_map, farthest_site,
+                                  fidelity_scan, fidelity_trace, gaussian_packet, propagate,
                                   ring_ring_coupling)
 from oracles import (decay_matrix, fidelity_scan_from_dense_eig, fidelity_scan_from_states,
                      random_geometry, rk4_propagate)
@@ -195,24 +197,37 @@ def test_one_site_packet_is_that_site(ring):
     assert np.count_nonzero(psi) == 1
 
 
-def _count_eig(monkeypatch):
-    """Record the side of each np.linalg.eig call from any thread (list.append is atomic
-    under the GIL)."""
-    calls, eig = [], np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(len(a)) or eig(a))
-    return calls
+def _count_eig(monkeypatch, tmp_path):
+    """Record the side of each np.linalg.eig call, in this process or a forked worker: each
+    call appends one line to a file opened O_APPEND.  Returns take(), the sides recorded
+    since the last take."""
+    log, eig = tmp_path / "eig-sides", np.linalg.eig
+    log.write_text("")
+
+    def counted(a):
+        with open(log, "a", encoding="ascii") as f:
+            f.write(f"{len(a)}\n")
+        return eig(a)
+
+    def take():
+        sides = [int(side) for side in log.read_text().split()]
+        log.write_text("")
+        return sides
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return take
 
 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
 @pytest.mark.parametrize("t_max", [25.0, None])
-def test_fidelity_scan_factors_once_per_separation(monkeypatch, arrangement, t_max):
+def test_fidelity_scan_factors_once_per_separation(monkeypatch, tmp_path, arrangement, t_max):
     args = (6, 0.1, "tangential", 2, [0.1, 0.15, 0.25], [0.3, 0.8, 1.5, 2.5])
     kwargs = dict(t_max=t_max, t_steps=150, arrangement=arrangement)
     expected_f, expected_t = fidelity_scan_from_states(*args, **kwargs)
-    calls = _count_eig(monkeypatch)
+    take = _count_eig(monkeypatch, tmp_path)
     for threads in (1, 2):
-        calls.clear()
         scan = fidelity_scan(*args, threads=threads, **kwargs)
+        calls = take()
         # one eig per symmetry sector: C2v (4) site-site, sigma_y (2) site-edge
         assert len(calls) == 3 * {"site-site": 4, "site-edge": 2}[arrangement]
         assert sum(calls) == 3 * 2 * args[0]
@@ -220,12 +235,13 @@ def test_fidelity_scan_factors_once_per_separation(monkeypatch, arrangement, t_m
         assert np.max(np.abs(scan.t_at_max - expected_t)) < 1e-12 * np.max(expected_t)
 
 
-def test_fidelity_trace_factors_once_and_reports_its_path(monkeypatch, pair10, h10):
+def test_fidelity_trace_factors_once_and_reports_its_path(monkeypatch, tmp_path, pair10, h10):
     psi0 = gaussian_packet(pair10, 0, farthest_site(pair10, 0), m=4, delta_theta=1.0)
     cond = np.linalg.cond(np.linalg.eig(h10)[1])
-    calls = _count_eig(monkeypatch)
+    take = _count_eig(monkeypatch, tmp_path)
     times = np.linspace(0.0, 40.0, 300)
     trace = fidelity_trace(pair10, psi0, m=4, delta_theta=1.0, times=times, h=h10)
+    calls = take()
     assert len(calls) == 4 and sum(calls) == len(h10)        # one eig per C2v sector
     assert trace.method == "eig" and 1.0 <= cond < 1e8
     assert trace.cond == pytest.approx(cond, rel=1e-12, abs=0)
@@ -563,20 +579,39 @@ def test_gathers_project_as_the_dense_basis(arrangement):
 
 
 def test_threads_is_an_upper_bound_on_the_pool_size(monkeypatch):
-    # the pool class is patched to record its size: 10**6 threads are never asked of the system
+    # the pool class is patched to record its size and start at most 3 workers:
+    # 10**6 processes are never asked of the system
     sizes = []
 
-    class Recording(spectrum.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class Recording(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
-            super().__init__(max_workers=min(max_workers, 3))
+            super().__init__(min(max_workers, 3), **kwargs)
 
-    monkeypatch.setattr(spectrum, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
     min_decay_scan("chain", [4, 5, 6], 3.0, threads=10**6)
     fidelity_scan(6, 0.1, "tangential", 2, [0.1, 0.2, 0.3], [1.0], t_max=5.0, t_steps=10,
                   threads=10**6)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert sizes == [min(3, cpus or 1)] * 2
+    workers = min(3, cpus or 1)
+    assert sizes == ([workers] * 2 if workers > 1 and spectrum._blas_threads() else [])
+    sizes.clear()
+    # one worker, from threads or from tasks: no pool
+    min_decay_scan("chain", [4, 5, 6], 3.0, threads=1)
+    min_decay_scan("chain", [40], 3.0, threads=2)
+    fidelity_scan(6, 0.1, "tangential", 2, [0.1], [1.0], t_max=5.0, t_steps=10, threads=2)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_fidelity_scan_on_workers_is_the_in_process_scan(arrangement):
+    args = (8, 0.1, "tangential", 2, [0.1, 0.2, 0.3], [0.3, 1.0])
+    serial = fidelity_scan(*args, t_steps=100, arrangement=arrangement, threads=1)
+    assert multiprocessing.active_children() == []
+    pooled = fidelity_scan(*args, t_steps=100, arrangement=arrangement, threads=2)
+    assert multiprocessing.active_children() == []
+    for field in fields(FidelityScan):
+        assert np.array_equal(getattr(serial, field.name), getattr(pooled, field.name))
 
 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])

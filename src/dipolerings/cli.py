@@ -12,7 +12,7 @@ import numpy as np
 from . import __version__
 from .fieldmap import GridSpec, intensity_map
 from .geometry import SYMMETRIC_SCHEMES, build_chain, build_ring, build_two_rings
-from .output import interleave_complex, write_csv, write_json
+from .output import write_csv, write_json
 from .spectrum import (WorkerError, assemble_heff, eigenmodes, light_line_threshold,
                        min_decay_scan, ring_spectrum, spin_wave_state)
 from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
@@ -201,14 +201,21 @@ def _array_hash(array) -> str:
     return digest.hexdigest()
 
 
-def _rows(*columns) -> list[tuple]:
-    """Table rows of Python scalars from equal-size arrays, each flattened row-major.
+def _table(**columns) -> np.ndarray:
+    """A command's table: a structured array with one typed field per column, in argument
+    order, from equal-size arrays each flattened row-major.  A larger array (spectrum's
+    JSON eigenvalue and eigenvector columns) holds a row of floats per table row.
 
     A NaN or infinite number (an overflow upstream) raises ArithmeticError."""
-    arrays = [np.ravel(c) for c in columns]
-    if any(a.dtype.kind in "fc" and not np.isfinite(a).all() for a in arrays):
+    n = np.size(next(iter(columns.values())))
+    columns = {name: np.reshape(a, (n, -1) if np.size(a) > n else n)
+               for name, a in columns.items()}
+    if any(a.dtype.kind == "f" and not np.isfinite(a).all() for a in columns.values()):
         raise ArithmeticError("the result has non-finite values; an input is out of range")
-    return list(zip(*(a.tolist() for a in arrays)))
+    table = np.empty(n, [(name, a.dtype, a.shape[1:]) for name, a in columns.items()])
+    for name, a in columns.items():
+        table[name] = a
+    return table
 
 
 def cmd_spectrum(cfg: RunConfig):
@@ -222,8 +229,8 @@ def cmd_spectrum(cfg: RunConfig):
     else:
         spec = eigenmodes(assemble_heff(system))
         vals, labels = spec.eigenvalues, [""] * spec.n
-    columns = ("index", "m_label", "J_over_Gamma0", "Gamma_over_Gamma0")
-    rows = _rows(np.arange(len(vals)), labels, np.real(vals), -2.0 * np.imag(vals))
+    columns = {"index": np.arange(len(vals)), "m_label": labels,
+               "J_over_Gamma0": np.real(vals), "Gamma_over_Gamma0": -2.0 * np.imag(vals)}
     if cfg.format == "json":
         if cfg.arrangement == "single":
             # exact spin waves, site 0 the real positive lead component
@@ -231,21 +238,21 @@ def cmd_spectrum(cfg: RunConfig):
             vecs = np.exp(1j * np.outer(angles - angles[0], ms)) / np.sqrt(len(ms))
         else:
             vecs = spec.eigenvectors
-        columns += ("eigenvalue", "eigenvector")
-        rows = [row + (interleave_complex([val]), interleave_complex(vec))
-                for row, val, vec in zip(rows, vals, vecs.T)]
-    return "modes", columns, rows
+        # each complex value as its [re, im] pair, a vector as [re, im, re, im, ...]
+        for name, z in (("eigenvalue", vals), ("eigenvector", vecs.T)):
+            columns[name] = np.stack((z.real, z.imag), axis=-1).reshape(len(vals), -1)
+    return "modes", _table(**columns)
 
 
 def cmd_decay_scan(cfg: RunConfig):
     n_list = list(range(cfg.n_min, cfg.n_max + 1, cfg.n_step))
-    rows = []
-    for kind in ("ring", "chain"):
-        table = min_decay_scan(kind, n_list, cfg.wavelength_over_d,
-                               polarization=cfg.polarization if kind == "ring" else "transverse",
-                               threads=cfg.threads)
-        rows += [(kind, int(n), float(g)) for n, g in table]
-    return "series", ("geometry", "N", "min_gamma"), rows
+    kinds = ("ring", "chain")
+    scans = np.concatenate([
+        min_decay_scan(kind, n_list, cfg.wavelength_over_d,
+                       polarization=cfg.polarization if kind == "ring" else "transverse",
+                       threads=cfg.threads) for kind in kinds])
+    return "series", _table(geometry=np.repeat(kinds, len(n_list)),
+                            N=scans[:, 0].astype(np.int64), min_gamma=scans[:, 1])
 
 
 def cmd_fieldmap(cfg: RunConfig):
@@ -260,8 +267,8 @@ def cmd_fieldmap(cfg: RunConfig):
         "state": f"spin wave m = {cfg.m} on ring of {cfg.n} sites",
         "array_sha256": _array_hash(ring),
     }
-    return ("points", ("x", "y", "z", "intensity", "masked"),
-            _rows(pts[:, 0], pts[:, 1], pts[:, 2], fmap.values, fmap.mask), {"metadata": meta})
+    return ("points", _table(x=pts[:, 0], y=pts[:, 1], z=pts[:, 2], intensity=fmap.values,
+                             masked=fmap.mask), {"metadata": meta})
 
 
 def cmd_coupling(cfg: RunConfig):
@@ -269,12 +276,11 @@ def cmd_coupling(cfg: RunConfig):
     system = _build_system(cfg)
     cpl = ring_ring_coupling(system)
     m1, m2 = np.meshgrid(cpl.m_values, cpl.m_values, indexing="ij")
-    key, columns, arrays = "couplings", ("m1", "m2", "J", "Gamma"), [m1, m2, cpl.shifts, cpl.rates]
-    if cfg.command == "eta":
-        key, columns = "eta", columns + ("eta", "m_star")
-        arrays += [eta_map(cpl, ring_spectrum(system)[1]),
-                   np.full(m1.shape, light_line_threshold(cfg.n, cfg.d))]
-    return key, columns, _rows(*arrays)
+    columns = {"m1": m1, "m2": m2, "J": cpl.shifts, "Gamma": cpl.rates}
+    if cfg.command != "eta":
+        return "couplings", _table(**columns)
+    return "eta", _table(**columns, eta=eta_map(cpl, ring_spectrum(system)[1]),
+                         m_star=np.full(m1.shape, light_line_threshold(cfg.n, cfg.d)))
 
 
 def cmd_fidelity(cfg: RunConfig):
@@ -285,8 +291,7 @@ def cmd_fidelity(cfg: RunConfig):
     horizon = cfg.t_max or default_horizon(ring_ring_coupling(system, h), cfg.m)
     times = np.linspace(0.0, horizon, cfg.t_steps)
     trace = fidelity_trace(system, psi0, cfg.m, cfg.delta_theta, times, h=h)
-    return ("trace", ("t", "fidelity", "argmax_site"),
-            _rows(trace.times, trace.fidelity, trace.argmax_site))
+    return "trace", _table(t=trace.times, fidelity=trace.fidelity, argmax_site=trace.argmax_site)
 
 
 def cmd_fidelity_scan(cfg: RunConfig):
@@ -296,8 +301,8 @@ def cmd_fidelity_scan(cfg: RunConfig):
                          t_max=cfg.t_max or None, t_steps=cfg.t_steps,
                          arrangement=cfg.arrangement, threads=cfg.threads)
     x, dt = np.meshgrid(scan.x_values, scan.delta_theta_values, indexing="ij")
-    return ("scan", ("x", "width", "delta_theta", "max_fidelity", "t_at_max"),
-            _rows(x, scan.widths, dt, scan.max_fidelity, scan.t_at_max))
+    return "scan", _table(x=x, width=scan.widths, delta_theta=dt, max_fidelity=scan.max_fidelity,
+                          t_at_max=scan.t_at_max)
 
 
 _DISPATCH = {
@@ -325,15 +330,16 @@ _ARRANGEMENTS = {
 
 def run(cfg: RunConfig) -> None:
     """Execute one command and write its table: CSV rows, or JSON records plus extras."""
-    key, columns, rows, *extras = _DISPATCH[cfg.command](cfg)
+    key, table, *extras = _DISPATCH[cfg.command](cfg)
     items = config_items(cfg)
+    columns = table.dtype.names
     if cfg.format == "json":
-        payload = {key: [dict(zip(columns, row)) for row in rows]}
+        payload = {key: [dict(zip(columns, row)) for row in table.tolist()]}
         for extra in extras:
             payload.update(extra)
         write_json(cfg.out, __version__, items, payload)
     else:
-        write_csv(cfg.out, __version__, items, columns, rows, digits=cfg.precision)
+        write_csv(cfg.out, __version__, items, columns, table, digits=cfg.precision)
 
 
 def _parse_args(argv):

@@ -1,28 +1,15 @@
-"""Deterministic CSV/JSON artifact writers shared by the CLI commands."""
+"""Deterministic CSV/JSON artifact writers shared by the CLI commands.
+
+A command's table is a numpy structured array, one typed field per column: float64,
+int64, bool or str, plus the JSON-only rows of floats of `spectrum`.  The CSV writer
+formats it a column at a time and the JSON writer takes its records from `tolist()`,
+so both formats print the same values."""
 
 import json
 
 import numpy as np
 
 UNITS_NOTE = "lengths in transition wavelengths, rates and shifts in units of Gamma0"
-
-
-def _cell_format(digits: int):
-    """The text of one value at `digits` significant figures: a float as "0", scientific
-    below 1e-4 and %g above; a bool as 1 or 0; anything else as str()."""
-    sci, fixed = f".{digits - 1}e", f".{digits}g"
-
-    def cell(v):
-        if v.__class__ is not float:        # a Python float, the common cell, skips this
-            if isinstance(v, bool):
-                return "1" if v else "0"
-            if not isinstance(v, float):    # np.float64 formats as its float
-                return str(v)
-        if v == 0.0:
-            return "0"
-        return format(v, sci) if abs(v) < 1e-4 else format(v, fixed)
-
-    return cell
 
 
 def header_lines(version: str, config_items: list[tuple[str, str]]) -> list[str]:
@@ -36,37 +23,39 @@ def header_lines(version: str, config_items: list[tuple[str, str]]) -> list[str]
     return lines
 
 
-# Rows formatted together by write_csv: their cell texts are held until joined into lines.
-CSV_BLOCK_ROWS = 4096
-
-
-def _column_texts(column, cell) -> list[str]:
-    """The texts of one column's cells.  A column of Python floats in which at
-    most half the cells are distinct (a grid coordinate) is formatted once per
-    distinct value; any other column cell by cell."""
-    if set(map(type, column)) == {float}:     # 1, 1.0, True, np.True_ are equal but print apart
-        texts = dict.fromkeys(column)           # -0.0 and 0.0 share an entry: both print 0
-        if 2 * len(texts) <= len(column):
-            for v in texts:
-                texts[v] = cell(v)
-            return list(map(texts.__getitem__, column))
-    return list(map(cell, column))
+def _format_column(column: np.ndarray, digits: int) -> list[str]:
+    """The cell texts of one typed column.  A float prints as "0" for +-0, with
+    `digits - 1` decimals in scientific notation below 1e-4 and as %g with `digits`
+    significant figures otherwise; a bool as 1 or 0; an int or a str as str().
+    A float column in which at most half the values are distinct (a grid coordinate)
+    is formatted once per distinct value."""
+    if column.dtype.kind == "b":
+        return np.where(column, "1", "0").tolist()
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    values, inverse = np.unique(column, return_inverse=True)
+    if 2 * values.size > column.size:
+        values, inverse = column, None
+    values = values + 0.0                       # -0.0 + 0.0 is 0.0, which %g prints as 0
+    fixed = f".{digits}g"
+    small = (np.abs(values) < 1e-4) & (values != 0.0)
+    formats = (np.where(small, f".{digits - 1}e", fixed).tolist() if small.any()
+               else [fixed] * values.size)
+    texts = list(map(format, values.tolist(), formats))
+    return texts if inverse is None else np.array(texts, dtype=object)[inverse].tolist()
 
 
 def write_csv(path, version, config_items, columns, rows, digits=12):
-    """Write the header, the column names and one line per row.
+    """Write the header, the column names and one line per row of the table `rows`.
 
-    The cells are formatted a column at a time, CSV_BLOCK_ROWS rows at a time
-    (see `_column_texts`).  So a grid coordinate repeated on every row of a map
-    takes one format per distinct value in each block, and the text is that of
-    `_cell_format` cell by cell.
+    `rows` is a structured array with a field for each name in `columns`; each field
+    is formatted once, as a whole column (see `_format_column`), and the lines are
+    joined once.  `len(rows)` is the number of data lines.
     """
-    cell = _cell_format(digits)
+    texts = [_format_column(rows[name], digits) for name in columns]
     out = header_lines(version, config_items)
     out.append(",".join(columns))
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = zip(*rows[start:start + CSV_BLOCK_ROWS])
-        out += map(",".join, zip(*[_column_texts(column, cell) for column in block]))
+    out += map(",".join, zip(*texts))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(out) + "\n")
 
@@ -80,11 +69,6 @@ def write_json(path, version, config_items, payload):
         **payload,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
+        # a table's row-of-floats field is an array in its records: written as its list
+        json.dump(doc, f, sort_keys=True, indent=1, default=np.ndarray.tolist)
         f.write("\n")
-
-
-def interleave_complex(values) -> list[float]:
-    """Complex array as a flat [re, im, re, im, ...] list."""
-    v = np.asarray(values)
-    return np.column_stack((v.real, v.imag)).ravel().tolist()

@@ -10,6 +10,8 @@ The fidelity-scan reference is the exception: it projects the full states of
 The label oracle `classify_modes` names the modes of a dense `eig` of a ring's h
 by angular momentum: the best spin-wave overlap assignment, with degenerate
 clusters rotated onto the spin waves first.
+`reference_cell` is the text of one artifact cell by the CSV rules, one value at a
+time, apart from the column writer of `output.write_csv`.
 `ring_eigenvalue`, `decay_matrix` and `field_amplitude` are not oracles: they are
 thin wrappers over the code under test, kept here for the tests that call them."""
 
@@ -164,6 +166,22 @@ def fidelity_scan_from_dense_eig(n, d, polarization, m, x_values, delta_theta_va
             fid = np.abs(states @ np.conj(targets)).max(axis=1)
             maxf[i, j], tat[i, j] = fid.max(), times[np.argmax(fid)]
     return maxf, tat
+
+
+def reference_cell(v, digits):
+    """Cell text of a Python value at `digits` significant figures, by the rules the
+    artifacts have always had: a bool as 1 or 0, a float as "0" for +-0, scientific
+    below 1e-4 and %g otherwise, anything else as str()."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if not isinstance(v, float):
+        return str(v)
+    v = float(v)
+    if v == 0.0:
+        return "0"
+    if abs(v) < 1e-4:
+        return f"{v:.{digits - 1}e}"
+    return f"{v:.{digits}g}"
 
 
 def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:

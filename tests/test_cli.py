@@ -1,3 +1,4 @@
+import inspect
 import json
 import multiprocessing
 import os
@@ -12,9 +13,9 @@ from dipolerings.cli import (ConfigError, RunConfig, config_items, main, parse_c
 from dipolerings.emfield import SingularityError
 from dipolerings.fieldmap import GridSpec
 from dipolerings.geometry import build_ring
-from dipolerings.output import _cell_format, write_csv
+from dipolerings.output import write_csv
 from dipolerings.spectrum import assemble_heff, eigenmodes
-from oracles import classify_modes
+from oracles import classify_modes, reference_cell
 
 
 def run_cli(args):
@@ -292,6 +293,27 @@ def test_worker_failures_are_numeric_errors(tmp_path, capsys, monkeypatch, error
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_decay_scan_non_finite_rate_is_a_numeric_error(tmp_path, capsys, monkeypatch, fmt):
+    scan = cli.min_decay_scan
+
+    def nan_chain_rate(kind, *args, **kwargs):
+        table = scan(kind, *args, **kwargs)
+        if kind == "chain":
+            table[-1, 1] = np.nan
+        return table
+
+    monkeypatch.setattr(cli, "min_decay_scan", nan_chain_rate)
+    out = tmp_path / f"scan.{fmt}"
+    assert run_cli(["decay-scan", "--out", str(out), "--format", fmt,
+                    "--set", "physics.n_min=4", "--set", "physics.n_max=8"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": {
+        "code": 3, "message": "the result has non-finite values; an input is out of range"}}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_fieldmap_point_on_emitter_is_a_numeric_error(tmp_path, capsys, fmt):
     # the n = 2 ring has a site at (0.5, 0, 0), a point of the default xy grid
     out = tmp_path / f"map.{fmt}"
@@ -315,9 +337,27 @@ def test_fieldmap_builds_its_grid_once(tmp_path, monkeypatch):
     assert run_cli(["fieldmap", "--out", str(out), "--set", "geometry.n=6",
                     "--set", "geometry.d=0.3", "--set", "physics.resolution=7"]) == 0
     assert len(built) == 1
-    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
-    assert [r[:3] for r in rows[1:]] == [[_cell_format(12)(float(v)) for v in p]
-                                          for p in points(built[0])]
+    assert [r[:3] for r in _data_lines(out)] == [[reference_cell(float(v), 12) for v in p]
+                                                  for p in points(built[0])]
+
+
+def test_write_csv_binds_as_the_benchmark_tracer_reads_it(tmp_path, monkeypatch):
+    """The benchmark tracer binds write_csv's arguments to its signature and counts
+    output.rows as len(rows) and output.bytes as the size of the file at `path`."""
+    signature, bound = inspect.signature(output.write_csv), []
+
+    def probed(*args, **kwargs):
+        result = write_csv(*args, **kwargs)
+        bound.append(signature.bind(*args, **kwargs).arguments)
+        return result
+
+    monkeypatch.setattr(cli, "write_csv", probed)
+    out = tmp_path / "map.csv"
+    assert run_cli(["fieldmap", "--out", str(out), "--set", "geometry.n=6",
+                    "--set", "geometry.d=0.3", "--set", "physics.resolution=7"]) == 0
+    (arguments,) = bound
+    assert os.path.samefile(arguments["path"], out)
+    assert len(arguments["rows"]) == len(_data_lines(out)) == 7 * 7
 
 
 @pytest.mark.parametrize("site", [50, -7, 10, -2])
@@ -362,7 +402,7 @@ def test_json_records_match_csv_table(tmp_path, args):
     extra = {"eigenvalue", "eigenvector"} if args[0] == "spectrum" else set()
     for record, row in zip(records, rows):
         assert set(record) == set(header) | extra
-        assert [_cell_format(9)(record[c]) for c in header] == row
+        assert [reference_cell(record[c], 9) for c in header] == row
 
 
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):
@@ -575,18 +615,20 @@ def test_dispatch_and_arrangement_tables_agree():
         assert fn.__name__.startswith("cmd_") and getattr(cli, fn.__name__) is fn
 
 
-def _reference_cell(v, digits):
-    """Cell text by the rules the artifacts have always had (see output._cell_format)."""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if not isinstance(v, float):
-        return str(v)
-    v = float(v)
-    if v == 0.0:
-        return "0"
-    if abs(v) < 1e-4:
-        return f"{v:.{digits - 1}e}"
-    return f"{v:.{digits}g}"
+def _typed_table(columns: dict) -> np.ndarray:
+    """A structured array of the columns, each typed by numpy as a command's would be;
+    unlike a command's table it may hold NaN and infinities."""
+    arrays = {name: np.asarray(values) for name, values in columns.items()}
+    table = np.empty(len(next(iter(arrays.values()))),
+                     [(name, a.dtype) for name, a in arrays.items()])
+    for name, a in arrays.items():
+        table[name] = a
+    return table
+
+
+def _data_lines(path):
+    return [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")][1:]
 
 
 _EDGE = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)]
@@ -597,61 +639,69 @@ CELLS = [*map(float, _FLOATS), *map(np.float64, _FLOATS), True, False, np.True_,
 
 @pytest.mark.parametrize("digits", [1, 12, 17])
 def test_cells_keep_their_text(tmp_path, digits):
-    expected = [_reference_cell(v, digits) for v in CELLS]
-    cell = _cell_format(digits)
-    assert [cell(v) for v in CELLS] == expected
-    numbers = [v for v in CELLS if not isinstance(v, str)]
-    assert ([cell(float(v)) for v in numbers]
-            == [_reference_cell(float(v), digits) for v in numbers])
+    """A one-row table, one column per cell: each prints as the oracle prints the Python
+    value its row holds."""
+    table = _typed_table({f"c{i}": [v] for i, v in enumerate(CELLS)})
+    assert [table[c].dtype.kind for c in table.dtype.names] == (
+        ["f"] * 2 * len(_FLOATS) + ["b"] * 4 + ["i"] * 3 + ["U"])
     out = tmp_path / "cells.csv"
-    write_csv(out, "0", [], [f"c{i}" for i in range(len(CELLS))], [tuple(CELLS)], digits)
-    assert out.read_text().splitlines()[-1].split(",") == expected
+    write_csv(out, "0", [], table.dtype.names, table, digits)
+    (row,) = table.tolist()
+    assert _data_lines(out) == [[reference_cell(v, digits) for v in row]]
     # the rules at their edges, spelled out
-    assert [_cell_format(12)(v) for v in (-0.0, 1e-4, np.nextafter(1e-4, 0.0), np.True_)] == [
-        "0", "0.0001", "1.00000000000e-04", "True"]
+    edges = _typed_table({"a": [-0.0], "b": [1e-4], "c": [np.nextafter(1e-4, 0.0)],
+                          "d": [np.True_], "e": [np.int64(-3)]})
+    write_csv(out, "0", [], edges.dtype.names, edges, 12)
+    assert _data_lines(out) == [["0", "0.0001", "1.00000000000e-04", "1", "-3"]]
 
 
-def _table_columns():
-    """Columns of a 12-row table: repeated floats, +-0, the 1e-4 edges, a mixed column,
-    strings, and distinct floats."""
+def _table_columns(rows: int):
+    """Typed columns of `rows` rows: a repeated grid coordinate, repeated +-0, the 1e-4
+    edges and the extremes, int, bool and str columns, and a distinct float column that
+    also holds every edge value."""
     edge = [float(v) for v in _EDGE]
-    return {
+    extremes = [0.0, -0.0, *edge, *(-v for v in edge), 1e300, -1e300, 1e-300, -1e-300,
+                np.nan, np.inf, -np.inf]
+    repeated = {
         "grid": [2.5, 3.75, 2.5, 3.75, 2.5, 3.75, -6.125, 2.5, 3.75, -6.125, 2.5, 3.75],
         "zeros": [-0.0, 0.0, 0.0, -0.0, 1.5, 1.5, 0.0, -0.0, -0.0, 0.0, 1.5, -0.0],
         "edge": edge + [-v for v in edge] + edge + [-v for v in edge],
-        "mixed": [1, 1.0, True, np.True_, 1.0, 1, np.True_, True, 0, 0.0, False, np.False_],
+        "ints": [1, 0, -7, 12, 1, 0, 3, 1, 0, 2**40, -1, 1],
+        "bools": [True, np.True_, False, np.False_, True, True, False, True, False, False,
+                  np.True_, True],
         "label": ["ring", "chain", "ring", "", "ring", "chain", "a b", "ring", "", "x", "y", "z"],
-        "distinct": [1.0 / k for k in range(1, 13)],
     }
+    columns = {name: np.resize(np.asarray(values), rows) for name, values in repeated.items()}
+    columns["extremes"] = np.resize(np.asarray(extremes), rows)
+    columns["distinct"] = np.array(extremes + [1.0 / k for k in range(1, rows - len(extremes) + 1)])
+    return columns
 
 
 @pytest.mark.parametrize("digits", [1, 12, 17])
 def test_multi_row_table_cells_keep_their_text(tmp_path, monkeypatch, digits):
-    columns = _table_columns()
-    rows = list(zip(*columns.values()))
+    """A table past 4096 rows, every column type a command writes: each cell prints as the
+    oracle prints its value, a grid column formats each distinct value once, and a
+    row prints the same in any table."""
+    table = _typed_table(_table_columns(4101))
+    assert [table[c].dtype.kind for c in table.dtype.names] == list("fffibUff")
     formatted = []
-    cell_format = output._cell_format
 
-    def counting_format(d):
-        cell = cell_format(d)
+    def counting_format(v, spec):
+        formatted.append(v)
+        return format(v, spec)
 
-        def counted(v):
-            formatted.append(v)
-            return cell(v)
-        return counted
-
-    monkeypatch.setattr(output, "_cell_format", counting_format)
+    monkeypatch.setattr(output, "format", counting_format, raising=False)
     out = tmp_path / "table.csv"
-    write_csv(out, "0", [], list(columns), rows, digits)
+    write_csv(out, "0", [], table.dtype.names, table, digits)
+    monkeypatch.undo()
     lines = out.read_text().splitlines()
-    assert lines[-13] == ",".join(columns)
-    assert [line.split(",") for line in lines[-12:]] == [
-        [_reference_cell(v, digits) for v in row] for row in rows]
-    # the float columns that repeat take one format per distinct value
-    assert [formatted.count(v) for v in (2.5, 3.75, -6.125, 1.5)] == [1, 1, 1, 1]
-    # "zeros" once for its +-0; "mixed" cell by cell for its 0, 0.0, False and np.False_
-    assert formatted.count(0.0) == 1 + 4
-    # blocks of 5 rows: the 12 rows in three blocks, some columns memoized in one block only
-    monkeypatch.setattr(output, "CSV_BLOCK_ROWS", 5)
-    write_csv(tmp_path / "blocks.csv", "0", [], list(columns), rows, digits)
-    assert (tmp_path / "blocks.csv").read_text() == out.read_text()
+    assert lines[-4102] == ",".join(table.dtype.names)
+    assert [line.split(",") for line in lines[-4101:]] == [
+        [reference_cell(v, digits) for v in row] for row in table.tolist()]
+    # the repeated float columns take one format per distinct value, "distinct" one per cell
+    assert [formatted.count(v) for v in (2.5, 3.75, -6.125, 1.5, 1e300)] == [1, 1, 1, 1, 1 + 1]
+    # "zeros" and "extremes" format 0 once for +0 and -0 alike; "distinct" once per cell
+    assert formatted.count(0.0) == 1 + 1 + 2
+    # the first 12 rows on their own print as they do in the long table
+    write_csv(tmp_path / "head.csv", "0", [], table.dtype.names, table[:12], digits)
+    assert (tmp_path / "head.csv").read_text().splitlines()[-12:] == lines[-4101:-4089]

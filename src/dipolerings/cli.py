@@ -13,8 +13,8 @@ from . import __version__
 from .fieldmap import GridSpec, intensity_map
 from .geometry import SYMMETRIC_SCHEMES, build_chain, build_ring, build_two_rings
 from .output import write_csv, write_json
-from .spectrum import (WorkerError, assemble_heff, eigenmodes, light_line_threshold,
-                       min_decay_scan, ring_spectrum, spin_wave_state)
+from .spectrum import (WorkerError, _one_blas_thread, assemble_heff, eigenmodes,
+                       light_line_threshold, min_decay_scan, ring_spectrum, spin_wave_state)
 from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                        fidelity_trace, gaussian_packet, ring_ring_coupling)
 
@@ -329,17 +329,22 @@ _ARRANGEMENTS = {
 
 
 def run(cfg: RunConfig) -> None:
-    """Execute one command and write its table: CSV rows, or JSON records plus extras."""
-    key, table, *extras = _DISPATCH[cfg.command](cfg)
-    items = config_items(cfg)
-    columns = table.dtype.names
-    if cfg.format == "json":
-        payload = {key: [dict(zip(columns, row)) for row in table.tolist()]}
-        for extra in extras:
-            payload.update(extra)
-        write_json(cfg.out, __version__, items, payload)
-    else:
-        write_csv(cfg.out, __version__, items, columns, table, digits=cfg.precision)
+    """Execute one command and write its table: CSV rows, or JSON records plus extras.
+
+    The whole command runs with BLAS on one thread (spectrum._one_blas_thread), so that no
+    artifact depends on the BLAS thread count; extra cores come only from worker processes.
+    """
+    with _one_blas_thread():
+        key, table, *extras = _DISPATCH[cfg.command](cfg)
+        items = config_items(cfg)
+        columns = table.dtype.names
+        if cfg.format == "json":
+            payload = {key: [dict(zip(columns, row)) for row in table.tolist()]}
+            for extra in extras:
+                payload.update(extra)
+            write_json(cfg.out, __version__, items, payload)
+        else:
+            write_csv(cfg.out, __version__, items, columns, table, digits=cfg.precision)
 
 
 def _parse_args(argv):

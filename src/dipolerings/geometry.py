@@ -30,12 +30,13 @@ class RingMeta:
 
 @dataclass
 class EmitterArray:
-    """Positions, dipole orientations and group metadata for N emitters."""
+    """Positions, dipoles, group metadata and declared site symmetries of N emitters."""
 
     positions: np.ndarray                     # (n, 3) float
     dipoles: np.ndarray                       # (n, 3) complex
     groups: list = field(default_factory=list)       # list of index arrays
     ring_meta: list = field(default_factory=list)    # RingMeta or None per group
+    symmetries: tuple = ()      # (perm, sign): commuting signed site involutions S, S h S^T = h
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -49,6 +50,18 @@ class EmitterArray:
         covered = np.sort(np.concatenate([np.asarray(g) for g in self.groups]))
         if not np.array_equal(covered, np.arange(self.n)):
             raise ValueError("groups must partition the emitter index range")
+        self.symmetries = tuple((np.asarray(p), np.asarray(s)) for p, s in self.symmetries)
+        identity = np.arange(self.n)
+        for k, (p, s) in enumerate(self.symmetries):     # S maps site i to s[i] times site p[i]
+            involution = (p.shape == s.shape == (self.n,) and p.dtype.kind in "iu"
+                          and np.array_equal(np.sort(p), identity)
+                          and np.array_equal(p[p], identity)
+                          and np.isin(s, (-1, 1)).all() and np.array_equal(s[p], s))
+            if not involution or not all(np.array_equal(q[p], p[q])
+                                         and np.array_equal(s * r[p], r * s[q])
+                                         for q, r in self.symmetries[:k]):
+                raise ValueError(f"symmetry {k} is not a signed site involution that commutes "
+                                 "with the ones before it")
 
     @property
     def n(self) -> int:
@@ -114,7 +127,9 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
     ring 2 has a site facing back at distance gap from ring 1's facing site.
     In the 'site-edge' arrangement ring 2 is additionally rotated by pi/n so an
     edge midpoint faces ring 1's site, with gap the site-to-midpoint distance
-    along the center line.
+    along the center line.  The pair declares (see EmitterArray) the mirror sigma_y and, for
+    site-site pairs and one-site rings, the C2 rotation j <-> j + n, each where its sign exists:
+    dipoles[perm] = sign * flip * dipoles site by site, with sign +-1.
     """
     if arrangement not in ("site-site", "site-edge"):
         raise ValueError(f"unknown arrangement {arrangement!r}")
@@ -134,7 +149,18 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
         offset2 = np.pi + np.pi / n
     ring2 = build_ring(n, d, polarization, center=(center2_x, 0.0, 0.0),
                        angular_offset=offset2)
-    return EmitterArray(positions=np.vstack([ring1.positions, ring2.positions]),
-                        dipoles=np.vstack([ring1.dipoles, ring2.dipoles]),
+    dipoles, sites = np.vstack([ring1.dipoles, ring2.dipoles]), np.arange(n)
+    edge = 1 if arrangement == "site-edge" else 0
+    candidates = [(np.r_[-sites % n, (-sites - edge) % n + n], (1, -1, 1))]     # sigma_y
+    if arrangement == "site-site" or n == 1:
+        candidates.append((np.r_[sites + n, sites], (-1, -1, 1)))              # C2 about z
+    symmetries = []
+    for perm, flip in candidates:
+        turned = np.multiply(flip, dipoles)
+        sign = np.where(np.real(np.sum(np.conj(dipoles[perm]) * turned, axis=1)) < 0, -1.0, 1.0)
+        if np.all(np.abs(turned - sign[:, None] * dipoles[perm]) <= 1e-9):     # unit dipoles
+            symmetries.append((perm, sign))
+    return EmitterArray(positions=np.vstack([ring1.positions, ring2.positions]), dipoles=dipoles,
                         groups=[np.arange(n), np.arange(n, 2 * n)],
-                        ring_meta=[ring1.ring_meta[0], ring2.ring_meta[0]])
+                        ring_meta=[ring1.ring_meta[0], ring2.ring_meta[0]],
+                        symmetries=tuple(symmetries))

@@ -1,5 +1,6 @@
 """Effective non-Hermitian Hamiltonian, collective eigenmodes and scans."""
 
+import contextlib
 import functools
 import math
 import os
@@ -212,6 +213,23 @@ def _blas_threads():
     return None
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread for the duration and restore its count after, so
+    that no result depends on it; a no-op without the setter (see _blas_threads)."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 class WorkerError(RuntimeError):
     """A worker process of _pool_map ended without a result (killed by the OS, say)."""
 
@@ -223,33 +241,26 @@ def _pool_map(fn, items, threads: int) -> list:
     numpy's eigvals holds the GIL below side ~500, so threads would not overlap; workers are
     forked (a spawned one re-imports numpy) and each pins its BLAS to one thread, since an
     unpinned BLAS in every worker oversubscribes the CPUs.  fn and the items must pickle.
-    At one worker, or without fork, the tasks run in this process with its BLAS pinned
-    for their duration; without the BLAS setter they run here unpinned.  Exceptions raised
-    by fn come back with their type; a worker that dies raises WorkerError.  Call it from
-    a single-threaded process, as the CLI is: fork copies only the calling thread.
+    At one worker, or without fork or the BLAS setter, the tasks run in this process under
+    _one_blas_thread (unpinned without the setter).  Exceptions raised by fn come back with
+    their type; a worker that dies raises WorkerError.  Call it from a single-threaded
+    process, as the CLI is: fork copies only the calling thread.
     """
     blas = _blas_threads()
-    if blas is None:
-        return [fn(item) for item in items]
-    get_threads, set_threads = blas
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, len(items), cpus or 1)
-    if workers > 1:
+    if workers > 1 and blas is not None:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
             try:
                 with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                         initializer=set_threads, initargs=(1,)) as pool:
+                                         initializer=blas[1], initargs=(1,)) as pool:
                     return list(pool.map(fn, items))
             except BrokenProcessPool as exc:
                 raise WorkerError(f"a worker process ended without a result: {exc}") from exc
-    previous = get_threads()
-    set_threads(1)
-    try:
+    with _one_blas_thread():
         return [fn(item) for item in items]
-    finally:
-        set_threads(previous)
 
 
 def chain_spectrum(array: EmitterArray) -> np.ndarray:

@@ -123,42 +123,20 @@ class Propagation:
 SYMMETRY_RTOL = 1e-10
 
 
-def _involution(array: EmitterArray, h: np.ndarray, flip) -> tuple | None:
-    """The map r -> c + flip * (r - c) about the centroid c (flip a diagonal of +-1) as a
-    signed site permutation (perm, sign) with p[perm[i]] = sign[i] * flip * p[i], or None
-    unless it maps the sites onto themselves and S h S^T = h to SYMMETRY_RTOL."""
-    pos, dip = array.positions, array.dipoles
-    center = pos.mean(axis=0)
-    image = center + flip * (pos - center)
-    dist2 = sum((image[:, None, a] - pos[None, :, a]) ** 2 for a in range(3))
-    perm = np.argmin(dist2, axis=1)
-    tol = 1e-9 * (np.max(np.abs(pos - center)) or 1.0)
-    turned = flip * dip
-    sign = np.where(np.real(np.sum(np.conj(dip[perm]) * turned, axis=1)) < 0, -1.0, 1.0)
-    if (np.any(dist2[np.arange(len(pos)), perm] > tol**2)
-            or not np.array_equal(perm[perm], np.arange(len(pos)))
-            or np.any(np.abs(turned - sign[:, None] * dip[perm])
-                      > 1e-9 * np.abs(dip).max(axis=1, keepdims=True))):
-        return None
-    # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
-    residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
-    return (perm, sign) if residual.max() <= SYMMETRY_RTOL * np.abs(h).max() else None
-
-
 def _symmetry_group(array: EmitterArray | None, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The site symmetries of h as the group G = (perms, signs) of _sectors, each (|G|, n).
 
-    The candidates are the mirror sigma_y and the C2 rotation about z through the centroid of
-    the sites (both symmetries of a site-site ring pair, sigma_y of a site-edge pair), each
-    kept where it maps the sites and h onto themselves (see _involution).  Without an array,
-    or without a kept symmetry, G is the identity and its one sector is Q = I.
+    The generators are those the array's builder declared (array.symmetries: sigma_y and C2
+    of a site-site ring pair, sigma_y of a site-edge pair), each kept where S h S^T = h to
+    SYMMETRY_RTOL, so an h that lacks one gives the smaller group.  Without an array, or
+    without a kept generator, G is the identity and its one sector is Q = I.
     """
     perms, signs = np.arange(len(h))[None], np.ones((1, len(h)))
-    flips = ((1.0, -1.0, 1.0), (-1.0, -1.0, 1.0)) if array is not None else ()
-    for flip in flips:
-        gen = _involution(array, h, np.array(flip))
-        if gen is not None:       # gen after each element; diagonal flips commute: G is Z2^k
-            perms, signs = np.r_[perms, gen[0][perms]], np.r_[signs, signs * gen[1][perms]]
+    for perm, sign in array.symmetries if array is not None else ():
+        # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
+        residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
+        if residual.max() <= SYMMETRY_RTOL * np.abs(h).max():   # gen after each element of G
+            perms, signs = np.r_[perms, perm[perms]], np.r_[signs, signs * sign[perms]]
     return perms, signs
 
 
@@ -195,9 +173,9 @@ def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times: np.ndarray,
             targets: list[np.ndarray]):
-    """Factor h once per symmetry sector of array (see _symmetry_group) for all initial states
-    psi_j = psi0s[:, j]: the method ('eig' or 'ode'), cond(V), and lazily per j the (t, k)
-    overlaps <T_jk|psi_j(t)> with T_j = targets[j].
+    """Factor h once per sector of the symmetries that array declares and h has (see
+    _symmetry_group) for all initial states psi_j = psi0s[:, j]: the method ('eig' or
+    'ode'), cond(V), and lazily per j the (t, k) overlaps <T_jk|psi_j(t)> with T_j = targets[j].
 
     Each block Q_s^T h Q_s comes from the rows h[reps] of the orbit representatives alone and
     is factored by eig into W_s; V = [Q_s W_s] is never formed (see _block and _project).

@@ -10,6 +10,9 @@ The fidelity-scan reference is the exception: it projects the full states of
 The label oracle `classify_modes` names the modes of a dense `eig` of a ring's h
 by angular momentum: the best spin-wave overlap assignment, with degenerate
 clusters rotated onto the spin waves first.
+`geometric_symmetry_group` finds the sigma_y and C2 symmetries of a site set by flipping
+its coordinates about the centroid and matching each image to a site, with no use of
+the symmetries a builder declares.
 `reference_cell` is the text of one artifact cell by the CSV rules, one value at a
 time, apart from the column writer of `output.write_csv`.
 `ring_eigenvalue`, `decay_matrix` and `field_amplitude` are not oracles: they are
@@ -24,8 +27,8 @@ from dipolerings.emfield import pair_coupling, radiated_field
 from dipolerings.geometry import EmitterArray, build_two_rings
 from dipolerings.spectrum import (ModeSpectrum, _fix_phases, assemble_heff, canonical_m_range,
                                   ring_spectrum, spin_wave_state, wrap_m)
-from dipolerings.transfer import (default_horizon, farthest_site, gaussian_packet, propagate,
-                                  ring_ring_coupling)
+from dipolerings.transfer import (SYMMETRY_RTOL, default_horizon, farthest_site,
+                                  gaussian_packet, propagate, ring_ring_coupling)
 
 K0 = 2.0 * np.pi
 
@@ -166,6 +169,40 @@ def fidelity_scan_from_dense_eig(n, d, polarization, m, x_values, delta_theta_va
             fid = np.abs(states @ np.conj(targets)).max(axis=1)
             maxf[i, j], tat[i, j] = fid.max(), times[np.argmax(fid)]
     return maxf, tat
+
+
+def _geometric_involution(array: EmitterArray, h: np.ndarray, flip) -> tuple | None:
+    """The map r -> c + flip * (r - c) about the centroid c (flip a diagonal of +-1) as a
+    signed site permutation (perm, sign) with p[perm[i]] = sign[i] * flip * p[i], or None
+    unless it maps the sites onto themselves and S h S^T = h to SYMMETRY_RTOL."""
+    pos, dip = array.positions, array.dipoles
+    center = pos.mean(axis=0)
+    image = center + flip * (pos - center)
+    dist2 = sum((image[:, None, a] - pos[None, :, a]) ** 2 for a in range(3))
+    perm = np.argmin(dist2, axis=1)
+    tol = 1e-9 * (np.max(np.abs(pos - center)) or 1.0)
+    turned = flip * dip
+    sign = np.where(np.real(np.sum(np.conj(dip[perm]) * turned, axis=1)) < 0, -1.0, 1.0)
+    if (np.any(dist2[np.arange(len(pos)), perm] > tol**2)
+            or not np.array_equal(perm[perm], np.arange(len(pos)))
+            or np.any(np.abs(turned - sign[:, None] * dip[perm])
+                      > 1e-9 * np.abs(dip).max(axis=1, keepdims=True))):
+        return None
+    # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
+    residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
+    return (perm, sign) if residual.max() <= SYMMETRY_RTOL * np.abs(h).max() else None
+
+
+def geometric_symmetry_group(array: EmitterArray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perms, signs), each (|G|, n), of the group that the mirror sigma_y and the C2 rotation
+    about z through the centroid generate, each kept where it maps the sites, their dipoles
+    and h onto themselves; element k holds generator j iff bit j of k."""
+    perms, signs = np.arange(len(h))[None], np.ones((1, len(h)))
+    for flip in ((1.0, -1.0, 1.0), (-1.0, -1.0, 1.0)):
+        gen = _geometric_involution(array, h, np.array(flip))
+        if gen is not None:
+            perms, signs = np.r_[perms, gen[0][perms]], np.r_[signs, signs * gen[1][perms]]
+    return perms, signs
 
 
 def reference_cell(v, digits):

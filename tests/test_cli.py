@@ -705,3 +705,26 @@ def test_multi_row_table_cells_keep_their_text(tmp_path, monkeypatch, digits):
     # the first 12 rows on their own print as they do in the long table
     write_csv(tmp_path / "head.csv", "0", [], table.dtype.names, table[:12], digits)
     assert (tmp_path / "head.csv").read_text().splitlines()[-12:] == lines[-4101:-4089]
+
+
+@pytest.mark.skipif(spectrum._blas_threads() is None
+                    or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs the OpenBLAS thread setter and two CPUs")
+def test_artifact_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the CI long-horizon fidelity run, whose digits moved with the BLAS thread count
+    out = tmp_path / "fidelity-long.csv"
+    args = ["fidelity", "--set", "geometry.arrangement=site-edge", "--set", "geometry.n=100",
+            "--set", "geometry.polarization=transverse", "--set", "geometry.x=0.3",
+            "--set", "physics.m=22", "--out", str(out)]
+    get_threads, set_threads = spectrum._blas_threads()
+    previous = get_threads()
+    artifacts = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            assert run_cli(args) == 0
+            assert get_threads() == threads
+            artifacts.append(out.read_bytes())
+    finally:
+        set_threads(previous)
+    assert artifacts[0] == artifacts[1]

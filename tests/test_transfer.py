@@ -15,7 +15,7 @@ from dipolerings.transfer import (FidelityScan, default_horizon, eta_map, farthe
                                   fidelity_scan, fidelity_trace, gaussian_packet, propagate,
                                   ring_ring_coupling)
 from oracles import (decay_matrix, fidelity_scan_from_dense_eig, fidelity_scan_from_states,
-                     random_geometry, rk4_propagate)
+                     geometric_symmetry_group, random_geometry, rk4_propagate)
 
 
 @pytest.fixture(scope="module")
@@ -385,8 +385,9 @@ def _reversal(n):
 def test_sectors_of_a_chain(n, dipole):
     chain = build_chain(n, 1.0 / 3.0, dipole)
     h = assemble_heff(chain)
-    # sigma_y and C2 of a z-polarized chain; the identity for a tilted dipole
-    _assert_sectors_split_h(_sectors(*transfer._symmetry_group(chain, h)), h)
+    # chains declare no symmetry: their group is the identity
+    perms, signs = transfer._symmetry_group(chain, h)
+    assert np.array_equal(perms, [np.arange(n)]) and np.array_equal(signs, np.ones((1, n)))
     sectors = _sectors(*_reversal(n))
     _assert_sectors_split_h(sectors, h)
     # even block first; for odd n it holds the middle site as a one-site orbit
@@ -397,7 +398,7 @@ def test_sectors_of_a_chain(n, dipole):
 @pytest.mark.parametrize("array, count", [
     *[(build_two_rings(arrangement, n, 0.1, 0.15, "tangential"), 2)
       for arrangement in ("site-site", "site-edge") for n in (1, 2)],
-    (build_ring(8, 0.1, "tangential"), 4),
+    (build_ring(8, 0.1, "tangential"), 1),
 ], ids=["site-site-1", "site-site-2", "site-edge-1", "site-edge-2", "ring-8"])
 def test_sectors_of_small_pairs_and_a_ring(array, count):
     h = assemble_heff(array)
@@ -418,6 +419,41 @@ def test_sectors_without_a_verified_symmetry_is_the_identity():
         sectors = _sectors(*transfer._symmetry_group(array, h))
         assert len(sectors) == 1 and np.array_equal(_dense_bases(sectors, len(h))[0],
                                                     np.eye(len(h)))
+
+
+PAIR_DIPOLES = {**{scheme: scheme for scheme in SYMMETRIC_SCHEMES}, "circular": CIRCULAR,
+                "x": (1, 0, 0), "y": (0, 1, 0), "xy": (1, 1, 0), "tilted": (0.3, 0.4, 0.5)}
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 25, 64, 101])
+@pytest.mark.parametrize("dipole", PAIR_DIPOLES)
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_declared_pair_symmetries_match_the_geometric_search(arrangement, dipole, n):
+    pair, h = _pair_and_h(arrangement, n, PAIR_DIPOLES[dipole])
+    perms, signs = transfer._symmetry_group(pair, h)
+    expected_perms, expected_signs = geometric_symmetry_group(pair, h)
+    assert np.array_equal(perms, expected_perms) and np.array_equal(signs, expected_signs)
+    # a copy with the same sites and dipoles but no declaration has only the identity
+    plain = EmitterArray(pair.positions, pair.dipoles, pair.groups, pair.ring_meta)
+    perms, signs = transfer._symmetry_group(plain, h)
+    assert np.array_equal(perms, [np.arange(2 * n)]) and np.array_equal(signs, np.ones((1, 2 * n)))
+
+
+@pytest.mark.parametrize("symmetries", [
+    [([1, 2, 0], [1, 1, 1])],                              # a 3-cycle
+    [([1, 0, 2], [1, -1, 1])],                             # sign[perm] != sign
+    [([1, 0, 2], [1j, 1j, 1j])],                           # |sign| = 1 but S^2 = -I
+    [([1, 0, 2], [1, 1, 1]), ([0, 2, 1], [1, 1, 1])],      # involutions that do not commute
+    [([0, 1, 2], [1, -1, 1]), ([1, 0, 2], [1, 1, 1])],     # commuting perms, signs that do not
+], ids=["3-cycle", "sign-off-orbit", "sign-not-real", "perms-do-not-commute",
+        "signs-do-not-commute"])
+def test_emitter_array_rejects_a_symmetry_that_is_not_a_commuting_involution(symmetries):
+    positions, dipoles = np.arange(9.0).reshape(3, 3), np.tile([0.0, 0.0, 1.0], (3, 1))
+    with pytest.raises(ValueError):
+        EmitterArray(positions, dipoles, symmetries=tuple(symmetries))
+    if len(symmetries) == 2:          # each generator of the pair is accepted on its own
+        for generator in symmetries:
+            assert len(EmitterArray(positions, dipoles, symmetries=(generator,)).symmetries) == 1
 
 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])

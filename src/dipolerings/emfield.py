@@ -9,7 +9,8 @@ over a batch of pairs, the radial factors pref = e^{ix}/(4 pi r) and
 near = 1/x^2 - i/x (x = k0 r) come from `_radial`.  `radiated_field`, its
 summed form sum_j c_j G(r - r_j).p_j of a whole array at many points, expands
 the same factors in u = 1/x and folds c into p, so that a map takes few
-passes over its blocks; tests hold it to the per-tensor sum.
+passes over its blocks; tests hold it to the per-tensor sum.  A map
+(`fieldmap.intensity_map`) passes it one point per symmetry orbit of the grid.
 """
 
 from dataclasses import dataclass

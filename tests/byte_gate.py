@@ -61,6 +61,10 @@ CI_SMOKE = [
                               *sets("geometry.n=12", "geometry.d=0.3", "physics.m=3",
                                     "physics.plane=xz", "physics.resolution=73")])
       for fmt in ("csv", "json")),
+    ("ci-fieldmap-odd-xy.csv", ["fieldmap", *sets("geometry.n=11", "geometry.d=0.3",
+                                                  "geometry.polarization=tangential",
+                                                  "physics.m=3", "physics.plane_offset=0.1",
+                                                  "physics.resolution=41")]),
     *((f"ci-{cmd}.{fmt}", [cmd, "--format", fmt,
                            *sets("geometry.arrangement=site-edge", "geometry.n=64",
                                  "geometry.d=0.3", "geometry.polarization=tangential")])

@@ -277,6 +277,7 @@ class _FailsInWorkers:
                                    ValueError("bad size"), None])
 def test_worker_failures_are_numeric_errors(tmp_path, capsys, monkeypatch, error):
     monkeypatch.setattr(spectrum, "_min_rate", _FailsInWorkers(error))
+    monkeypatch.setattr(spectrum, "_FORK_WORK", 0)   # fork this small chain scan too
     out = tmp_path / "scan.csv"
     assert run_cli(["decay-scan", "--set", "physics.n_min=10", "--set", "physics.n_max=20",
                     "--set", "physics.n_step=5", "--threads", "2", "--out", str(out)]) == 3

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dipolerings.emfield import SingularityError, green_tensor
+from dipolerings import fieldmap
+from dipolerings.emfield import SingularityError, green_tensor, radiated_field
 from dipolerings.fieldmap import GridSpec, intensity_map
 from dipolerings.geometry import EmitterArray, build_ring
 from dipolerings.spectrum import spin_wave_state
@@ -135,7 +136,76 @@ def test_intensity_map_matches_green_tensor_sum(ring):
 
 
 def test_intensity_map_raises_on_grid_point_at_emitter():
-    pair = build_ring(2, 1.0)   # site 0 at (0.5, 0, 0), a point of the grid below
-    grid = GridSpec.xy(0.0, ((-1.0, 1.0), (-1.0, 1.0)), 101)
-    with pytest.raises(SingularityError):
-        intensity_map(pair, spin_wave_state(pair, 0), grid)
+    pair = build_ring(2, 1.0)   # site 0 at (0.5, 0, 0), a point of the grids below
+    for plane in ("xy", "xz"):
+        grid = getattr(GridSpec, plane)(0.0, ((-1.0, 1.0), (-1.0, 1.0)), 101)
+        # the point is only an image of its orbit's representative (-0.5, 0, 0), which lies
+        # 6e-17 off site 1 (sin(pi) != 0), so the kernel alone never sees a zero distance
+        hits = [np.flatnonzero(np.all(grid.points() == r, axis=1)).tolist() for r in pair.positions]
+        assert hits == [[75 * 101 + 50], []]
+        with pytest.raises(SingularityError):
+            intensity_map(pair, spin_wave_state(pair, 0), grid)
+
+
+def _random_state(n):
+    rng = np.random.default_rng(n)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+# (build_ring arguments, spin wave m or None for random amplitudes, grid, points that the
+# field kernel receives)
+ORBIT_CASES = {
+    "xy-even-half-turn": ((50, 0.4, "tangential"), 5, GridSpec.xy(0.13, ((-2.0, 2.0),) * 2, 201),
+                          20201),
+    "xy-even-plane-of-the-ring": ((8, 0.3, "radial"), 2, GridSpec.xy(0.0, ((-1.0, 1.0),) * 2, 41),
+                                  (41 ** 2 + 1) // 2),
+    "xz-centre": ((12, 0.3, "transverse"), 3, GridSpec.xz(0.0, ((-1.0, 1.0),) * 2, 73), 37 ** 2),
+    "yz-centre": ((12, 0.3, "radial"), 2, GridSpec.yz(0.0, ((-1.0, 1.0),) * 2, 41), 21 ** 2),
+    "xz-off-centre-mirror": ((12, 0.3, "tangential"), -4,
+                             GridSpec.xz(0.1, ((-1.0, 1.0), (-0.5, 0.5)), 41), 41 * 21),
+    "xy-odd-ring": ((11, 0.3, "tangential"), 3, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41), 41 ** 2),
+    "xy-random-state": ((12, 0.3, "tangential"), None, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41),
+                        41 ** 2),
+    "xy-off-centre-ring": ((12, 0.3, "tangential", (0.2, 0.0, 0.0)), 3,
+                           GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41), 41 ** 2),
+}
+
+
+@pytest.fixture
+def kernel_points(monkeypatch):
+    """The number of points of each radiated_field call that intensity_map makes."""
+    received = []
+
+    def spy(points, *args):
+        received.append(len(points))
+        return radiated_field(points, *args)
+
+    monkeypatch.setattr(fieldmap, "radiated_field", spy)
+    return received
+
+
+def _every_point(array, state, grid):
+    field, nearest = radiated_field(grid.points(), array.positions, array.dipoles, state)
+    shape = (grid.res1, grid.res2)
+    return np.sum(np.abs(field) ** 2, axis=1).reshape(shape), nearest.reshape(shape)
+
+
+@pytest.mark.parametrize("case", ORBIT_CASES)
+def test_intensity_map_on_symmetry_orbits_matches_every_point(case, kernel_points):
+    args, m, grid, evaluated = ORBIT_CASES[case]
+    ring = build_ring(*args)
+    state = _random_state(ring.n) if m is None else spin_wave_state(ring, m)
+    expected, nearest = _every_point(ring, state, grid)
+    fmap = intensity_map(ring, state, grid)
+    assert kernel_points == [evaluated]
+    assert np.max(np.abs(fmap.values - expected)) <= 1e-12 * np.max(expected)
+    assert np.array_equal(fmap.mask, nearest <= fieldmap._mask_radius(ring))
+
+
+def test_intensity_map_without_ring_metadata_evaluates_every_point(kernel_points):
+    ring = build_ring(12, 0.3, "tangential")
+    plain = EmitterArray(ring.positions, ring.dipoles)
+    state = spin_wave_state(ring, 3)
+    grid = GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 21)
+    assert np.array_equal(intensity_map(plain, state, grid).values, _every_point(ring, state, grid)[0])
+    assert kernel_points == [21 ** 2]

@@ -625,6 +625,7 @@ def test_threads_is_an_upper_bound_on_the_pool_size(monkeypatch):
             super().__init__(min(max_workers, 3), **kwargs)
 
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(spectrum, "_FORK_WORK", 0)   # fork these small chain scans too
     min_decay_scan("chain", [4, 5, 6], 3.0, threads=10**6)
     fidelity_scan(6, 0.1, "tangential", 2, [0.1, 0.2, 0.3], [1.0], t_max=5.0, t_steps=10,
                   threads=10**6)

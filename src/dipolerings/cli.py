@@ -285,12 +285,12 @@ def cmd_coupling(cfg: RunConfig):
 
 def cmd_fidelity(cfg: RunConfig):
     system = _build_system(cfg)
-    h = assemble_heff(system)
     site = cfg.center_site if cfg.center_site >= 0 else farthest_site(system, 0)
     psi0 = gaussian_packet(system, 0, site, cfg.m, cfg.delta_theta)
-    horizon = cfg.t_max or default_horizon(ring_ring_coupling(system, h), cfg.m)
+    # the inter-ring block and the orbit rows of h, never the whole of it
+    horizon = cfg.t_max or default_horizon(ring_ring_coupling(system), cfg.m)
     times = np.linspace(0.0, horizon, cfg.t_steps)
-    trace = fidelity_trace(system, psi0, cfg.m, cfg.delta_theta, times, h=h)
+    trace = fidelity_trace(system, psi0, cfg.m, cfg.delta_theta, times)
     return "trace", _table(t=trace.times, fidelity=trace.fidelity, argmax_site=trace.argmax_site)
 
 

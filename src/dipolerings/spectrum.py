@@ -309,11 +309,12 @@ def _min_rate(kind: str, d: float, polarization, n: int) -> float:
     return float(np.min(-2.0 * np.imag(lambdas)))
 
 
-# Chain scans fork their pool only above this much eigvals work, the sum over sizes of the
-# parity blocks' side^3.  On a 2-vCPU Xeon a two-worker pool costs 20-25 ms and eigvals runs
-# 1.2e8 side^3/s at side 100, so two workers pay off above about 2 * 1.2e8 * 0.02 = 5e6.  The
-# CLI's default chains 10-30 are 5.4e4 (11 ms in this process, 25-50 ms forked); sizes
-# 100-400 step 20 are 8.8e7.
+# Chain and fixed-dipole ring scans fork their pool only above this much eigvals work, the
+# sum over sizes of side^3 of each eigvals call: a chain's two parity blocks, a ring's whole
+# h.  On a 2-vCPU Xeon a two-worker pool costs 20-25 ms and eigvals runs 1.2e8 side^3/s at
+# side 100, so two workers pay off above about 2 * 1.2e8 * 0.02 = 5e6.  The CLI's default
+# chains 10-30 are 5.4e4 (11 ms in this process, 25-50 ms forked), and rings 10-30 with a
+# fixed dipole 2.1e5; chains 100-400 step 20 are 8.8e7.
 _FORK_WORK = 5e6
 
 
@@ -326,8 +327,9 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
     Rings with a symmetric polarization scheme take their rates from ring_spectrum, one
     FFT per size, in this process; rings with a fixed dipole vector from the eigenvalues
     of the full h.  Chains take `polarization`, 'transverse' (z) or a dipole 3-vector, as
-    their common dipole and their rates from chain_spectrum, in this process when their
-    parity blocks' sum of side^3 is below _FORK_WORK; any other string raises ValueError.
+    their common dipole and their rates from chain_spectrum; any other string raises
+    ValueError.  Chains and fixed-dipole rings run in this process when their eigvals' sum
+    of side^3 (the parity blocks of a chain, the whole h of a ring) is below _FORK_WORK.
     No eigenvectors are computed.
     """
     if kind not in ("ring", "chain"):
@@ -342,8 +344,9 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
         polarization = (0.0, 0.0, 1.0)
     if kind == "ring" and isinstance(polarization, str) and polarization.lower() in SYMMETRIC_SCHEMES:
         threads = 1   # one FFT per size costs less than forking a worker
-    if kind == "chain" and sum(((n + 1) // 2) ** 3 + (n // 2) ** 3 for n in n_list) < _FORK_WORK:
-        threads = 1   # the parity blocks' eigvals cost less than forking the pool
+    work = (((n + 1) // 2) ** 3 + (n // 2) ** 3 if kind == "chain" else n**3 for n in n_list)
+    if sum(work) < _FORK_WORK:
+        threads = 1   # the eigvals cost less than forking the pool
     order = sorted(range(len(n_list)), key=n_list.__getitem__, reverse=True)
     rates = np.empty(len(n_list))
     rates[order] = _pool_map(functools.partial(_min_rate, kind, d, polarization),

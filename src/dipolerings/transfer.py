@@ -44,7 +44,12 @@ def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> Ring
         raise ValueError("need exactly two equal-size ring groups")
     idx1, idx2 = (np.asarray(g) for g in array.groups)
     block = _couplings(array, idx1, idx2) if h is None else h[np.ix_(idx1, idx2)]
-    n = len(idx1)
+    return _block_coupling(array, block)
+
+
+def _block_coupling(array: EmitterArray, block: np.ndarray) -> RingRingCoupling:
+    """ring_ring_coupling from the (N, N) inter-ring block h[ring 1][:, ring 2]."""
+    n = len(block)
     th1 = array.ring_meta[0].angles
     th2 = array.ring_meta[1].angles
     ms = canonical_m_range(n)
@@ -119,25 +124,62 @@ class Propagation:
     method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
 
 
-# Largest |S h S^T - h| / max|h| at which a site involution S counts as a symmetry of h.
+# Largest |S h S^T - h| / max|h| at which a site involution S counts as a symmetry of a
+# caller's h.
 SYMMETRY_RTOL = 1e-10
+# Largest mismatch, relative to the array's extent about its centroid (positions) or to its
+# largest dipole component, at which a coordinate flip realises a declared site involution.
+_FLIP_RTOL = 1e-12
+# The eight diagonal +-1 coordinate flips F.
+_FLIPS = np.array([[x, y, z] for x in (1.0, -1.0) for y in (1.0, -1.0) for z in (1.0, -1.0)])
 
 
-def _symmetry_group(array: EmitterArray | None, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _realised(array: EmitterArray, perm: np.ndarray, sign: np.ndarray) -> bool:
+    """Whether a flip F of _FLIPS about the centroid c maps each site onto its image,
+    c + F (r_i - c) = r_perm[i] and F p_i = sign_i p_perm[i], to _FLIP_RTOL: O(n) per flip.
+    Then S h S^T = h for the h of the array, since G(F r) = F G(r) F."""
+    rel = array.positions - array.positions.mean(axis=0)
+    dip = array.dipoles
+    moved = np.abs(_FLIPS[:, None] * rel - rel[perm]).max(axis=(1, 2), initial=0.0)
+    turned = np.abs(_FLIPS[:, None] * dip - sign[:, None] * dip[perm]).max(axis=(1, 2),
+                                                                           initial=0.0)
+    return bool(np.any((moved <= _FLIP_RTOL * np.abs(rel).max(initial=0.0))
+                       & (turned <= _FLIP_RTOL * np.abs(dip).max(initial=0.0))))
+
+
+def _symmetry_group(array: EmitterArray | None,
+                    h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The site symmetries of h as the group G = (perms, signs) of _sectors, each (|G|, n).
 
     The generators are those the array's builder declared (array.symmetries: sigma_y and C2
-    of a site-site ring pair, sigma_y of a site-edge pair), each kept where S h S^T = h to
-    SYMMETRY_RTOL, so an h that lacks one gives the smaller group.  Without an array, or
-    without a kept generator, G is the identity and its one sector is Q = I.
+    of a site-site ring pair, sigma_y of a site-edge pair).  A caller's h keeps each where
+    S h S^T = h to SYMMETRY_RTOL, an O(n^2) residual; without h, the h of the array is meant,
+    and each is kept where a coordinate flip realises it (_realised), O(n), so h is never
+    read.  An h or an array that lacks a generator gives the smaller group.  Without an
+    array, or without a kept generator, G is the identity and its one sector is Q = I.
     """
-    perms, signs = np.arange(len(h))[None], np.ones((1, len(h)))
+    n = array.n if h is None else len(h)
+    perms, signs = np.arange(n)[None], np.ones((1, n))
     for perm, sign in array.symmetries if array is not None else ():
-        # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
-        residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
-        if residual.max() <= SYMMETRY_RTOL * np.abs(h).max():   # gen after each element of G
+        if h is None:
+            kept = _realised(array, perm, sign)
+        else:
+            # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
+            residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
+            kept = residual.max() <= SYMMETRY_RTOL * np.abs(h).max()
+        if kept:                                                  # gen after each element of G
             perms, signs = np.r_[perms, perm[perms]], np.r_[signs, signs * sign[perms]]
     return perms, signs
+
+
+def _orbit_rows(array: EmitterArray | None, h: np.ndarray | None = None, extra=()) -> tuple:
+    """(sectors, sites, rows): the sectors of the symmetry group of h (_symmetry_group) and
+    rows = h[sites] for the ascending sites of every orbit representative and of `extra`.
+    Without h the rows come from _couplings, the same bits as those rows of the full h."""
+    sectors = _sectors(*_symmetry_group(array, h))
+    sites = np.union1d(np.concatenate([s[0] for s in sectors]), np.asarray(extra, dtype=int))
+    rows = _couplings(array, sites) if h is None else h[sites]
+    return sectors, sites, rows
 
 
 # Row spacing of the exact np.exp anchors of the phase table (see _phases).
@@ -152,50 +194,68 @@ def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
     Every _ANCHOR_ROWS-th row is an exact np.exp; each row between is the row before times
     e^{-i vals dt}, one factor per distinct step dt of the grid, so a linspace of T points
     costs about T/_ANCHOR_ROWS + 13 rows of exp, and re-anchoring keeps the product's error
-    from growing with the number of steps.  Where the analytic magnitude e^{Im(vals) t} is
-    below 2^-511 (sqrt tiny, far below the n eps cond(V) round-off floor of a fidelity) the
-    entry is exactly 0, so no product with it is subnormal; columns with Im(vals) >= 0 keep
-    every row.
+    from growing with the number of steps.  The products run as one strided multiply per
+    offset within a block of rows.  Where the analytic magnitude e^{Im(vals) t} is below
+    2^-511 (sqrt tiny, far below the n eps cond(V) round-off floor of a fidelity) the entry
+    is exactly 0, so no product with it is subnormal; columns with Im(vals) >= 0 keep every
+    row.
     """
     table = np.empty((len(times), len(vals)), dtype=complex)
     steps, step_of = np.unique(np.diff(times), return_inverse=True)
     factors = np.exp(np.outer(steps, -1j * vals))
     table[::_ANCHOR_ROWS] = np.exp(np.outer(times[::_ANCHOR_ROWS], -1j * vals))
-    for row in range(1, len(times)):
-        if row % _ANCHOR_ROWS:
-            np.multiply(table[row - 1], factors[step_of[row - 1]], out=table[row])
+    for offset in range(1, min(_ANCHOR_ROWS, len(times))):
+        rows = table[offset::_ANCHOR_ROWS]                   # each from the row before it
+        before = slice(offset - 1, offset - 1 + _ANCHOR_ROWS * len(rows), _ANCHOR_ROWS)
+        np.multiply(table[before], factors[step_of[before]], out=rows)
     decaying = np.flatnonzero(np.imag(vals) < 0)
     tails = np.searchsorted(times, _LOG_PHASE_FLOOR / np.imag(vals[decaying]), side="right")
-    for col, start in zip(decaying, tails):
-        table[start:, col] = 0.0
+    inside = tails < len(times)
+    if np.any(inside):
+        # one mask over the rows from the first tail on, True from the first row of each
+        # tail: that row set, then carried down (a broadcast comparison adds ufunc buffers)
+        first = tails[inside].min()
+        mask = np.zeros((len(times) - first, len(vals)), dtype=bool)
+        mask[tails[inside] - first, decaying[inside]] = True
+        np.logical_or.accumulate(mask, axis=0, out=mask)
+        np.copyto(table[first:], 0.0, where=mask)
     return table
 
 
-def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times: np.ndarray,
-            targets: list[np.ndarray]):
+def _evolve(array: EmitterArray | None, h: np.ndarray | None, psi0s: np.ndarray,
+            times: np.ndarray, basis: np.ndarray, weights: list, orbit: tuple | None = None):
     """Factor h once per sector of the symmetries that array declares and h has (see
     _symmetry_group) for all initial states psi_j = psi0s[:, j]: the method ('eig' or
-    'ode'), cond(V), and lazily per j the (t, k) overlaps <T_jk|psi_j(t)> with T_j = targets[j].
+    'ode'), cond(V), and lazily per j the (t, k) overlaps psi_j(t)^T C_j, where
+    weights[j] = (cols_j, R_j) gives C_j = basis[:, cols_j] @ R_j, or basis[:, cols_j] when
+    R_j is None (the overlaps <T_jk|psi_j(t)> for C_j = conj(T_j); see _target_factors).
 
-    Each block Q_s^T h Q_s comes from the rows h[reps] of the orbit representatives alone and
-    is factored by eig into W_s; V = [Q_s W_s] is never formed (see _block and _project).
-    Q is orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
-    The overlaps are phases @ (a_j W^T Q^T conj(T_j)) with W_s a_s = Q_s^T psi_j solved per
-    sector (W_s^{-1} is not W_s^T/norms on degenerate +-m pairs), so the (t, n) states are
-    never built; the (t, n) table e^{-i lambda t} is exact exp anchors joined by running
-    products, with tails below sqrt(tiny) zeroed (see _phases).  When cond(V) > 1e8 each
-    psi_j is integrated under the full h (DOP853).
+    Each block Q_s^T h Q_s comes from the rows of the orbit representatives alone and is
+    factored by eig into W_s; V = [Q_s W_s] is never formed (see _block and _project).  The
+    rows are orbit = _orbit_rows(array, h) unless the caller passes them; with h = None they
+    come from _couplings, and the full h is assembled only for the ODE fallback.  Q is
+    orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
+    Z = V^T basis = [W_s^T Q_s^T basis] is formed once for all j, and the overlaps are
+    (phases @ (a_j Z[:, cols_j])) @ R_j with W_s a_s = Q_s^T psi_j solved per sector
+    (W_s^{-1} is not W_s^T/norms on degenerate +-m pairs), one j at a time, so the (t, n)
+    states are never built; the (t, n) table e^{-i lambda t} is exact exp anchors joined by
+    running products, with tails below sqrt(tiny) zeroed (see _phases).  When
+    cond(V) > 1e8 each psi_j is integrated under the full h (DOP853), and its states are
+    multiplied by the same basis[:, cols_j] and R_j.
     """
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
-    h = np.asarray(h, dtype=complex)
+    if h is not None:
+        h = np.asarray(h, dtype=complex)
     psi0s = np.asarray(psi0s, dtype=complex)
-    sectors = _sectors(*_symmetry_group(array, h))
-    blocks = [np.linalg.eig(_block(s, h[s[0]])) for s in sectors]   # s[0]: the orbit reps
+    sectors, sites, rows = orbit if orbit is not None else _orbit_rows(array, h)
+    blocks = [np.linalg.eig(_block(s, rows[np.searchsorted(sites, s[0])])) for s in sectors]
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
     if cond > 1e8:
         from scipy.integrate import solve_ivp   # ~0.5 s to import; only this fallback runs it
+        if h is None:
+            h = assemble_heff(array)
 
         def integrate(psi0):
             sol = solve_ivp(
@@ -204,13 +264,19 @@ def _evolve(array: EmitterArray | None, h: np.ndarray, psi0s: np.ndarray, times:
             if not sol.success:
                 raise ArithmeticError(f"direct integration failed: {sol.message}")
             return sol.y.T
-        return "ode", cond, (integrate(psi0) @ np.conj(target)
-                             for psi0, target in zip(psi0s.T, targets))
+        return "ode", cond, (_chain(integrate(psi0), basis[:, cols], r)
+                             for psi0, (cols, r) in zip(psi0s.T, weights))
     a = np.vstack([np.linalg.solve(w, _project(s, psi0s)) for s, (_, w) in zip(sectors, blocks)])
     phases = _phases(times, np.concatenate([vals for vals, _ in blocks]))
-    return "eig", cond, (phases @ (a_j[:, None] * np.vstack([
-        w.T @ _project(s, conj) for s, (_, w) in zip(sectors, blocks)]))
-        for a_j, conj in zip(a.T, map(np.conj, targets)))
+    z = np.vstack([w.T @ _project(s, basis) for s, (_, w) in zip(sectors, blocks)])
+    return "eig", cond, (_chain(phases, a_j[:, None] * z[:, cols], r)
+                         for a_j, (cols, r) in zip(a.T, weights))
+
+
+def _chain(left: np.ndarray, right: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+    """(left @ right) @ r, or left @ right where r is None."""
+    product = left @ right
+    return product if r is None else product @ r
 
 
 def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
@@ -223,7 +289,7 @@ def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     """
     times = np.asarray(times, dtype=float)
     method, _, states = _evolve(None, h, np.reshape(psi0, (-1, 1)), times,
-                                [np.eye(len(psi0))])
+                                np.eye(len(psi0)), [(slice(None), None)])
     return Propagation(times=times, states=next(states), method=method)
 
 
@@ -245,22 +311,63 @@ def _targets(array: EmitterArray, m: int, delta_thetas) -> list[np.ndarray]:
     return [_packets(array, 1, centers, -m, float(dt)) for dt in delta_thetas]
 
 
+def _target_factors(array: EmitterArray, m: int, delta_thetas) -> tuple[np.ndarray, list]:
+    """conj(T_j) of the _targets of each width j as (basis, weights) for _evolve, through the
+    ring-2 momenta where that is cheaper; n = 2N is the number of emitters.
+
+    The N packets of one width share one envelope c_{(l-k) mod N} (chord distances from ring-2
+    site 0, normalized), so conj(T_jk)[l] = e^{i m theta_l} c_{l-k} on ring-2 site l, and with
+    c^ = DFT(c): conj(T_j) = L R_j, L[l, q] = e^{i m theta_l} e^{2 pi i q l / N} and
+    R_j[q, k] = c^_q e^{-2 pi i q k / N} / N.  A momentum with |c^_q| <= log2(N) eps c^_0, the
+    envelope FFT's own round-off, is dropped; S_j are the momenta kept.  A width with
+    |S_j| (n + N) >= n N, for which the (t, n)(n, |S_j|) and (t, |S_j|)(|S_j|, N) products cost
+    at least the explicit (t, n)(n, N) one, keeps conj(T_j) as its own basis columns and
+    R_j = None.  The basis holds L at the union of the kept momenta, then those targets.
+    """
+    idx = np.asarray(array.groups[1])
+    n_ring, sites = len(idx), np.arange(len(idx))
+    spectra = [np.fft.fft(_packets(array, 1, sites[:1], 0, float(dt))[idx, 0])
+               for dt in delta_thetas]
+    # a NaN momentum (an envelope out of range) is kept, so the NaN reaches the overlaps
+    kept = [~(np.abs(c) <= np.log2(n_ring) * np.finfo(float).eps * np.abs(c[0])) for c in spectra]
+    cheaper = [np.count_nonzero(k) * (array.n + n_ring) < array.n * n_ring for k in kept]
+    qs = np.flatnonzero(np.any([k & c for k, c in zip(kept, cheaper)], axis=0))
+    fourier = np.zeros((array.n, len(qs)), dtype=complex)
+    fourier[idx] = (np.exp(1j * m * array.ring_meta[1].angles)[:, None]
+                    * np.exp(2j * np.pi * (np.outer(sites, qs) % n_ring) / n_ring))
+    columns, weights = [fourier], []
+    for dt, c, k, momentum in zip(delta_thetas, spectra, kept, cheaper):
+        if momentum:
+            q = np.flatnonzero(k)
+            weights.append((np.searchsorted(qs, q), c[q, None] / n_ring
+                            * np.exp(-2j * np.pi * (np.outer(q, sites) % n_ring) / n_ring)))
+        else:
+            start = sum(part.shape[1] for part in columns)
+            columns.append(np.conj(_targets(array, m, [dt])[0]))
+            weights.append((slice(start, start + n_ring), None))
+    return np.hstack(columns), weights
+
+
 def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: float,
                    times, h: np.ndarray | None = None) -> FidelityTrace:
     """Fidelity of transfer into a momentum-reversed packet on ring 2.
 
     F(t) = max_k |<Psi_{2,k}^{-m} | Psi(t)>| with the target packets built with
     the same angular spread as the initial state and the overlap taken against
-    the unnormalized evolved state (photon loss lowers F).
+    the unnormalized evolved state (photon loss lowers F).  Without h only the rows of h
+    at one site per orbit of the array's declared and realised symmetries are built
+    (_orbit_rows), and the full h only if the eigenvectors are ill-conditioned; a caller's
+    h is checked against each declared symmetry (_symmetry_group).  The one width keeps
+    its explicit targets rather than _target_factors: the trace reports F at every step,
+    down to the round-off of F(0), whose digits follow the order of the sums.
     """
-    if h is None:
-        h = assemble_heff(array)
     times = np.asarray(times, dtype=float)
-    method, cond, overlaps = _evolve(array, h, np.reshape(psi0, (-1, 1)), times,
-                                     _targets(array, m, [delta_theta]))
+    targets = np.conj(_targets(array, m, [delta_theta])[0])
+    method, cond, overlaps = _evolve(array, h, np.reshape(psi0, (-1, 1)), times, targets,
+                                     [(slice(None), None)])
     overlaps = np.abs(next(overlaps))                        # (t, k)
     fid = np.max(overlaps, axis=1)
-    floor = len(h) * np.finfo(float).eps * (cond if method == "eig" else 1.0)
+    floor = array.n * np.finfo(float).eps * (cond if method == "eig" else 1.0)
     best = np.argmax(overlaps >= (fid - floor)[:, None], axis=1)   # ties within floor: lowest
     return FidelityTrace(times=times, fidelity=fid, argmax_site=np.where(fid > floor, best, -1),
                          method=method, cond=cond)
@@ -302,16 +409,25 @@ class FidelityScan:
 def _separation_peaks(arrangement: str, n: int, d: float, polarization, m: int,
                       dts: np.ndarray, t_max: float | None, t_steps: int, x: float) -> tuple:
     """(max_t F, t at max, widths, method, cond(V)) of one fidelity_scan separation x,
-    module level so that it pickles."""
+    module level so that it pickles.  The couplings are the rows of h at the orbit
+    representatives and, for the default horizon, at ring 1 (_orbit_rows)."""
     system = build_two_rings(arrangement, n, d, float(x), polarization)
-    h = assemble_heff(system)
-    horizon = t_max if t_max is not None else default_horizon(ring_ring_coupling(system, h), m)
+    ring1, ring2 = system.groups
+    orbit = _orbit_rows(system, extra=ring1 if t_max is None else ())
+    if t_max is None:
+        sites, rows = orbit[1:]
+        block = rows[np.ix_(np.searchsorted(sites, ring1), ring2)]   # h[ring 1][:, ring 2]
+        horizon = default_horizon(_block_coupling(system, block), m)
+    else:
+        horizon = t_max
     times = np.linspace(0.0, horizon, t_steps)
     k0_site = farthest_site(system, ring=0)
     psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
                                              delta_theta=float(dt)) for dt in dts])
-    method, cond, overlaps = _evolve(system, h, psi0s, times, _targets(system, m, dts))
-    fid = np.column_stack([np.max(np.abs(o), axis=1) for o in overlaps])   # (t, width)
+    basis, weights = _target_factors(system, m, dts)
+    method, cond, overlaps = _evolve(system, None, psi0s, times, basis, weights, orbit)
+    # (t, width); map drops each width's (t, N) overlaps before the next one is formed
+    fid = np.column_stack(list(map(lambda o: np.max(np.abs(o), axis=1), overlaps)))
     peak = np.argmax(fid, axis=0)
     return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,
             method, cond)
@@ -323,11 +439,13 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     """Scan max_t F over ring separation and initial packet width.
 
     The packet starts on ring 1 at the site farthest from ring 2.  For each
-    separation the system is built and h factored once per symmetry sector; all widths are
-    propagated together on a uniform time grid of t_steps points up to t_max
-    (default 20 pi / |J_{m,-m}|).  methods and conds record each separation's
-    solver path and cond(V), as FidelityTrace does for one trace.  The separations run on
-    at most `threads` worker processes (spectrum._pool_map).
+    separation the system is built, the rows of h at its orbit representatives (and at
+    ring 1, for the default horizon) are computed and h is factored once per symmetry
+    sector; all widths are propagated together on a uniform time grid of t_steps points up
+    to t_max (default 20 pi / |J_{m,-m}|), their overlaps with the ring-2 targets taken in
+    ring-2 momentum space where that is cheaper (_target_factors).  methods and conds record
+    each separation's solver path and cond(V), as FidelityTrace does for one trace.  The
+    separations run on at most `threads` worker processes (spectrum._pool_map).
     """
     x_values = np.asarray(x_values, dtype=float)
     dts = np.asarray(delta_theta_values, dtype=float)

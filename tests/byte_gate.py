@@ -95,6 +95,13 @@ CI_SMOKE = [
                                                 "geometry.n=100",
                                                 "geometry.polarization=transverse",
                                                 "geometry.x=0.3", "physics.m=22")]),
+    *((f"ci-fidelity-scan-{n}-{arrangement}.json",
+       ["fidelity-scan", "--format", "json",
+        *sets(f"geometry.arrangement={arrangement}", f"geometry.n={n}",
+              "geometry.polarization=tangential", "physics.m=3", "physics.x_min=0.1",
+              "physics.x_max=0.3", "physics.x_points=2", "physics.dtheta_min=0.05",
+              "physics.dtheta_max=2.5", "physics.dtheta_points=4", "physics.t_steps=400")])
+      for n in (25, 41) for arrangement in ("site-site", "site-edge")),
     ("ci-fidelity-default.csv", ["fidelity", *sets("physics.t_steps=50")]),
     ("ci-console-spectrum.csv", ["spectrum", *sets("geometry.n=12",
                                                    "geometry.polarization=tangential")]),

@@ -225,10 +225,13 @@ def test_min_decay_scan_basics():
 
 def test_min_decay_scan_threaded_matches_serial():
     # FFT rings, fixed-dipole rings and even and odd chains; shuffled sizes with a repeat.
-    # The first chain scan runs in this process, the second is past the fork threshold.
+    # The first scan of each fixed-dipole ring and chain runs in this process, the second is
+    # past the fork threshold.
     cases = [("ring", [8, 12, 16], "transverse"), ("ring", [9, 6, 12, 6], (1.0, 0.0, 0.0)),
+             ("ring", [171, 12, 180, 12], (1.0, 0.0, 0.0)),
              ("chain", [41, 10, 40, 10, 25], "transverse"),
              ("chain", [300, 41, 10, 299, 10], "transverse")]
+    assert sum(n**3 for n in cases[2][1]) > spectrum._FORK_WORK
     assert sum(((n + 1) // 2) ** 3 + (n // 2) ** 3 for n in cases[-1][1]) > spectrum._FORK_WORK
     for kind, sizes, pol in cases:
         serial = min_decay_scan(kind, sizes, 3.0, pol)
@@ -251,9 +254,13 @@ def test_no_pool_for_ring_ffts_or_without_the_blas_setter(monkeypatch):
     for pol in ("transverse", "Tangential", "radial"):
         assert np.array_equal(min_decay_scan("ring", [8, 12, 16], 3.0, pol, threads=2),
                               min_decay_scan("ring", [8, 12, 16], 3.0, pol))
-    # the CLI's default chains 10-30, below the fork threshold
+    # the CLI's default chains 10-30, and rings 10-30 with a fixed dipole, below the fork
+    # threshold
     assert np.array_equal(min_decay_scan("chain", range(10, 31), 3.0, threads=2),
                           min_decay_scan("chain", range(10, 31), 3.0))
+    for dipole in ((1.0, 0.0, 0.0), (0.3, 0.4, 0.5)):
+        assert np.array_equal(min_decay_scan("ring", range(10, 31), 3.0, dipole, threads=2),
+                              min_decay_scan("ring", range(10, 31), 3.0, dipole))
     monkeypatch.setattr(spectrum, "_blas_threads", lambda: None)
     monkeypatch.setattr(spectrum, "_FORK_WORK", 0)   # a scan that would fork with the setter
     assert np.array_equal(min_decay_scan("chain", [10, 21], 3.0, threads=2), expected)

@@ -430,9 +430,10 @@ PAIR_DIPOLES = {**{scheme: scheme for scheme in SYMMETRIC_SCHEMES}, "circular": 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
 def test_declared_pair_symmetries_match_the_geometric_search(arrangement, dipole, n):
     pair, h = _pair_and_h(arrangement, n, PAIR_DIPOLES[dipole])
-    perms, signs = transfer._symmetry_group(pair, h)
     expected_perms, expected_signs = geometric_symmetry_group(pair, h)
-    assert np.array_equal(perms, expected_perms) and np.array_equal(signs, expected_signs)
+    # with a caller's h (the residual check) and without one (the coordinate flips)
+    for perms, signs in (transfer._symmetry_group(pair, h), transfer._symmetry_group(pair)):
+        assert np.array_equal(perms, expected_perms) and np.array_equal(signs, expected_signs)
     # a copy with the same sites and dipoles but no declaration has only the identity
     plain = EmitterArray(pair.positions, pair.dipoles, pair.groups, pair.ring_meta)
     perms, signs = transfer._symmetry_group(plain, h)
@@ -591,6 +592,31 @@ def test_phases_allocate_only_their_table():
     assert peak - table.nbytes < table.nbytes / 8
 
 
+def _phases_row_by_row(times, vals):
+    """The phase table by one product per row and one zeroed tail per column: the same
+    arithmetic as _phases, written as loops."""
+    table = np.empty((len(times), len(vals)), dtype=complex)
+    steps, step_of = np.unique(np.diff(times), return_inverse=True)
+    factors = np.exp(np.outer(steps, -1j * vals))
+    anchors = transfer._ANCHOR_ROWS
+    table[::anchors] = np.exp(np.outer(times[::anchors], -1j * vals))
+    for row in range(1, len(times)):
+        if row % anchors:
+            table[row] = table[row - 1] * factors[step_of[row - 1]]
+    for col in np.flatnonzero(np.imag(vals) < 0):
+        limit = transfer._LOG_PHASE_FLOOR / np.imag(vals[col])
+        table[np.searchsorted(times, limit, side="right"):, col] = 0.0
+    return table
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 1e4, 2000), np.linspace(0.0, 30.0, 130),
+                                   [0.0, 1.0, 3.0], [0.0, 2.0, 2.0, 5.0], [4.0], []],
+                         ids=["linspace", "short", "steps-1-2", "repeated", "one", "none"])
+def test_phases_are_the_row_by_row_products(times):
+    times = np.asarray(times, dtype=float)
+    assert np.array_equal(transfer._phases(times, _VALS), _phases_row_by_row(times, _VALS))
+
+
 def test_fidelity_scan_matches_a_dense_eig_time_axis_at_a_long_horizon():
     # site-edge transverse at x = 0.3: the default horizon for m = 10 is 2.1e5, and 30 of
     # the 80 phases fall below 2^-511 on the way
@@ -664,3 +690,140 @@ def test_mirror_image_sites_tie_to_the_lower_index(arrangement):
     lit = trace.argmax_site >= 0
     assert np.count_nonzero(lit) == len(times) - 1
     assert np.all(trace.argmax_site[lit] <= mirror[trace.argmax_site[lit]])
+
+
+MOMENTUM_WIDTHS = [0.05, 0.3, 2.5]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 40, 101])
+@pytest.mark.parametrize("dipole", ["transverse", "tangential", "radial", "tilted"])
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_momentum_targets_match_the_explicit_targets_and_the_oracles(arrangement, dipole, n):
+    polarization = PAIR_DIPOLES[dipole]
+    pair, h = _pair_and_h(arrangement, n, polarization)
+    eps, m, times = np.finfo(float).eps, 3, np.linspace(0.0, 30.0, 200)
+    basis, weights = transfer._target_factors(pair, m, MOMENTUM_WIDTHS)
+    momentum = [r is not None for _, r in weights]
+    # the narrowest packet keeps every momentum, so its explicit targets; from n = 40 the
+    # widest one takes the momentum path, and from n = 101 also dtheta = 0.3
+    assert momentum == [False, n >= 101, n >= 40]
+    for (cols, r), dt, targets in zip(weights, MOMENTUM_WIDTHS,
+                                      transfer._targets(pair, m, MOMENTUM_WIDTHS)):
+        factored = basis[:, cols] if r is None else basis[:, cols] @ r
+        assert np.max(np.abs(factored - np.conj(targets))) <= 2 * n * eps
+    # every overlap against the explicit targets on the same factorization: n eps cond(V)
+    site = farthest_site(pair, 0)
+    psi0s = np.column_stack([gaussian_packet(pair, 0, site, m, dt) for dt in MOMENTUM_WIDTHS])
+    method, cond, overlaps = transfer._evolve(pair, None, psi0s, times, basis, weights)
+    explicit = np.hstack([np.conj(t) for t in transfer._targets(pair, m, MOMENTUM_WIDTHS)])
+    _, _, expected = transfer._evolve(pair, None, psi0s, times, explicit,
+                                      [(slice(j * n, (j + 1) * n), None) for j in range(3)])
+    assert method == "eig"
+    for got, want in zip(overlaps, expected):
+        assert got.shape == want.shape == (len(times), n)
+        assert np.max(np.abs(got - want)) <= 2 * n * eps * cond
+    # the scan against both oracles: the same floor, plus the eps |lambda| t_max that the
+    # round-off of each eigenvalue adds to its phase over the horizon in every method
+    args = (n, 0.1, polarization, m, [0.15], MOMENTUM_WIDTHS)
+    kwargs = dict(t_max=times[-1], t_steps=len(times), arrangement=arrangement)
+    scan = fidelity_scan(*args, **kwargs)
+    tol = 2 * n * eps * scan.conds[0] * (1.0 + times[-1] * np.abs(h).sum(axis=1).max())
+    for oracle in (fidelity_scan_from_states, fidelity_scan_from_dense_eig):
+        expected_f, expected_t = oracle(*args, **kwargs)
+        assert np.max(np.abs(scan.max_fidelity - expected_f)) <= tol
+        assert np.array_equal(scan.t_at_max, expected_t)
+
+
+def _spy_couplings(monkeypatch):
+    """Record the number of rows and columns of each _couplings call of transfer, and of
+    assemble_heff (which builds all of h) through spectrum."""
+    calls = []
+    for module in (transfer, spectrum):
+        couplings = module._couplings
+
+        def spy(array, rows=None, cols=None, _couplings=couplings):
+            calls.append((array.n if rows is None else len(rows),
+                          array.n if cols is None else len(cols)))
+            return _couplings(array, rows, cols)
+        monkeypatch.setattr(module, "_couplings", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, 7, 40, 41])
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_no_eig_path_separation_builds_all_rows_of_h(monkeypatch, arrangement, n):
+    args = (n, 0.1, "tangential", 2, [0.1, 0.2], [0.5, 2.5])
+    expected = {t_max: fidelity_scan_from_states(*args, t_max=t_max, t_steps=150,
+                                                 arrangement=arrangement)
+                for t_max in (None, 25.0)}
+    pair, h = _pair_and_h(arrangement, n, "tangential")
+    calls = _spy_couplings(monkeypatch)
+    # the orbit representatives: one per sigma_y and C2 orbit of a site-site pair, all in
+    # ring 1; one per sigma_y orbit of a site-edge pair, about half of them in ring 2
+    reps = (n + 2) // 2 if arrangement == "site-site" else n + 1
+    ring1_and_reps = n if arrangement == "site-site" else n + (n + 1) // 2
+    for t_max, (expected_f, expected_t) in expected.items():
+        scan = fidelity_scan(*args, t_max=t_max, t_steps=150, arrangement=arrangement)
+        assert scan.methods.tolist() == ["eig", "eig"]
+        # ring 1 joins the representatives only where the default horizon reads its block
+        rows = ring1_and_reps if t_max is None else reps
+        assert calls == [(rows, 2 * n)] * 2
+        calls.clear()
+        assert np.max(np.abs(scan.max_fidelity - expected_f)) < 1e-12
+        assert np.max(np.abs(scan.t_at_max - expected_t)) < 1e-12 * np.max(expected_t)
+    # fidelity_trace without h builds the representatives' rows, with h none
+    psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=2, delta_theta=1.0)
+    times = np.linspace(0.0, 40.0, 100)
+    trace = fidelity_trace(pair, psi0, 2, 1.0, times)
+    assert calls == [(reps, 2 * n)]
+    calls.clear()
+    given = fidelity_trace(pair, psi0, 2, 1.0, times, h=h)
+    assert calls == []
+    assert np.array_equal(trace.fidelity, given.fidelity)
+    assert np.array_equal(trace.argmax_site, given.argmax_site)
+
+
+def test_orbit_rows_are_the_rows_of_the_full_h():
+    for arrangement in ("site-site", "site-edge"):
+        for n in (1, 2, 7, 40):
+            for polarization in ("transverse", "tangential", "radial", (0.3, 0.4, 0.5)):
+                pair, h = _pair_and_h(arrangement, n, polarization)
+                ring1, ring2 = pair.groups
+                _, sites, rows = transfer._orbit_rows(pair, extra=ring1)
+                assert np.all(np.isin(ring1, sites))
+                assert np.array_equal(rows, h[sites])
+                block = rows[np.ix_(np.searchsorted(sites, ring1), ring2)]
+                assert np.array_equal(transfer._block_coupling(pair, block).lambda_mm,
+                                      ring_ring_coupling(pair, h).lambda_mm)
+
+
+def _unrealised(n):
+    """Declared generators of a site-site pair of n-site rings that no coordinate flip
+    realises: the site-edge mirror, whose ring-2 image is one site off, and the pair's
+    sigma_y with the sign of one mirror-image orbit of each ring flipped."""
+    sites = np.arange(n)
+    shifted = (np.r_[-sites % n, (-sites - 1) % n + n], np.ones(2 * n))
+    sign = np.ones(2 * n)
+    sign[[1, n - 1, n + 1, 2 * n - 1]] = -1.0
+    return {"shifted-mirror": shifted, "flipped-sign": (np.r_[-sites % n, -sites % n + n], sign)}
+
+
+@pytest.mark.parametrize("generator", ["shifted-mirror", "flipped-sign"])
+def test_a_declared_generator_that_no_flip_realises_is_dropped(generator):
+    n, m, dt = 10, 3, 1.0
+    pair = build_two_rings("site-site", n, 0.1, 0.15, "tangential")
+    declared = EmitterArray(pair.positions, pair.dipoles, pair.groups, pair.ring_meta,
+                            symmetries=(_unrealised(n)[generator],))
+    h = assemble_heff(declared)
+    perm, sign = declared.symmetries[0]
+    # the generator is no symmetry of h, so a sector built on it would be wrong
+    assert np.max(np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)) > 1e-3
+    for group in (transfer._symmetry_group(declared), transfer._symmetry_group(declared, h)):
+        assert np.array_equal(group[0], [np.arange(2 * n)])
+        assert np.array_equal(group[1], np.ones((1, 2 * n)))
+    psi0 = gaussian_packet(declared, 0, farthest_site(declared, 0), m, dt)
+    times = np.linspace(0.0, 60.0, 200)
+    trace = fidelity_trace(declared, psi0, m, dt, times)
+    targets = np.column_stack([gaussian_packet(declared, 1, k, -m, dt) for k in range(n)])
+    overlaps = np.abs(propagate(h, psi0, times).states @ np.conj(targets))
+    assert np.max(np.abs(trace.fidelity - overlaps.max(axis=1))) < 1e-12

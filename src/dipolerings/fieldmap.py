@@ -85,46 +85,34 @@ def _mask_radius(array: EmitterArray) -> float:
     return nearest / 4.0
 
 
-# The isometries about the frame's origin that a ring centred there may have, as diagonals:
-# the half-turn about z (site j -> j + N/2 of an even ring) and the mirror z -> -z (j -> j).
-_HALF_TURN = np.array([-1.0, -1.0, 1.0])
-_MIRROR = np.array([1.0, 1.0, -1.0])
-
-
 def _orbit_representatives(array: EmitterArray, state: np.ndarray, grid: GridSpec,
                            points: np.ndarray, tol: float) -> np.ndarray:
     """Per grid point, the lowest flat index of its orbit under the kept isometries.
 
-    A candidate D of the array's one ring, with its site map pi, is kept if the emitters
-    map onto themselves, positions[pi] = D positions and w[pi] = chi D w for w = c p and
-    one unit-modulus chi (to 1e-12 of max |w|), and if the grid's points map onto
-    themselves, D r_(i,j) = r at (i, j) with the index reversed along each grid axis that
-    D flips (to tol).  Then E(D r) = chi D E(r): |E|^2 and the nearest-emitter distance
-    are equal on an orbit.  Without ring metadata no candidate is kept.
+    The candidates are the array's declarations (flip D, site map pi), whose flips
+    EmitterArray checked on the positions about the centroid, so all of them are used only
+    if the centroid is at the grid's origin (to tol/8).  A candidate is kept if the
+    amplitudes map onto themselves, w[pi] = chi D w for w = c p and one unit-modulus chi (to
+    1e-12 of max |w|), and if the grid's points map onto themselves, D r_(i,j) = r at (i, j)
+    with the index reversed along each grid axis that D flips (to tol).  Then E(D r) =
+    chi D E(r): |E|^2 and the nearest-emitter distance are equal on an orbit.  An array
+    that declares nothing (a chain, or one built without declarations) has no candidate.
     """
     shape = (grid.res1, grid.res2)
     rep = np.arange(len(points)).reshape(shape)
-    metas = array.ring_meta
-    if len(metas) != 1 or metas[0] is None:
+    if np.abs(array.positions.mean(axis=0)).max() > tol / 8.0:
         return rep.reshape(-1)
-    candidates = [(_MIRROR, np.arange(array.n))]
-    if array.n % 2 == 0:
-        sites = np.asarray(array.groups[0])         # in ring order
-        half = np.empty_like(sites)
-        half[sites] = np.roll(sites, array.n // 2)
-        candidates.append((_HALF_TURN, half))
     w = state[:, None] * array.dipoles
     pts = points.reshape(*shape, 3)
-    for diag, perm in candidates:
+    for flip, perm in array.symmetries:
         flips = tuple(k for k, axis in enumerate((grid.axis1, grid.axis2))
-                      if axis @ (diag * axis) < 0)
-        turned_w = diag * w
+                      if axis @ (flip * axis) < 0)
+        turned_w = flip * w
         chi = np.exp(1j * np.angle(np.vdot(turned_w, w[perm])))
         if (flips
-                and np.max(np.abs(array.positions[perm] - diag * array.positions)) <= tol
                 and np.max(np.abs(w[perm] - chi * turned_w))
                 <= 1e-12 * np.max(np.abs(w), initial=0.0)
-                and np.max(np.abs(diag * pts - np.flip(pts, flips))) <= tol):
+                and np.max(np.abs(flip * pts - np.flip(pts, flips))) <= tol):
             rep = np.minimum(rep, np.flip(rep, flips))    # axis flips commute: whole orbits
     return rep.reshape(-1)
 
@@ -139,13 +127,14 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
 
     The field is evaluated at one point per symmetry orbit, the one with the lowest flat
     index, and its intensity and nearest-emitter distance are copied to the orbit's
-    other points.  The candidate symmetries are the half-turn about z (an even ring) and
-    the mirror z -> -z of a single ring's array; each is kept only if two O(N + P) checks
-    pass (_orbit_representatives): the emitters with their amplitudes map onto
-    themselves up to one phase, and the grid maps onto itself with its index reversed
-    along the axes the isometry flips, to 1e-12 of the largest coordinate.  An xy map
-    of an even ring halves the points, an xz or yz map through the centre quarters them;
-    an odd ring, an off-centre plane or a state without the symmetry evaluates every point.
+    other points.  The candidate symmetries are the coordinate flips that the array
+    declares (EmitterArray.symmetries: a ring's mirror z -> -z and, for even n, its
+    half-turn about z), used only if the array's centroid is the grid's origin; each is
+    kept only if two O(N + P) checks pass (_orbit_representatives): the amplitudes map onto
+    themselves up to one phase, and the grid maps onto itself with its index reversed along
+    the axes the flip reverses, to 1e-12 of the largest coordinate.  An xy map of an even
+    ring halves the points, an xz or yz map through the centre quarters them; an odd ring,
+    an off-centre plane or ring, or a state without the symmetry evaluates every point.
     """
     points = grid.points()
     state = np.asarray(state, dtype=complex)
@@ -154,9 +143,12 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
     own = rep == np.arange(len(rep))
     reps = np.flatnonzero(own)
     field, nearest = radiated_field(points[reps], array.positions, array.dipoles, state)
-    # An image on an emitter puts its representative within 2 sqrt(3) tol of one: evaluate
-    # those orbits whole, so that the kernel raises SingularityError as it would for the image.
-    close = reps[nearest <= 4.0 * tol]
+    # Per coordinate, a kept flip maps each emitter within 5 tol / 4 of its image about the
+    # origin (tol from EmitterArray's check about the centroid c, 2|c| <= tol / 4) and each
+    # grid point within tol of its image, one step per declared flip: an image on an emitter
+    # puts its representative within (9 / 4) sqrt(3) tol < 4 tol per declared flip of one.
+    # Evaluate those orbits whole, so that the kernel raises SingularityError as for the image.
+    close = reps[nearest <= 4.0 * len(array.symmetries) * tol]
     if len(close):
         radiated_field(points[np.isin(rep, close)], array.positions, array.dipoles, state)
     slot = (np.cumsum(own) - 1)[rep]

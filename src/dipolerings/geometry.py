@@ -30,13 +30,21 @@ class RingMeta:
 
 @dataclass
 class EmitterArray:
-    """Positions, dipoles, group metadata and declared site symmetries of N emitters."""
+    """Positions, dipoles, group metadata and declared site symmetries of N emitters.
+
+    Each entry of symmetries is a declaration (flip, perm): a diagonal +-1 coordinate flip F
+    about the centroid c and the site involution it induces, c + F (r_i - c) = r_perm[i].
+    A flip entry other than +-1, a perm that is not an involution of range(n) or perms that
+    do not commute raise ValueError; an entry whose flip does not map the positions onto
+    positions[perm] (to 1e-12 of the largest |coordinate|) is dropped.  The dipoles are left
+    to the readers: transfer._symmetry_group and fieldmap._orbit_representatives.
+    """
 
     positions: np.ndarray                     # (n, 3) float
     dipoles: np.ndarray                       # (n, 3) complex
     groups: list = field(default_factory=list)       # list of index arrays
     ring_meta: list = field(default_factory=list)    # RingMeta or None per group
-    symmetries: tuple = ()      # (perm, sign): commuting signed site involutions S, S h S^T = h
+    symmetries: tuple = ()      # (flip, perm): coordinate flips about the centroid, site maps
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -50,18 +58,23 @@ class EmitterArray:
         covered = np.sort(np.concatenate([np.asarray(g) for g in self.groups]))
         if not np.array_equal(covered, np.arange(self.n)):
             raise ValueError("groups must partition the emitter index range")
-        self.symmetries = tuple((np.asarray(p), np.asarray(s)) for p, s in self.symmetries)
-        identity = np.arange(self.n)
-        for k, (p, s) in enumerate(self.symmetries):     # S maps site i to s[i] times site p[i]
-            involution = (p.shape == s.shape == (self.n,) and p.dtype.kind in "iu"
-                          and np.array_equal(np.sort(p), identity)
-                          and np.array_equal(p[p], identity)
-                          and np.isin(s, (-1, 1)).all() and np.array_equal(s[p], s))
-            if not involution or not all(np.array_equal(q[p], p[q])
-                                         and np.array_equal(s * r[p], r * s[q])
-                                         for q, r in self.symmetries[:k]):
-                raise ValueError(f"symmetry {k} is not a signed site involution that commutes "
-                                 "with the ones before it")
+        if self.symmetries:
+            flips, perms = (np.array(column) for column in zip(*self.symmetries))
+            k, n, identity = len(perms), self.n, np.arange(self.n)
+            if not (flips.shape == (k, 3) and flips.dtype.kind in "iuf"
+                    and set(flips.ravel().tolist()) <= {-1, 1}
+                    and perms.shape == (k, n) and perms.dtype.kind in "iu"
+                    and perms.min() >= 0 and perms.max() < n
+                    and all((p.take(p) == identity).all() for p in perms)
+                    and all((p.take(q) == q.take(p)).all()
+                            for a, p in enumerate(perms) for q in perms[:a])):
+                raise ValueError("symmetries must be +-1 flips with commuting site involutions")
+            # r_perm[i] - c - F (r_i - c) of every declaration, on contiguous coordinate rows
+            cols = self.positions.T.copy()
+            rel = cols - (cols.sum(axis=1) / n)[:, None]
+            mismatch = rel.take(perms, axis=1) - flips.T[:, :, None] * rel[:, None]
+            kept = np.abs(mismatch).max(axis=(0, 2)) <= 1e-12 * np.abs(cols).max()
+            self.symmetries = tuple(zip(flips[kept].astype(float), perms[kept]))
 
     @property
     def n(self) -> int:
@@ -81,7 +94,9 @@ def build_ring(n: int, d: float, polarization="transverse",
 
     Site j (from 0) sits at angle 2*pi*j/n + angular_offset on the circle of radius
     d / (2 sin(pi/n)) about center.  polarization is one of the scheme names
-    ('transverse', 'tangential', 'radial') or a fixed orientation vector.
+    ('transverse', 'tangential', 'radial') or a fixed orientation vector.  The ring declares
+    (see EmitterArray) the mirror z -> -z of its plane, which fixes every site, and for even
+    n the half-turn about its axis, j -> j + n/2.
     """
     if n < 1:
         raise ValueError("need at least one emitter")
@@ -101,8 +116,10 @@ def build_ring(n: int, d: float, polarization="transverse",
     else:
         scheme, dipoles = "fixed", np.tile(unit_dipole(polarization), (n, 1))
     meta = RingMeta(center=center, radius=radius, angles=angles, scheme=scheme)
-    return EmitterArray(positions=positions, dipoles=dipoles,
-                        groups=[np.arange(n)], ring_meta=[meta])
+    sites = np.arange(n)
+    half_turn = [((-1, -1, 1), (sites + n // 2) % n)] if n % 2 == 0 else []
+    return EmitterArray(positions=positions, dipoles=dipoles, groups=[np.arange(n)],
+                        ring_meta=[meta], symmetries=(((1, 1, -1), sites), *half_turn))
 
 
 def build_chain(n: int, d: float, dipole=(0.0, 0.0, 1.0)) -> EmitterArray:
@@ -127,9 +144,9 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
     ring 2 has a site facing back at distance gap from ring 1's facing site.
     In the 'site-edge' arrangement ring 2 is additionally rotated by pi/n so an
     edge midpoint faces ring 1's site, with gap the site-to-midpoint distance
-    along the center line.  The pair declares (see EmitterArray) the mirror sigma_y and, for
-    site-site pairs and one-site rings, the C2 rotation j <-> j + n, each where its sign exists:
-    dipoles[perm] = sign * flip * dipoles site by site, with sign +-1.
+    along the center line.  The pair declares (see EmitterArray) the mirror sigma_y, y -> -y,
+    and, for site-site pairs and one-site rings, the C2 rotation about z, j <-> j + n; the
+    dipoles decide where each is a symmetry of h (transfer._symmetry_group).
     """
     if arrangement not in ("site-site", "site-edge"):
         raise ValueError(f"unknown arrangement {arrangement!r}")
@@ -149,18 +166,13 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
         offset2 = np.pi + np.pi / n
     ring2 = build_ring(n, d, polarization, center=(center2_x, 0.0, 0.0),
                        angular_offset=offset2)
-    dipoles, sites = np.vstack([ring1.dipoles, ring2.dipoles]), np.arange(n)
+    sites = np.arange(n)
     edge = 1 if arrangement == "site-edge" else 0
-    candidates = [(np.r_[-sites % n, (-sites - edge) % n + n], (1, -1, 1))]     # sigma_y
+    symmetries = [((1, -1, 1), np.r_[-sites % n, (-sites - edge) % n + n])]
     if arrangement == "site-site" or n == 1:
-        candidates.append((np.r_[sites + n, sites], (-1, -1, 1)))              # C2 about z
-    symmetries = []
-    for perm, flip in candidates:
-        turned = np.multiply(flip, dipoles)
-        sign = np.where(np.real(np.sum(np.conj(dipoles[perm]) * turned, axis=1)) < 0, -1.0, 1.0)
-        if np.all(np.abs(turned - sign[:, None] * dipoles[perm]) <= 1e-9):     # unit dipoles
-            symmetries.append((perm, sign))
-    return EmitterArray(positions=np.vstack([ring1.positions, ring2.positions]), dipoles=dipoles,
+        symmetries.append(((-1, -1, 1), np.r_[sites + n, sites]))
+    return EmitterArray(positions=np.vstack([ring1.positions, ring2.positions]),
+                        dipoles=np.vstack([ring1.dipoles, ring2.dipoles]),
                         groups=[np.arange(n), np.arange(n, 2 * n)],
                         ring_meta=[ring1.ring_meta[0], ring2.ring_meta[0]],
                         symmetries=tuple(symmetries))

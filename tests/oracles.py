@@ -11,8 +11,9 @@ The label oracle `classify_modes` names the modes of a dense `eig` of a ring's h
 by angular momentum: the best spin-wave overlap assignment, with degenerate
 clusters rotated onto the spin waves first.
 `geometric_symmetry_group` finds the sigma_y and C2 symmetries of a site set by flipping
-its coordinates about the centroid and matching each image to a site, with no use of
-the symmetries a builder declares.
+its coordinates about the centroid, matching each image to its nearest site and taking
+each dipole's sign itself: it uses neither the (flip, perm) declarations of a builder nor
+EmitterArray's check of them.
 `reference_cell` is the text of one artifact cell by the CSV rules, one value at a
 time, apart from the column writer of `output.write_csv`.
 `ring_eigenvalue`, `decay_matrix` and `field_amplitude` are not oracles: they are

@@ -209,3 +209,17 @@ def test_intensity_map_without_ring_metadata_evaluates_every_point(kernel_points
     grid = GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 21)
     assert np.array_equal(intensity_map(plain, state, grid).values, _every_point(ring, state, grid)[0])
     assert kernel_points == [21 ** 2]
+
+
+@pytest.mark.parametrize("case", ORBIT_CASES)
+def test_intensity_map_folds_a_hand_built_ring_as_it_folds_the_ring(case, kernel_points):
+    # the fold reads the declarations alone: ring metadata plays no part
+    args, m, grid, evaluated = ORBIT_CASES[case]
+    ring = build_ring(*args)
+    plain = EmitterArray(ring.positions, ring.dipoles, symmetries=ring.symmetries)
+    assert plain.ring_meta == [None] and len(plain.symmetries) == len(ring.symmetries)
+    state = _random_state(ring.n) if m is None else spin_wave_state(ring, m)
+    expected = intensity_map(ring, state, grid).values
+    values = intensity_map(plain, state, grid).values
+    assert kernel_points == [evaluated, evaluated]
+    assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(expected)

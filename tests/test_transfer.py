@@ -398,7 +398,8 @@ def test_sectors_of_a_chain(n, dipole):
 @pytest.mark.parametrize("array, count", [
     *[(build_two_rings(arrangement, n, 0.1, 0.15, "tangential"), 2)
       for arrangement in ("site-site", "site-edge") for n in (1, 2)],
-    (build_ring(8, 0.1, "tangential"), 1),
+    # the declared half-turn splits h in two; the mirror in the ring's own plane fixes every site
+    (build_ring(8, 0.1, "tangential"), 2),
 ], ids=["site-site-1", "site-site-2", "site-edge-1", "site-edge-2", "ring-8"])
 def test_sectors_of_small_pairs_and_a_ring(array, count):
     h = assemble_heff(array)
@@ -440,21 +441,75 @@ def test_declared_pair_symmetries_match_the_geometric_search(arrangement, dipole
     assert np.array_equal(perms, [np.arange(2 * n)]) and np.array_equal(signs, np.ones((1, 2 * n)))
 
 
+# Three sites on the x axis about the origin, which the flip x -> -x maps onto themselves
+# with sites 0 and 2 swapped; and three sites on which y -> -y swaps sites 0 and 1.
+LINE_X = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+LINE_Y = np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 @pytest.mark.parametrize("symmetries", [
-    [([1, 2, 0], [1, 1, 1])],                              # a 3-cycle
-    [([1, 0, 2], [1, -1, 1])],                             # sign[perm] != sign
-    [([1, 0, 2], [1j, 1j, 1j])],                           # |sign| = 1 but S^2 = -I
-    [([1, 0, 2], [1, 1, 1]), ([0, 2, 1], [1, 1, 1])],      # involutions that do not commute
-    [([0, 1, 2], [1, -1, 1]), ([1, 0, 2], [1, 1, 1])],     # commuting perms, signs that do not
-], ids=["3-cycle", "sign-off-orbit", "sign-not-real", "perms-do-not-commute",
-        "signs-do-not-commute"])
+    [((1, 1, 1), [1, 2, 0])],                                   # a 3-cycle
+    [((0, 1, 1), [2, 1, 0])],                                   # a flip entry of 0
+    [((1j, 1, 1), [2, 1, 0])],                                  # a flip entry of 1j
+    [((-1, 1, 1), [2, 1, 3])],                                  # a site outside range(3)
+    [((-1, 1, 1), [2, 1, -1])],                                 # a negative site
+    [((-1, 1, 1), [2, 2, 0])],                                  # not a permutation
+    [((-1, 1, 1), [2, 1, 0]), ((1, -1, 1), [1, 0, 2])],         # involutions that do not commute
+], ids=["3-cycle", "flip-0", "flip-1j", "site-out-of-range", "negative-site", "not-a-permutation",
+        "perms-do-not-commute"])
 def test_emitter_array_rejects_a_symmetry_that_is_not_a_commuting_involution(symmetries):
-    positions, dipoles = np.arange(9.0).reshape(3, 3), np.tile([0.0, 0.0, 1.0], (3, 1))
+    dipoles = np.tile([0.0, 0.0, 1.0], (3, 1))
     with pytest.raises(ValueError):
-        EmitterArray(positions, dipoles, symmetries=tuple(symmetries))
+        EmitterArray(LINE_X, dipoles, symmetries=tuple(symmetries))
     if len(symmetries) == 2:          # each generator of the pair is accepted on its own
-        for generator in symmetries:
-            assert len(EmitterArray(positions, dipoles, symmetries=(generator,)).symmetries) == 1
+        for (flip, perm), positions in zip(symmetries, (LINE_X, LINE_Y)):
+            kept = EmitterArray(positions, dipoles, symmetries=((flip, perm),)).symmetries
+            assert len(kept) == 1
+            assert np.array_equal(kept[0][0], flip) and np.array_equal(kept[0][1], perm)
+
+
+def _ring_declarations(n):
+    """What build_ring declares: the mirror z -> -z, and the half-turn for even n."""
+    sites = np.arange(n)
+    return [((1, 1, -1), sites)] + ([((-1, -1, 1), (sites + n // 2) % n)] if n % 2 == 0 else [])
+
+
+def _pair_declarations(arrangement, n):
+    """What build_two_rings declares: sigma_y, and C2 for site-site pairs and n = 1."""
+    sites, edge = np.arange(n), int(arrangement == "site-edge")
+    return ([((1, -1, 1), np.r_[-sites % n, (-sites - edge) % n + n])]
+            + ([((-1, -1, 1), np.r_[sites + n, sites])] if edge == 0 or n == 1 else []))
+
+
+def _assert_kept(array, declarations, symmetric):
+    """array keeps every declaration; with a C_N-symmetric scheme the dipoles keep them too,
+    with and without h, so that the group has 2^k elements."""
+    assert len(array.symmetries) == len(declarations)
+    for (flip, perm), (expected_flip, expected_perm) in zip(array.symmetries, declarations):
+        assert np.array_equal(flip, expected_flip) and np.array_equal(perm, expected_perm)
+    if symmetric:
+        h = assemble_heff(array)
+        for perms, signs in (transfer._symmetry_group(array), transfer._symmetry_group(array, h)):
+            assert len(perms) == 2 ** len(declarations)
+        _assert_sectors_split_h(_sectors(perms, signs), h)
+
+
+@pytest.mark.parametrize("placement", [{}, {"angular_offset": 0.37},
+                                       {"center": (0.31, -0.27, 0.73)}],
+                         ids=["origin", "offset", "off-origin"])
+@pytest.mark.parametrize("polarization", [*SYMMETRIC_SCHEMES, (0.3, 0.4, 0.5)])
+@pytest.mark.parametrize("n", [*range(1, 10), 64, 101])
+def test_every_ring_declaration_is_realised_and_kept(n, polarization, placement):
+    ring = build_ring(n, 0.2, polarization, **placement)
+    _assert_kept(ring, _ring_declarations(n), isinstance(polarization, str))
+
+
+@pytest.mark.parametrize("polarization", [*SYMMETRIC_SCHEMES, (0.3, 0.4, 0.5)])
+@pytest.mark.parametrize("n", [*range(1, 10), 64, 101])
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_every_pair_declaration_is_realised_and_kept(arrangement, n, polarization):
+    pair = build_two_rings(arrangement, n, 0.2, 0.15, polarization)
+    _assert_kept(pair, _pair_declarations(arrangement, n), isinstance(polarization, str))
 
 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
@@ -797,26 +852,38 @@ def test_orbit_rows_are_the_rows_of_the_full_h():
                                       ring_ring_coupling(pair, h).lambda_mm)
 
 
-def _unrealised(n):
-    """Declared generators of a site-site pair of n-site rings that no coordinate flip
-    realises: the site-edge mirror, whose ring-2 image is one site off, and the pair's
-    sigma_y with the sign of one mirror-image orbit of each ring flipped."""
+def _false_declarations(n):
+    """Declarations on a site-site pair of n-site rings that are no symmetry of its h: sigma_y
+    with the site-edge mirror's site map, whose ring-2 image is one site off; the pair's
+    sigma_y site map under the half-turn's flip; and sigma_y of the pair with dipoles
+    (1, 1, 0), which sigma_y turns into (1, -1, 0), no +-1 image."""
+    pair = build_two_rings("site-site", n, 0.1, 0.15, "tangential")
     sites = np.arange(n)
-    shifted = (np.r_[-sites % n, (-sites - 1) % n + n], np.ones(2 * n))
-    sign = np.ones(2 * n)
-    sign[[1, n - 1, n + 1, 2 * n - 1]] = -1.0
-    return {"shifted-mirror": shifted, "flipped-sign": (np.r_[-sites % n, -sites % n + n], sign)}
+    shifted = ((1, -1, 1), np.r_[-sites % n, (-sites - 1) % n + n])
+    turned = ((-1, -1, 1), pair.symmetries[0][1])
+    tilted = build_two_rings("site-site", n, 0.1, 0.15, (1, 1, 0))
+    return {"shifted-mirror": (pair, shifted), "wrong-flip": (pair, turned),
+            "no-dipole-image": (tilted, tilted.symmetries[0])}
 
 
-@pytest.mark.parametrize("generator", ["shifted-mirror", "flipped-sign"])
+@pytest.mark.parametrize("generator", ["shifted-mirror", "wrong-flip", "no-dipole-image"])
 def test_a_declared_generator_that_no_flip_realises_is_dropped(generator):
     n, m, dt = 10, 3, 1.0
-    pair = build_two_rings("site-site", n, 0.1, 0.15, "tangential")
+    pair, (flip, perm) = _false_declarations(n)[generator]
     declared = EmitterArray(pair.positions, pair.dipoles, pair.groups, pair.ring_meta,
-                            symmetries=(_unrealised(n)[generator],))
+                            symmetries=((flip, perm),))
     h = assemble_heff(declared)
-    perm, sign = declared.symmetries[0]
-    # the generator is no symmetry of h, so a sector built on it would be wrong
+    if generator == "no-dipole-image":
+        # the positions realise the flip, so the array keeps it; the dipoles do not
+        assert len(declared.symmetries) == 1
+        turned, image = np.multiply(flip, pair.dipoles), pair.dipoles[perm]
+        assert min(np.abs(turned - image).max(), np.abs(turned + image).max()) > 0.1
+    else:
+        assert declared.symmetries == ()       # the positions do not realise it
+    # with the best sign per site the site map is no symmetry of h, so a sector built on it
+    # would be wrong
+    sign = np.where(np.real(np.sum(np.conj(pair.dipoles[perm]) * np.multiply(flip, pair.dipoles),
+                                   axis=1)) < 0, -1.0, 1.0)
     assert np.max(np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)) > 1e-3
     for group in (transfer._symmetry_group(declared), transfer._symmetry_group(declared, h)):
         assert np.array_equal(group[0], [np.arange(2 * n)])

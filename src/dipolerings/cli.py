@@ -13,8 +13,8 @@ from . import __version__
 from .fieldmap import GridSpec, intensity_map
 from .geometry import SYMMETRIC_SCHEMES, build_chain, build_ring, build_two_rings
 from .output import write_csv, write_json
-from .spectrum import (WorkerError, _one_blas_thread, assemble_heff, eigenmodes,
-                       light_line_threshold, min_decay_scan, ring_spectrum, spin_wave_state)
+from .spectrum import (WorkerError, _modes, _one_blas_thread, light_line_threshold,
+                       min_decay_scan, ring_spectrum, spin_wave_state)
 from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
                        fidelity_trace, gaussian_packet, ring_ring_coupling)
 
@@ -227,8 +227,9 @@ def cmd_spectrum(cfg: RunConfig):
         ms, vals = ms[order], vals[order]
         labels = [str(int(m)) for m in ms]
     else:
-        spec = eigenmodes(assemble_heff(system))
-        vals, labels = spec.eigenvalues, [""] * spec.n
+        # one eig (JSON) or eigvals (CSV) per symmetry sector, from the orbit rows of h
+        vals, vecs = _modes(system, vectors=cfg.format == "json")
+        labels = [""] * len(vals)
     columns = {"index": np.arange(len(vals)), "m_label": labels,
                "J_over_Gamma0": np.real(vals), "Gamma_over_Gamma0": -2.0 * np.imag(vals)}
     if cfg.format == "json":
@@ -236,8 +237,6 @@ def cmd_spectrum(cfg: RunConfig):
             # exact spin waves, site 0 the real positive lead component
             angles = system.ring_meta[0].angles
             vecs = np.exp(1j * np.outer(angles - angles[0], ms)) / np.sqrt(len(ms))
-        else:
-            vecs = spec.eigenvectors
         # each complex value as its [re, im] pair, a vector as [re, im, re, im, ...]
         for name, z in (("eigenvalue", vals), ("eigenvector", vecs.T)):
             columns[name] = np.stack((z.real, z.imag), axis=-1).reshape(len(vals), -1)

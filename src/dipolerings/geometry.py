@@ -36,8 +36,9 @@ class EmitterArray:
     about the centroid c and the site involution it induces, c + F (r_i - c) = r_perm[i].
     A flip entry other than +-1, a perm that is not an involution of range(n) or perms that
     do not commute raise ValueError; an entry whose flip does not map the positions onto
-    positions[perm] (to 1e-12 of the largest |coordinate|) is dropped.  The dipoles are left
-    to the readers: transfer._symmetry_group and fieldmap._orbit_representatives.
+    positions[perm], to 1e-12 of the extent about c plus 4 eps of the largest |coordinate|
+    (their round-off), is dropped.  The dipoles are left to the readers:
+    spectrum._symmetry_group and fieldmap._orbit_representatives.
     """
 
     positions: np.ndarray                     # (n, 3) float
@@ -73,7 +74,8 @@ class EmitterArray:
             cols = self.positions.T.copy()
             rel = cols - (cols.sum(axis=1) / n)[:, None]
             mismatch = rel.take(perms, axis=1) - flips.T[:, :, None] * rel[:, None]
-            kept = np.abs(mismatch).max(axis=(0, 2)) <= 1e-12 * np.abs(cols).max()
+            tol = 1e-12 * np.abs(rel).max() + 4 * np.finfo(float).eps * np.abs(cols).max()
+            kept = np.abs(mismatch).max(axis=(0, 2)) <= tol
             self.symmetries = tuple(zip(flips[kept].astype(float), perms[kept]))
 
     @property
@@ -102,6 +104,15 @@ def build_ring(n: int, d: float, polarization="transverse",
         raise ValueError("need at least one emitter")
     if d <= 0:
         raise ValueError("inter-particle distance d must be positive")
+    positions, dipoles, meta = _ring_sites(n, d, polarization, center, angular_offset)
+    sites = np.arange(n)
+    half_turn = [((-1, -1, 1), (sites + n // 2) % n)] if n % 2 == 0 else []
+    return EmitterArray(positions=positions, dipoles=dipoles, groups=[np.arange(n)],
+                        ring_meta=[meta], symmetries=(((1, 1, -1), sites), *half_turn))
+
+
+def _ring_sites(n: int, d: float, polarization, center, angular_offset: float) -> tuple:
+    """(positions, dipoles, RingMeta) of the ring of build_ring, with no declarations."""
     center = np.asarray(center, dtype=float)
     radius = ring_radius(n, d)
     angles = angular_offset + 2.0 * np.pi * np.arange(n) / n
@@ -115,11 +126,7 @@ def build_ring(n: int, d: float, polarization="transverse",
         dipoles = np.column_stack([np.broadcast_to(c, n) for c in columns])
     else:
         scheme, dipoles = "fixed", np.tile(unit_dipole(polarization), (n, 1))
-    meta = RingMeta(center=center, radius=radius, angles=angles, scheme=scheme)
-    sites = np.arange(n)
-    half_turn = [((-1, -1, 1), (sites + n // 2) % n)] if n % 2 == 0 else []
-    return EmitterArray(positions=positions, dipoles=dipoles, groups=[np.arange(n)],
-                        ring_meta=[meta], symmetries=(((1, 1, -1), sites), *half_turn))
+    return positions, dipoles, RingMeta(center, radius, angles, scheme)
 
 
 def build_chain(n: int, d: float, dipole=(0.0, 0.0, 1.0)) -> EmitterArray:
@@ -146,7 +153,8 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
     edge midpoint faces ring 1's site, with gap the site-to-midpoint distance
     along the center line.  The pair declares (see EmitterArray) the mirror sigma_y, y -> -y,
     and, for site-site pairs and one-site rings, the C2 rotation about z, j <-> j + n; the
-    dipoles decide where each is a symmetry of h (transfer._symmetry_group).
+    dipoles decide where each is a symmetry of h (spectrum._symmetry_group).  Each ring's
+    sites are built as build_ring's, without its own declarations.
     """
     if arrangement not in ("site-site", "site-edge"):
         raise ValueError(f"unknown arrangement {arrangement!r}")
@@ -156,23 +164,18 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
         raise ValueError("inter-particle distance d must be positive")
     if gap <= 0:
         raise ValueError("ring separation must be positive")
-    ring1 = build_ring(n, d, polarization)
-    radius = ring1.ring_meta[0].radius
+    pos1, dip1, meta1 = _ring_sites(n, d, polarization, (0.0, 0.0, 0.0), 0.0)
+    radius = meta1.radius
     if arrangement == "site-site":
-        center2_x = 2.0 * radius + gap
-        offset2 = np.pi
+        center2_x, offset2 = 2.0 * radius + gap, np.pi
     else:
-        center2_x = radius + gap + radius * np.cos(np.pi / n)
-        offset2 = np.pi + np.pi / n
-    ring2 = build_ring(n, d, polarization, center=(center2_x, 0.0, 0.0),
-                       angular_offset=offset2)
+        center2_x, offset2 = radius + gap + radius * np.cos(np.pi / n), np.pi + np.pi / n
+    pos2, dip2, meta2 = _ring_sites(n, d, polarization, (center2_x, 0.0, 0.0), offset2)
     sites = np.arange(n)
     edge = 1 if arrangement == "site-edge" else 0
     symmetries = [((1, -1, 1), np.r_[-sites % n, (-sites - edge) % n + n])]
     if arrangement == "site-site" or n == 1:
         symmetries.append(((-1, -1, 1), np.r_[sites + n, sites]))
-    return EmitterArray(positions=np.vstack([ring1.positions, ring2.positions]),
-                        dipoles=np.vstack([ring1.dipoles, ring2.dipoles]),
-                        groups=[np.arange(n), np.arange(n, 2 * n)],
-                        ring_meta=[ring1.ring_meta[0], ring2.ring_meta[0]],
+    return EmitterArray(positions=np.vstack([pos1, pos2]), dipoles=np.vstack([dip1, dip2]),
+                        groups=[np.arange(n), np.arange(n, 2 * n)], ring_meta=[meta1, meta2],
                         symmetries=tuple(symmetries))

@@ -105,16 +105,11 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def eigenmodes(h: np.ndarray) -> ModeSpectrum:
-    """Full complex eigendecomposition of the coupling matrix."""
+    """Full eigendecomposition of a coupling matrix: _modes of its one sector, Q = I (dense)."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("coupling matrix must be square")
-    try:
-        vals, vecs = np.linalg.eig(h)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"eigensolver failed for n = {h.shape[0]}: {exc}") from exc
-    order = np.lexsort((np.imag(vals), np.real(vals)))
-    return ModeSpectrum(eigenvalues=vals[order], eigenvectors=_fix_phases(vecs[:, order]))
+    return ModeSpectrum(*_modes(None, h))
 
 
 def spin_wave_state(array: EmitterArray, m: int, group: int = 0) -> np.ndarray:
@@ -188,6 +183,76 @@ def _project(sector, x: np.ndarray) -> np.ndarray:
     """Q_s^T x (x 2-D) from the signed orbit gathers of a sector of _sectors."""
     _, idx, coef, sizes = sector
     return (np.sqrt(sizes) / len(idx))[:, None] * sum(c[:, None] * x[i] for i, c in zip(idx, coef))
+
+
+# Largest |S h S^T - h| / max|h| at which a site involution S is a symmetry of a caller's h.
+SYMMETRY_RTOL = 1e-10
+
+
+def _symmetry_group(array: EmitterArray | None,
+                    h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The site symmetries of h as the group G = (perms, signs) of _sectors, each (|G|, n).
+
+    The generators are the array's declarations (flip F, site map perm; see EmitterArray),
+    each with the sign per site of F p_i against p_perm[i], kept where F p_i = sign_i
+    p_perm[i] to 1e-12 of the largest dipole component, O(n): then S h S^T = h for the h of
+    the array, since G(F r) = F G(r) F.  A caller's h must also pass S h S^T = h to
+    SYMMETRY_RTOL, an O(n^2) residual; without h, the h of the array is meant and is never
+    read.  A missing generator gives the smaller group; without an array, or without a kept
+    generator, G is the identity and its one sector is Q = I.
+    """
+    n = array.n if h is None else len(h)
+    perms, signs = np.arange(n)[None], np.ones((1, n))
+    for flip, perm in array.symmetries if array is not None else ():
+        dip = array.dipoles
+        turned, image = flip * dip, dip[perm]
+        sign = np.where(np.real(np.sum(np.conj(image) * turned, axis=1)) < 0, -1.0, 1.0)
+        kept = (np.abs(turned - sign[:, None] * image).max(initial=0.0)
+                <= 1e-12 * np.abs(dip).max(initial=0.0))
+        if kept and h is not None:
+            # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
+            residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
+            kept = residual.max() <= SYMMETRY_RTOL * np.abs(h).max()
+        if kept:                                                  # gen after each element of G
+            perms, signs = np.r_[perms, perm[perms]], np.r_[signs, signs * sign[perms]]
+    return perms, signs
+
+
+def _orbit_rows(array: EmitterArray | None, h: np.ndarray | None = None, extra=()) -> tuple:
+    """(sectors, sites, rows): the sectors of the symmetry group of h (_symmetry_group) and
+    rows = h[sites] for the ascending sites of every orbit representative and of `extra`.
+    Without h the rows come from _couplings, the same bits as those rows of the full h."""
+    sectors = _sectors(*_symmetry_group(array, h))
+    sites = np.union1d(np.concatenate([s[0] for s in sectors]), np.asarray(extra, dtype=int))
+    rows = _couplings(array, sites) if h is None else h[sites]
+    return sectors, sites, rows
+
+
+def _factor(orbit: tuple, vectors: bool) -> list:
+    """Per sector of orbit = (sectors, sites, rows) of _orbit_rows, np.linalg.eig (vectors)
+    or eigvals of its block Q_s^T h Q_s (_block); a failed solve raises ArithmeticError."""
+    sectors, sites, rows = orbit
+    solve = np.linalg.eig if vectors else np.linalg.eigvals
+    try:   # leading representatives (a chain's) slice rows: a copy of a view gathers slower
+        return [solve(_block(s, rows[:len(s[0])] if np.array_equal(sites[:len(s[0])], s[0])
+                             else rows[np.searchsorted(sites, s[0])])) for s in sectors]
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"eigensolver failed for n = {rows.shape[1]}: {exc}") from exc
+
+
+def _modes(array: EmitterArray | None, h: np.ndarray | None = None, vectors: bool = True):
+    """(eigenvalues, eigenvectors or None) of the h of the array, or of a caller's h, from one
+    _factor of its _orbit_rows: the eigenvalues sorted by (Re, Im), and the columns Q_s W_s
+    in that order in the convention of _fix_phases, each Q_s the transpose of _project."""
+    orbit = _orbit_rows(array, h)
+    factors = _factor(orbit, vectors)
+    vals = np.concatenate([f[0] for f in factors] if vectors else factors)
+    order = np.lexsort((np.imag(vals), np.real(vals)))
+    if not vectors:
+        return vals[order], None
+    eye = np.eye(orbit[2].shape[1])
+    vecs = np.hstack([_project(s, eye).T @ w for s, (_, w) in zip(orbit[0], factors)])
+    return vals[order], _fix_phases(vecs[:, order])
 
 
 @functools.cache
@@ -270,7 +335,7 @@ def chain_spectrum(array: EmitterArray) -> np.ndarray:
     row 0 of h (G(r) = G(-r)), so h commutes with the site reversal j -> n-1-j.  Returns the
     eigenvalues of its even sector (side ceil(n/2), with the middle site for odd n), then of
     its odd one (side floor(n/2)), each block built from the rows r_|i-j| of the sector's
-    representatives (see _sectors and _block), unsorted; no eigenvectors are computed.
+    representatives (see _sectors, _block and _factor), unsorted; no eigenvectors are computed.
     """
     pos, dip = array.positions, array.dipoles
     steps = np.diff(pos, axis=0)
@@ -282,7 +347,7 @@ def chain_spectrum(array: EmitterArray) -> np.ndarray:
     # the rows h[i] = r_|i-j| as a view, no copy; each sector's reps are the sites 0, 1, ...
     rows = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], array.n)[::-1]
     sectors = _sectors(np.array([sites, sites[::-1]]), np.ones((2, array.n)))
-    return np.concatenate([np.linalg.eigvals(_block(s, rows[:len(s[0])])) for s in sectors])
+    return np.concatenate(_factor((sectors, sites, rows), vectors=False))
 
 
 def light_line_threshold(n: int, d: float) -> float:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EmitterArray, build_two_rings
-from .spectrum import (_block, _couplings, _pool_map, _project, _sectors, assemble_heff,
+from .spectrum import (_couplings, _factor, _orbit_rows, _pool_map, _project, assemble_heff,
                        canonical_m_range, wrap_m)
 
 
@@ -124,53 +124,6 @@ class Propagation:
     method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
 
 
-# Largest |S h S^T - h| / max|h| at which a site involution S counts as a symmetry of a
-# caller's h.
-SYMMETRY_RTOL = 1e-10
-
-
-def _symmetry_group(array: EmitterArray | None,
-                    h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The site symmetries of h as the group G = (perms, signs) of _sectors, each (|G|, n).
-
-    The generators come from the array's declarations (array.symmetries: sigma_y and C2 of a
-    site-site ring pair, sigma_y of a site-edge pair, the mirror z -> -z and the half-turn
-    of an even ring), each a coordinate flip F with the site map perm that EmitterArray
-    checked on the positions.  Its sign per site is that of F p_i against p_perm[i], and the
-    generator is kept where F p_i = sign_i p_perm[i] to 1e-12 of the largest dipole
-    component, O(n); then S h S^T = h for the h of the array, since G(F r) = F G(r) F.  A
-    caller's h must also pass S h S^T = h to SYMMETRY_RTOL, an O(n^2) residual; without h,
-    the h of the array is meant and is never read.  An h or an array that lacks a generator
-    gives the smaller group.  Without an array, or without a kept generator, G is the
-    identity and its one sector is Q = I.
-    """
-    n = array.n if h is None else len(h)
-    perms, signs = np.arange(n)[None], np.ones((1, n))
-    for flip, perm in array.symmetries if array is not None else ():
-        dip = array.dipoles
-        turned, image = flip * dip, dip[perm]
-        sign = np.where(np.real(np.sum(np.conj(image) * turned, axis=1)) < 0, -1.0, 1.0)
-        kept = (np.abs(turned - sign[:, None] * image).max(initial=0.0)
-                <= 1e-12 * np.abs(dip).max(initial=0.0))
-        if kept and h is not None:
-            # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
-            residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
-            kept = residual.max() <= SYMMETRY_RTOL * np.abs(h).max()
-        if kept:                                                  # gen after each element of G
-            perms, signs = np.r_[perms, perm[perms]], np.r_[signs, signs * sign[perms]]
-    return perms, signs
-
-
-def _orbit_rows(array: EmitterArray | None, h: np.ndarray | None = None, extra=()) -> tuple:
-    """(sectors, sites, rows): the sectors of the symmetry group of h (_symmetry_group) and
-    rows = h[sites] for the ascending sites of every orbit representative and of `extra`.
-    Without h the rows come from _couplings, the same bits as those rows of the full h."""
-    sectors = _sectors(*_symmetry_group(array, h))
-    sites = np.union1d(np.concatenate([s[0] for s in sectors]), np.asarray(extra, dtype=int))
-    rows = _couplings(array, sites) if h is None else h[sites]
-    return sectors, sites, rows
-
-
 # Row spacing of the exact np.exp anchors of the phase table (see _phases).
 _ANCHOR_ROWS = 64
 # ln sqrt(tiny) = ln 2^-511: phases of smaller analytic magnitude are set to exactly 0.
@@ -214,14 +167,14 @@ def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def _evolve(array: EmitterArray | None, h: np.ndarray | None, psi0s: np.ndarray,
             times: np.ndarray, basis: np.ndarray, weights: list, orbit: tuple | None = None):
     """Factor h once per sector of the symmetries that array declares and h has (see
-    _symmetry_group) for all initial states psi_j = psi0s[:, j]: the method ('eig' or
+    spectrum._symmetry_group) for all initial states psi_j = psi0s[:, j]: the method ('eig' or
     'ode'), cond(V), and lazily per j the (t, k) overlaps psi_j(t)^T C_j, where
     weights[j] = (cols_j, R_j) gives C_j = basis[:, cols_j] @ R_j, or basis[:, cols_j] when
     R_j is None (the overlaps <T_jk|psi_j(t)> for C_j = conj(T_j); see _target_factors).
 
     Each block Q_s^T h Q_s comes from the rows of the orbit representatives alone and is
-    factored by eig into W_s; V = [Q_s W_s] is never formed (see _block and _project).  The
-    rows are orbit = _orbit_rows(array, h) unless the caller passes them; with h = None they
+    factored into W_s by spectrum._factor; V = [Q_s W_s] is never formed (see _project).
+    The rows are orbit = _orbit_rows(array, h) unless the caller passes them; with h = None they
     come from _couplings, and the full h is assembled only for the ODE fallback.  Q is
     orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
     Z = V^T basis = [W_s^T Q_s^T basis] is formed once for all j, and the overlaps are
@@ -237,8 +190,8 @@ def _evolve(array: EmitterArray | None, h: np.ndarray | None, psi0s: np.ndarray,
     if h is not None:
         h = np.asarray(h, dtype=complex)
     psi0s = np.asarray(psi0s, dtype=complex)
-    sectors, sites, rows = orbit if orbit is not None else _orbit_rows(array, h)
-    blocks = [np.linalg.eig(_block(s, rows[np.searchsorted(sites, s[0])])) for s in sectors]
+    orbit = orbit if orbit is not None else _orbit_rows(array, h)
+    sectors, blocks = orbit[0], _factor(orbit, vectors=True)
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
     if cond > 1e8:
@@ -349,9 +302,9 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     the unnormalized evolved state (photon loss lowers F).  Without h only the rows of h
     at one site per orbit of the array's declared and realised symmetries are built
     (_orbit_rows), and the full h only if the eigenvectors are ill-conditioned; a caller's
-    h is checked against each declared symmetry (_symmetry_group).  The one width keeps
-    its explicit targets rather than _target_factors: the trace reports F at every step,
-    down to the round-off of F(0), whose digits follow the order of the sums.
+    h is checked against each declared symmetry (spectrum._symmetry_group).  The one width
+    keeps its explicit targets rather than _target_factors: the trace reports F at every
+    step, down to the round-off of F(0), whose digits follow the order of the sums.
     """
     times = np.asarray(times, dtype=float)
     targets = np.conj(_targets(array, m, [delta_theta])[0])

@@ -14,6 +14,8 @@ clusters rotated onto the spin waves first.
 its coordinates about the centroid, matching each image to its nearest site and taking
 each dipole's sign itself: it uses neither the (flip, perm) declarations of a builder nor
 EmitterArray's check of them.
+`dense_eigenmodes` is the textbook `eigenmodes`: one dense `eig` of the whole h, its columns
+sorted by (Re, Im) of the eigenvalues and phased by `_fix_phases`, with no symmetry sector.
 `reference_cell` is the text of one artifact cell by the CSV rules, one value at a
 time, apart from the column writer of `output.write_csv`.
 `ring_eigenvalue`, `decay_matrix` and `field_amplitude` are not oracles: they are
@@ -26,10 +28,10 @@ from scipy.optimize import linear_sum_assignment
 
 from dipolerings.emfield import pair_coupling, radiated_field
 from dipolerings.geometry import EmitterArray, build_two_rings
-from dipolerings.spectrum import (ModeSpectrum, _fix_phases, assemble_heff, canonical_m_range,
-                                  ring_spectrum, spin_wave_state, wrap_m)
-from dipolerings.transfer import (SYMMETRY_RTOL, default_horizon, farthest_site,
-                                  gaussian_packet, propagate, ring_ring_coupling)
+from dipolerings.spectrum import (SYMMETRY_RTOL, ModeSpectrum, _fix_phases, assemble_heff,
+                                  canonical_m_range, ring_spectrum, spin_wave_state, wrap_m)
+from dipolerings.transfer import (default_horizon, farthest_site, gaussian_packet, propagate,
+                                  ring_ring_coupling)
 
 K0 = 2.0 * np.pi
 
@@ -128,6 +130,14 @@ def chain_parity_eigenvalues(row):
         even[:half, half] = even[half, :half] = np.sqrt(2.0) * row[half - i]
         even[half, half] = row[0]
     return np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(toeplitz - hankel)])
+
+
+def dense_eigenmodes(h):
+    """(eigenvalues, eigenvectors) of h from one dense np.linalg.eig, sorted by (Re, Im), the
+    columns in the _fix_phases convention."""
+    vals, vecs = np.linalg.eig(h)
+    order = np.lexsort((np.imag(vals), np.real(vals)))
+    return vals[order], _fix_phases(vecs[:, order])
 
 
 def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_values,

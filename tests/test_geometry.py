@@ -108,6 +108,22 @@ def test_site_edge_two_rings():
     assert abs(c2[0] - (r + x + r * np.cos(np.pi / n))) < 1e-12
 
 
+@pytest.mark.parametrize("polarization", ["transverse", "tangential", "radial", (0.3, 0.4, 0.5)])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_pair_rings_are_the_sites_of_build_ring(arrangement, n, polarization):
+    # each ring of a pair has the bits of build_ring at its centre and first angle
+    pair = build_two_rings(arrangement, n, 0.1, 0.15, polarization)
+    for group, meta in zip(pair.groups, pair.ring_meta):
+        ring = build_ring(n, 0.1, polarization, center=tuple(meta.center),
+                          angular_offset=meta.angles[0])
+        assert np.array_equal(pair.positions[group], ring.positions)
+        assert np.array_equal(pair.dipoles[group], ring.dipoles)
+        expected = ring.ring_meta[0]
+        assert np.array_equal(meta.angles, expected.angles) and meta.scheme == expected.scheme
+        assert meta.radius == expected.radius and np.array_equal(meta.center, expected.center)
+
+
 def test_groups_partition():
     system = build_two_rings("site-site", 4, 0.1, 0.2)
     assert [len(g) for g in system.groups] == [4, 4]

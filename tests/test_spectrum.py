@@ -1,4 +1,6 @@
 import concurrent.futures.process
+import csv
+import json
 import multiprocessing
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from dipolerings import spectrum
+from dipolerings.cli import main
 from dipolerings.emfield import SingularityError, pair_coupling
-from dipolerings.geometry import EmitterArray, build_ring
+from dipolerings.geometry import SYMMETRIC_SCHEMES, EmitterArray, build_ring, build_two_rings
 from dipolerings.spectrum import (assemble_heff, canonical_m_range, eigenmodes,
                                   light_line_threshold, min_decay_scan, ring_spectrum,
                                   spin_wave_state, wrap_m)
@@ -15,7 +18,7 @@ from dipolerings.geometry import build_chain
 from dipolerings.spectrum import chain_spectrum
 from oracles import chain_eigenvalues, chain_parity_eigenvalues
 from oracles import circulant_ring_eigenvalues, random_geometry
-from oracles import classify_modes, decay_matrix, ring_eigenvalue
+from oracles import classify_modes, decay_matrix, dense_eigenmodes, ring_eigenvalue
 
 
 def test_canonical_m_range():
@@ -377,3 +380,96 @@ def test_chain_decay_scan_takes_a_dipole_vector():
 def test_chain_decay_scan_rejects_other_scheme_names(name):
     with pytest.raises(ValueError, match="chains take 'transverse' or a dipole 3-vector"):
         min_decay_scan("chain", [10], 3.0, polarization=name)
+
+
+@pytest.mark.parametrize("system", [
+    build_chain(30, 0.1), build_ring(12, 0.1, "tangential"),
+    build_two_rings("site-site", 7, 0.1, 0.15, "tangential"),
+    build_two_rings("site-edge", 7, 0.1, 0.15, "radial"),
+], ids=["chain", "ring", "site-site", "site-edge"])
+def test_eigenmodes_is_the_dense_eig_bit_for_bit(system):
+    # a caller's h has one sector, Q = I: the sector path adds no round-off to the dense eig
+    h = assemble_heff(system)
+    spec = eigenmodes(h)
+    vals, vecs = dense_eigenmodes(h)
+    assert np.array_equal(spec.eigenvalues, vals)
+    assert np.array_equal(spec.eigenvectors, vecs)
+
+
+def _pair_spectrum(tmp_path, arrangement, n, polarization, fmt):
+    """(eigenvalues, eigenvectors or None) of one CLI spectrum of a pair (d = 0.1, x = 0.15),
+    in the artifact's row order; the CSV eigenvalues are J - i Gamma / 2."""
+    out = tmp_path / f"spectrum.{fmt}"
+    assert main(["spectrum", "--format", fmt, "--out", str(out),
+                 "--set", f"geometry.arrangement={arrangement}", "--set", f"geometry.n={n}",
+                 "--set", f"geometry.polarization={polarization}"]) == 0
+    if fmt == "csv":
+        rows = list(csv.DictReader(l for l in out.read_text().splitlines() if l[:1] != "#"))
+        return np.array([float(r["J_over_Gamma0"]) - 0.5j * float(r["Gamma_over_Gamma0"])
+                         for r in rows]), None
+    records = json.loads(out.read_text())["modes"]
+    pairs = [np.reshape(r["eigenvector"], (-1, 2)) for r in records]
+    return (np.array([complex(*r["eigenvalue"]) for r in records]),
+            np.column_stack([v[:, 0] + 1j * v[:, 1] for v in pairs]))
+
+
+def _clusters(vals, gap):
+    """Index sets of vals joined wherever two eigenvalues are within gap (single linkage)."""
+    label = np.arange(len(vals))
+    close = np.abs(vals[:, None] - vals[None, :]) < gap
+    for _ in vals:                                   # spread the least label along each link
+        label = np.min(np.where(close, label[None, :], len(vals)), axis=1)
+    return [np.flatnonzero(label == k) for k in np.unique(label)]
+
+
+@pytest.mark.parametrize("polarization", list(SYMMETRIC_SCHEMES))
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_pair_spectrum_matches_a_dense_eig(tmp_path, arrangement, n, polarization):
+    pair = build_two_rings(arrangement, n, 0.1, 0.15, polarization)
+    h = assemble_heff(pair)
+    scale = np.abs(h).max()
+    expected_vals, expected_vecs = dense_eigenmodes(h)
+    for fmt in ("csv", "json"):           # the JSON run, last, is kept for its eigenvectors
+        vals, vecs = _pair_spectrum(tmp_path, arrangement, n, polarization, fmt)
+        assert len(vals) == 2 * n
+        row, col = linear_sum_assignment(np.abs(vals[:, None] - expected_vals[None, :]))
+        assert np.max(np.abs(vals[row] - expected_vals[col])) <= 1e-10 * scale
+    for lam, v in zip(vals, vecs.T):
+        mags = np.abs(v)
+        lead = v[np.argmax(mags >= (1.0 - 1e-8) * mags.max())]
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert lead.real > 0 and abs(lead.imag) <= 1e-15
+        assert np.linalg.norm(h @ v - lam * v) <= 1e-10 * scale
+    # eigenvalues within 1e-6 max|h| of each other span a subspace that only the set is
+    # sure of; the (matched) columns of each cluster must span the oracle's subspace
+    for cluster in _clusters(expected_vals, 1e-6 * scale):
+        q = np.linalg.qr(vecs[:, row[np.isin(col, cluster)]])[0]
+        expected = np.linalg.qr(expected_vecs[:, cluster])[0]
+        assert np.linalg.norm(q - expected @ (expected.conj().T @ q), 2) <= 1e-8
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_pair_spectrum_builds_only_the_orbit_rows(monkeypatch, tmp_path, arrangement, n, fmt):
+    calls = {"couplings": [], "eig": [], "eigvals": []}
+    couplings, eig, eigvals = spectrum._couplings, np.linalg.eig, np.linalg.eigvals
+
+    def spy(array, rows=None, cols=None):
+        calls["couplings"].append((array.n if rows is None else len(rows),
+                                   array.n if cols is None else len(cols)))
+        return couplings(array, rows, cols)
+    monkeypatch.setattr(spectrum, "_couplings", spy)   # assemble_heff too builds h through it
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls["eig"].append(len(a)) or eig(a))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls["eigvals"].append(len(a)) or eigvals(a))
+    vals, _ = _pair_spectrum(tmp_path, arrangement, n, "tangential", fmt)
+    # one row per sigma_y and C2 orbit of a site-site pair, per sigma_y orbit of a site-edge one
+    reps = (n + 2) // 2 if arrangement == "site-site" else n + 1
+    assert calls["couplings"] == [(reps, 2 * n)]
+    # eigenvectors only for JSON, and one solve per sector, none of them the whole h
+    sides = calls.pop("eig" if fmt == "json" else "eigvals")
+    assert calls.pop("eigvals" if fmt == "json" else "eig") == []
+    assert len(sides) == (4 if arrangement == "site-site" else 2)
+    assert sum(sides) == 2 * n == len(vals) and max(sides) < 2 * n

@@ -363,7 +363,7 @@ def _assert_sectors_split_h(sectors, h):
 ])
 def test_sectors_split_h_into_orthonormal_blocks(arrangement, polarization, count, n):
     pair, h = _pair_and_h(arrangement, n, polarization)
-    sectors = _sectors(*transfer._symmetry_group(pair, h))
+    sectors = _sectors(*spectrum._symmetry_group(pair, h))
     assert len(sectors) == count
     _assert_sectors_split_h(sectors, h)
     from scipy.optimize import linear_sum_assignment
@@ -386,7 +386,7 @@ def test_sectors_of_a_chain(n, dipole):
     chain = build_chain(n, 1.0 / 3.0, dipole)
     h = assemble_heff(chain)
     # chains declare no symmetry: their group is the identity
-    perms, signs = transfer._symmetry_group(chain, h)
+    perms, signs = spectrum._symmetry_group(chain, h)
     assert np.array_equal(perms, [np.arange(n)]) and np.array_equal(signs, np.ones((1, n)))
     sectors = _sectors(*_reversal(n))
     _assert_sectors_split_h(sectors, h)
@@ -403,7 +403,7 @@ def test_sectors_of_a_chain(n, dipole):
 ], ids=["site-site-1", "site-site-2", "site-edge-1", "site-edge-2", "ring-8"])
 def test_sectors_of_small_pairs_and_a_ring(array, count):
     h = assemble_heff(array)
-    sectors = _sectors(*transfer._symmetry_group(array, h))
+    sectors = _sectors(*spectrum._symmetry_group(array, h))
     assert len(sectors) == count
     _assert_sectors_split_h(sectors, h)
 
@@ -417,7 +417,7 @@ def test_sectors_without_a_verified_symmetry_is_the_identity():
     defective = np.array([[-0.5j, 0.0], [1.0, -0.5j]])
     for array, h in ((None, assemble_heff(asymmetric)), (asymmetric, assemble_heff(asymmetric)),
                      (pair, defective)):
-        sectors = _sectors(*transfer._symmetry_group(array, h))
+        sectors = _sectors(*spectrum._symmetry_group(array, h))
         assert len(sectors) == 1 and np.array_equal(_dense_bases(sectors, len(h))[0],
                                                     np.eye(len(h)))
 
@@ -433,11 +433,11 @@ def test_declared_pair_symmetries_match_the_geometric_search(arrangement, dipole
     pair, h = _pair_and_h(arrangement, n, PAIR_DIPOLES[dipole])
     expected_perms, expected_signs = geometric_symmetry_group(pair, h)
     # with a caller's h (the residual check) and without one (the coordinate flips)
-    for perms, signs in (transfer._symmetry_group(pair, h), transfer._symmetry_group(pair)):
+    for perms, signs in (spectrum._symmetry_group(pair, h), spectrum._symmetry_group(pair)):
         assert np.array_equal(perms, expected_perms) and np.array_equal(signs, expected_signs)
     # a copy with the same sites and dipoles but no declaration has only the identity
     plain = EmitterArray(pair.positions, pair.dipoles, pair.groups, pair.ring_meta)
-    perms, signs = transfer._symmetry_group(plain, h)
+    perms, signs = spectrum._symmetry_group(plain, h)
     assert np.array_equal(perms, [np.arange(2 * n)]) and np.array_equal(signs, np.ones((1, 2 * n)))
 
 
@@ -489,7 +489,7 @@ def _assert_kept(array, declarations, symmetric):
         assert np.array_equal(flip, expected_flip) and np.array_equal(perm, expected_perm)
     if symmetric:
         h = assemble_heff(array)
-        for perms, signs in (transfer._symmetry_group(array), transfer._symmetry_group(array, h)):
+        for perms, signs in (spectrum._symmetry_group(array), spectrum._symmetry_group(array, h)):
             assert len(perms) == 2 ** len(declarations)
         _assert_sectors_split_h(_sectors(perms, signs), h)
 
@@ -510,6 +510,19 @@ def test_every_ring_declaration_is_realised_and_kept(n, polarization, placement)
 def test_every_pair_declaration_is_realised_and_kept(arrangement, n, polarization):
     pair = build_two_rings(arrangement, n, 0.2, 0.15, polarization)
     _assert_kept(pair, _pair_declarations(arrangement, n), isinstance(polarization, str))
+
+
+def test_a_false_declaration_of_a_small_ring_far_from_the_origin_is_dropped():
+    # the sites lie 1e-10 apart at x = 2000: 1e-12 of the largest |coordinate| (2e-9) would
+    # let any site map pass, 1e-12 of the extent plus a few eps of 2000 does not
+    ring = build_ring(6, 1e-10, "transverse", center=(2000, 0, 0))
+    _assert_kept(ring, _ring_declarations(6), symmetric=False)
+    swapped = ((-1, -1, 1), np.array([1, 0, 3, 2, 5, 4]))        # not the half-turn's map
+    declared = EmitterArray(ring.positions, ring.dipoles, ring.groups, ring.ring_meta,
+                            symmetries=(swapped,))
+    assert declared.symmetries == ()
+    perms, signs = spectrum._symmetry_group(declared)
+    assert np.array_equal(perms, [np.arange(6)]) and np.array_equal(signs, np.ones((1, 6)))
 
 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
@@ -541,7 +554,7 @@ def test_sector_fidelity_scan_matches_the_full_state_oracle(arrangement):
 def test_sector_transfer_factors_no_full_size_system(monkeypatch, arrangement, sizes):
     pair, h = _pair_and_h(arrangement, 40, "tangential")
     psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=6, delta_theta=1.0)
-    bases = _dense_bases(_sectors(*transfer._symmetry_group(pair, h)), len(h))
+    bases = _dense_bases(_sectors(*spectrum._symmetry_group(pair, h)), len(h))
     dense = np.linalg.cond(np.hstack([q @ np.linalg.eig(q.T @ h @ q)[1] for q in bases]))
     shapes = {"solve": [], "svd": []}
     for name in shapes:
@@ -688,7 +701,7 @@ def test_gathers_project_as_the_dense_basis(arrangement):
     for n in (1, 6, 7, 40):
         pair, h = _pair_and_h(arrangement, n, "tangential")
         x = np.random.default_rng(n).normal(size=(2 * n, 3)) + 1j
-        sectors = _sectors(*transfer._symmetry_group(pair, h))
+        sectors = _sectors(*spectrum._symmetry_group(pair, h))
         for sector, q in zip(sectors, _dense_bases(sectors, 2 * n)):
             # each orbit gathers at most |G| distinct sites
             assert np.max(sector[3]) <= {"site-site": 4, "site-edge": 2}[arrangement]
@@ -844,7 +857,7 @@ def test_orbit_rows_are_the_rows_of_the_full_h():
             for polarization in ("transverse", "tangential", "radial", (0.3, 0.4, 0.5)):
                 pair, h = _pair_and_h(arrangement, n, polarization)
                 ring1, ring2 = pair.groups
-                _, sites, rows = transfer._orbit_rows(pair, extra=ring1)
+                _, sites, rows = spectrum._orbit_rows(pair, extra=ring1)
                 assert np.all(np.isin(ring1, sites))
                 assert np.array_equal(rows, h[sites])
                 block = rows[np.ix_(np.searchsorted(sites, ring1), ring2)]
@@ -885,7 +898,7 @@ def test_a_declared_generator_that_no_flip_realises_is_dropped(generator):
     sign = np.where(np.real(np.sum(np.conj(pair.dipoles[perm]) * np.multiply(flip, pair.dipoles),
                                    axis=1)) < 0, -1.0, 1.0)
     assert np.max(np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)) > 1e-3
-    for group in (transfer._symmetry_group(declared), transfer._symmetry_group(declared, h)):
+    for group in (spectrum._symmetry_group(declared), spectrum._symmetry_group(declared, h)):
         assert np.array_equal(group[0], [np.arange(2 * n)])
         assert np.array_equal(group[1], np.ones((1, 2 * n)))
     psi0 = gaussian_packet(declared, 0, farthest_site(declared, 0), m, dt)

@@ -130,15 +130,15 @@ def _ring_sites(n: int, d: float, polarization, center, angular_offset: float) -
 
 
 def build_chain(n: int, d: float, dipole=(0.0, 0.0, 1.0)) -> EmitterArray:
-    """Open linear chain along x with spacing d and one common orientation."""
+    """Open linear chain along x with spacing d and one common orientation, declaring (see
+    EmitterArray) its inversion j -> n-1-j, a symmetry of h for any common dipole (p -> -p)."""
     if n < 1:
         raise ValueError("need at least one emitter")
     if d <= 0:
         raise ValueError("spacing d must be positive")
     positions = np.column_stack([d * np.arange(n), np.zeros(n), np.zeros(n)])
-    p = unit_dipole(dipole)
-    dipoles = np.tile(p, (n, 1))
-    return EmitterArray(positions=positions, dipoles=dipoles)
+    dipoles = np.tile(unit_dipole(dipole), (n, 1))
+    return EmitterArray(positions, dipoles, symmetries=(((-1, -1, -1), np.arange(n)[::-1]),))
 
 
 def build_two_rings(arrangement: str, n: int, d: float, gap: float,

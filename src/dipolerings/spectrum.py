@@ -30,30 +30,36 @@ def wrap_m(m: int, n: int) -> int:
     return (m - lo) % n + lo
 
 
+_BLOCK_ENTRIES = 1 << 16   # entries of h per block of _couplings, ~170 B of temporaries each
+
+
 def _couplings(array: EmitterArray, rows=None, cols=None) -> np.ndarray:
     """Block h[rows][:, cols] of the effective Hamiltonian (all sites by default).
 
-    h_ij = -(3 pi Gamma0 / k0) conj(p_i) . G(r_i - r_j) . p_j, and -i/2 on self
-    pairs (Omega_ii = 0, Gamma_ii = Gamma0).  The first non-finite coupling raises
-    SingularityError if its emitters coincide, else ArithmeticError (a separation
-    whose norm underflows or overflows).
+    h_ij = -(3 pi Gamma0 / k0) conj(p_i) . G(r_i - r_j) . p_j, and -i/2 on self pairs
+    (Omega_ii = 0, Gamma_ii = Gamma0), in blocks of whole rows of about _BLOCK_ENTRIES entries,
+    so that only h grows with its size.  The first non-finite coupling raises SingularityError
+    if its emitters coincide, else ArithmeticError (a separation out of float range).
     """
     pos, dip = array.positions, array.dipoles
     rows = np.arange(array.n) if rows is None else np.asarray(rows)
     cols = np.arange(array.n) if cols is None else np.asarray(cols)
-    sep = pos[rows, None, :] - pos[None, cols, :]
-    h = projected_green(sep, dip[rows, None, :], dip[None, cols, :])
-    del sep   # 24 bytes per pair, not needed past the kernel
-    h *= -(3.0 * np.pi * GAMMA0 / K0)
-    h[rows[:, None] == cols] = -0.5j * GAMMA0
-    bad = np.argwhere(~np.isfinite(h))
-    if len(bad):
-        i, j = rows[bad[0, 0]], cols[bad[0, 1]]
-        step = math.hypot(*(pos[i] - pos[j]))    # a norm that does not underflow
-        if step == 0.0:
-            raise SingularityError(f"emitters {i} and {j} are coincident")
-        raise ArithmeticError(f"h has non-finite couplings; an emitter separation "
-                              f"of {step:.3g} wavelengths is out of range")
+    h = np.empty((len(rows), len(cols)), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // max(1, len(cols)))
+    for start in range(0, len(rows), step):
+        part, block = rows[start:start + step], h[start:start + step]
+        block[...] = projected_green(pos[part, None, :] - pos[None, cols, :],
+                                     dip[part, None, :], dip[None, cols, :])
+        block *= -(3.0 * np.pi * GAMMA0 / K0)
+        block[part[:, None] == cols] = -0.5j * GAMMA0
+        bad = np.argwhere(~np.isfinite(block))
+        if len(bad):
+            i, j = part[bad[0, 0]], cols[bad[0, 1]]
+            dist = math.hypot(*(pos[i] - pos[j]))    # a norm that does not underflow
+            if dist == 0.0:
+                raise SingularityError(f"emitters {i} and {j} are coincident")
+            raise ArithmeticError(f"h has non-finite couplings; an emitter separation "
+                                  f"of {dist:.3g} wavelengths is out of range")
     return h
 
 
@@ -218,14 +224,26 @@ def _symmetry_group(array: EmitterArray | None,
     return perms, signs
 
 
+def _is_uniform_chain(array: EmitterArray) -> bool:
+    """Equal steps to 1e-9 and one dipole: h is symmetric Toeplitz, h_ij = h_0|i-j| (G even)."""
+    dip, steps = array.dipoles, np.diff(array.positions, axis=0)
+    return not (np.any(dip != dip[0]) or np.any(np.abs(steps - steps[:1])
+                                                > 1e-9 * np.abs(steps[:1]).max(initial=0.0)))
+
+
 def _orbit_rows(array: EmitterArray | None, h: np.ndarray | None = None, extra=()) -> tuple:
     """(sectors, sites, rows): the sectors of the symmetry group of h (_symmetry_group) and
-    rows = h[sites] for the ascending sites of every orbit representative and of `extra`.
-    Without h the rows come from _couplings, the same bits as those rows of the full h."""
+    rows = h[sites] (a view where they lead) for the ascending sites of each orbit's
+    representative and of `extra`; without h from _couplings, but for a uniform chain
+    (_is_uniform_chain) from its row 0, as h_0|i-j|, off the full h by about 3 n eps max|h|."""
     sectors = _sectors(*_symmetry_group(array, h))
     sites = np.union1d(np.concatenate([s[0] for s in sectors]), np.asarray(extra, dtype=int))
-    rows = _couplings(array, sites) if h is None else h[sites]
-    return sectors, sites, rows
+    if h is None and _is_uniform_chain(array):
+        row = _couplings(array, [0])[0]
+        h = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], array.n)[::-1]
+    if h is None:
+        return sectors, sites, _couplings(array, sites)
+    return sectors, sites, h[:len(sites)] if sites[-1] == len(sites) - 1 else h[sites]
 
 
 def _factor(orbit: tuple, vectors: bool) -> list:
@@ -329,25 +347,12 @@ def _pool_map(fn, items, threads: int) -> list:
 
 
 def chain_spectrum(array: EmitterArray) -> np.ndarray:
-    """All eigenvalues of a uniform open chain from one row of its Hamiltonian.
-
-    Equal spacing and one common dipole make h symmetric Toeplitz, h_ij = r_|i-j| with r
-    row 0 of h (G(r) = G(-r)), so h commutes with the site reversal j -> n-1-j.  Returns the
-    eigenvalues of its even sector (side ceil(n/2), with the middle site for odd n), then of
-    its odd one (side floor(n/2)), each block built from the rows r_|i-j| of the sector's
-    representatives (see _sectors, _block and _factor), unsorted; no eigenvectors are computed.
-    """
-    pos, dip = array.positions, array.dipoles
-    steps = np.diff(pos, axis=0)
-    if np.any(dip != dip[0]) or np.any(np.abs(steps - steps[:1])
-                                       > 1e-9 * np.abs(steps[:1]).max(initial=0.0)):
+    """All eigenvalues of a uniform open chain (_is_uniform_chain, else ValueError), sorted by
+    (Re, Im), from row 0 of h: _modes without eigenvectors, one eigvals per sector of its
+    inversion (build_chain), of sides ceil(n/2) (with an odd chain's middle site) and n//2."""
+    if not _is_uniform_chain(array):
         raise ValueError("chain eigenvalues need equal spacing and one common dipole")
-    sites = np.arange(array.n)
-    row = _couplings(array, [0], sites)[0]
-    # the rows h[i] = r_|i-j| as a view, no copy; each sector's reps are the sites 0, 1, ...
-    rows = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], array.n)[::-1]
-    sectors = _sectors(np.array([sites, sites[::-1]]), np.ones((2, array.n)))
-    return np.concatenate(_factor((sectors, sites, rows), vectors=False))
+    return _modes(array, vectors=False)[0]
 
 
 def light_line_threshold(n: int, d: float) -> float:
@@ -363,23 +368,19 @@ def light_line_threshold(n: int, d: float) -> float:
 
 def _min_rate(kind: str, d: float, polarization, n: int) -> float:
     """min_k Gamma_k of one size of min_decay_scan (module level, so that it pickles)."""
-    if kind == "chain":
-        lambdas = chain_spectrum(build_chain(n, d, polarization))
-    else:
-        array = build_ring(n, d, polarization)
-        if array.ring_meta[0].scheme in SYMMETRIC_SCHEMES:
-            lambdas = ring_spectrum(array)[1]
-        else:
-            lambdas = np.linalg.eigvals(assemble_heff(array))
+    array = (build_chain if kind == "chain" else build_ring)(n, d, polarization)
+    symmetric = kind == "ring" and array.ring_meta[0].scheme in SYMMETRIC_SCHEMES
+    lambdas = ring_spectrum(array)[1] if symmetric else _modes(array, vectors=False)[0]
     return float(np.min(-2.0 * np.imag(lambdas)))
 
 
 # Chain and fixed-dipole ring scans fork their pool only above this much eigvals work, the
-# sum over sizes of side^3 of each eigvals call: a chain's two parity blocks, a ring's whole
-# h.  On a 2-vCPU Xeon a two-worker pool costs 20-25 ms and eigvals runs 1.2e8 side^3/s at
-# side 100, so two workers pay off above about 2 * 1.2e8 * 0.02 = 5e6.  The CLI's default
-# chains 10-30 are 5.4e4 (11 ms in this process, 25-50 ms forked), and rings 10-30 with a
-# fixed dipole 2.1e5; chains 100-400 step 20 are 8.8e7.
+# sum over sizes of side^3 of each eigvals call: a chain's two inversion sectors, and n^3 for a
+# ring, an upper bound where its half-turn splits h (even n).  On a 2-vCPU Xeon a two-worker
+# pool costs 20-25 ms and eigvals runs 1.2e8 side^3/s at side 100, so two workers pay off
+# above about 2 * 1.2e8 * 0.02 = 5e6.  The CLI's default chains 10-30 are 5.4e4 (11 ms in
+# this process, 25-50 ms forked), and rings 10-30 with a fixed dipole 2.1e5; chains 100-400
+# step 20 are 8.8e7.
 _FORK_WORK = 5e6
 
 
@@ -390,12 +391,10 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
     kind is 'ring' or 'chain'.  Returns an array of rows (n, min_k Gamma_k) in n_list
     order, computed largest n first on at most `threads` worker processes (_pool_map).
     Rings with a symmetric polarization scheme take their rates from ring_spectrum, one
-    FFT per size, in this process; rings with a fixed dipole vector from the eigenvalues
-    of the full h.  Chains take `polarization`, 'transverse' (z) or a dipole 3-vector, as
-    their common dipole and their rates from chain_spectrum; any other string raises
-    ValueError.  Chains and fixed-dipole rings run in this process when their eigvals' sum
-    of side^3 (the parity blocks of a chain, the whole h of a ring) is below _FORK_WORK.
-    No eigenvectors are computed.
+    FFT per size, in this process; chains and rings with a fixed dipole vector from the
+    eigenvalues of their symmetry sectors (_modes), no eigenvectors, in this process when
+    their sum of side^3 is below _FORK_WORK.  Chains take `polarization`, 'transverse' (z) or
+    a dipole 3-vector, as their common dipole; any other string raises ValueError.
     """
     if kind not in ("ring", "chain"):
         raise ValueError(f"unknown geometry kind {kind!r}")

@@ -112,7 +112,7 @@ def chain_eigenvalues(n, d, dipole):
 
 def chain_parity_eigenvalues(row):
     """Eigenvalues of the symmetric Toeplitz h_ij = row[|i-j|] of a uniform open chain (row:
-    row 0 of h) from its reflection-parity blocks, in chain_spectrum's order.
+    row 0 of h) from its reflection-parity blocks, sorted by (Re, Im) as chain_spectrum's.
 
     On the basis (e_i +- e_{n-1-i})/sqrt(2), i < n//2, h splits into the even block T + H and
     the odd block T - H, with T_ij = row[|i-j|] and H_ij = row[n-1-i-j]; for odd n the even
@@ -129,7 +129,8 @@ def chain_parity_eigenvalues(row):
     if n % 2:
         even[:half, half] = even[half, :half] = np.sqrt(2.0) * row[half - i]
         even[half, half] = row[0]
-    return np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(toeplitz - hankel)])
+    vals = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(toeplitz - hankel)])
+    return vals[np.lexsort((np.imag(vals), np.real(vals)))]
 
 
 def dense_eigenmodes(h):

@@ -1,7 +1,9 @@
+import ast
 import concurrent.futures.process
 import csv
 import json
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,7 +367,8 @@ def test_fixed_dipole_ring_decay_scan_takes_eigenvalues_only(monkeypatch):
     expected = np.min(eigenmodes(assemble_heff(ring)).rates)
     calls = _count_solvers(monkeypatch)
     table = min_decay_scan("ring", [12], 3.0, polarization=(1, 0, 0))
-    assert calls["eig"] == [] and calls["eigvals"] == [(12, 12)]
+    # the half-turn turns the dipole x into -x: two sectors of 6 sites
+    assert calls["eig"] == [] and calls["eigvals"] == [(6, 6), (6, 6)]
     assert abs(table[0, 1] - expected) <= 1e-10 * expected
 
 
@@ -422,17 +425,21 @@ def _clusters(vals, gap):
     return [np.flatnonzero(label == k) for k in np.unique(label)]
 
 
-@pytest.mark.parametrize("polarization", list(SYMMETRIC_SCHEMES))
-@pytest.mark.parametrize("n", [1, 2, 7, 40])
-@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+@pytest.mark.parametrize("arrangement, n, polarization", [
+    *((arrangement, n, polarization) for arrangement in ("site-site", "site-edge")
+      for n in (1, 2, 7, 40) for polarization in SYMMETRIC_SCHEMES),
+    # chains (d = 0.1), whose spectrum runs in the two sectors of their inversion
+    *(("chain", n, "transverse") for n in (1, 2, 9, 40, 101)),
+])
 def test_pair_spectrum_matches_a_dense_eig(tmp_path, arrangement, n, polarization):
-    pair = build_two_rings(arrangement, n, 0.1, 0.15, polarization)
-    h = assemble_heff(pair)
+    system = (build_chain(n, 0.1) if arrangement == "chain"
+              else build_two_rings(arrangement, n, 0.1, 0.15, polarization))
+    h = assemble_heff(system)
     scale = np.abs(h).max()
     expected_vals, expected_vecs = dense_eigenmodes(h)
     for fmt in ("csv", "json"):           # the JSON run, last, is kept for its eigenvectors
         vals, vecs = _pair_spectrum(tmp_path, arrangement, n, polarization, fmt)
-        assert len(vals) == 2 * n
+        assert len(vals) == system.n
         row, col = linear_sum_assignment(np.abs(vals[:, None] - expected_vals[None, :]))
         assert np.max(np.abs(vals[row] - expected_vals[col])) <= 1e-10 * scale
     for lam, v in zip(vals, vecs.T):
@@ -473,3 +480,48 @@ def test_pair_spectrum_builds_only_the_orbit_rows(monkeypatch, tmp_path, arrange
     assert calls.pop("eigvals" if fmt == "json" else "eig") == []
     assert len(sides) == (4 if arrangement == "site-site" else 2)
     assert sum(sides) == 2 * n == len(vals) and max(sides) < 2 * n
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_chain_spectrum_builds_only_row_0(monkeypatch, tmp_path, n, fmt):
+    calls = {"couplings": [], "eig": [], "eigvals": []}
+    couplings, eig, eigvals = spectrum._couplings, np.linalg.eig, np.linalg.eigvals
+
+    def spy(array, rows=None, cols=None):
+        calls["couplings"].append((array.n if rows is None else len(rows),
+                                   array.n if cols is None else len(cols)))
+        return couplings(array, rows, cols)
+    monkeypatch.setattr(spectrum, "_couplings", spy)
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls["eig"].append(len(a)) or eig(a))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls["eigvals"].append(len(a)) or eigvals(a))
+    vals, _ = _pair_spectrum(tmp_path, "chain", n, "transverse", fmt)
+    assert len(vals) == n and calls["couplings"] == [(1, n)]
+    # one solve per sector of the inversion: sides ceil(n/2) and n//2 (none for n = 1)
+    sides = calls.pop("eig" if fmt == "json" else "eigvals")
+    assert calls.pop("eigvals" if fmt == "json" else "eig") == []
+    assert sorted(sides) == ([n // 2, (n + 1) // 2] if n > 1 else [1])
+
+
+def _eigensolver_uses(tree, scope):
+    """(scope, name) of each np.linalg.eig / eigvals attribute under tree (np, numpy or a bare
+    linalg), scope being module[.function...]."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _eigensolver_uses(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Attribute) and child.attr in ("eig", "eigvals"):
+            yield scope, ast.unparse(child)
+        elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+            yield from ((scope, alias.name) for alias in child.names
+                        if alias.name in ("eig", "eigvals"))
+        yield from _eigensolver_uses(child, scope)
+
+
+def test_the_only_eigensolver_calls_are_in_factor():
+    package = Path(spectrum.__file__).parent
+    found = [use for path in sorted(package.glob("*.py"))
+             for use in _eigensolver_uses(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert found == [("spectrum._factor", "np.linalg.eig"),
+                     ("spectrum._factor", "np.linalg.eigvals")]

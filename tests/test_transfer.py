@@ -374,25 +374,36 @@ def test_sectors_split_h_into_orthonormal_blocks(arrangement, polarization, coun
     assert np.max(distance[rows, cols]) < 1e-10
 
 
-def _reversal(n):
-    """The group {identity, j -> n-1-j} with signs +1 that chain_spectrum passes to _sectors."""
-    sites = np.arange(n)
-    return np.array([sites, sites[::-1]]), np.ones((2, n))
-
-
 @pytest.mark.parametrize("dipole", [(0, 0, 1), (0.3, 0.4, 0.5)], ids=["z", "tilted"])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
 def test_sectors_of_a_chain(n, dipole):
     chain = build_chain(n, 1.0 / 3.0, dipole)
     h = assemble_heff(chain)
-    # chains declare no symmetry: their group is the identity
+    # the declared inversion j -> n-1-j is kept, with sign -1 on every site (p -> -p)
     perms, signs = spectrum._symmetry_group(chain, h)
-    assert np.array_equal(perms, [np.arange(n)]) and np.array_equal(signs, np.ones((1, n)))
-    sectors = _sectors(*_reversal(n))
+    sites = np.arange(n)
+    assert np.array_equal(perms, [sites, sites[::-1]])
+    assert np.array_equal(signs, [np.ones(n), -np.ones(n)])
+    sectors = _sectors(perms, signs)
     _assert_sectors_split_h(sectors, h)
-    # even block first; for odd n it holds the middle site as a one-site orbit
-    assert [len(s[0]) for s in sectors] == [(n + 1) // 2, n // 2][:min(n, 2)]
-    assert list(sectors[0][3]) == [2] * (n // 2) + [1] * (n % 2)
+    # odd block first (the trivial character times the signs -1); the even block, last,
+    # holds the middle site of an odd chain as a one-site orbit
+    assert [len(s[0]) for s in sectors] == [n // 2, (n + 1) // 2][2 - min(n, 2):]
+    assert list(sectors[-1][3]) == [2] * (n // 2) + [1] * (n % 2)
+
+
+@pytest.mark.parametrize("dipole", [(0, 0, 1), (1, 0, 0), (0.3, 0.4, 0.5), CIRCULAR],
+                         ids=["z", "x", "tilted", "circular"])
+@pytest.mark.parametrize("n", [*range(1, 13), 101])
+def test_build_chain_keeps_its_inversion(n, dipole):
+    for d in (0.1, 1.0 / 3.0):
+        chain = build_chain(n, d, dipole)
+        (flip, perm), = chain.symmetries
+        assert flip.tolist() == [-1, -1, -1] and perm.tolist() == list(range(n))[::-1]
+        # the inversion turns every dipole, real or complex, into its negative
+        for perms, signs in (spectrum._symmetry_group(chain),
+                             spectrum._symmetry_group(chain, assemble_heff(chain))):
+            assert len(perms) == 2 and np.array_equal(signs[1], -np.ones(n))
 
 
 @pytest.mark.parametrize("array, count", [

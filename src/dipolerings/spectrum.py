@@ -191,58 +191,52 @@ def _project(sector, x: np.ndarray) -> np.ndarray:
     return (np.sqrt(sizes) / len(idx))[:, None] * sum(c[:, None] * x[i] for i, c in zip(idx, coef))
 
 
-# Largest |S h S^T - h| / max|h| at which a site involution S is a symmetry of a caller's h.
-SYMMETRY_RTOL = 1e-10
+def _symmetry_group(array: EmitterArray) -> tuple[np.ndarray, np.ndarray]:
+    """The site symmetries of the h of array as the group G = (perms, signs) of _sectors, each
+    (|G|, n), from the array's declarations alone; h is never read.
 
-
-def _symmetry_group(array: EmitterArray | None,
-                    h: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The site symmetries of h as the group G = (perms, signs) of _sectors, each (|G|, n).
-
-    The generators are the array's declarations (flip F, site map perm; see EmitterArray),
-    each with the sign per site of F p_i against p_perm[i], kept where F p_i = sign_i
-    p_perm[i] to 1e-12 of the largest dipole component, O(n): then S h S^T = h for the h of
-    the array, since G(F r) = F G(r) F.  A caller's h must also pass S h S^T = h to
-    SYMMETRY_RTOL, an O(n^2) residual; without h, the h of the array is meant and is never
-    read.  A missing generator gives the smaller group; without an array, or without a kept
-    generator, G is the identity and its one sector is Q = I.
+    The generators are the declarations (flip F, site map perm; see EmitterArray), each with
+    the sign per site of F p_i against p_perm[i], kept where F p_i = sign_i p_perm[i] to 1e-12
+    of the largest dipole component, O(n): then S h S^T = h, since G(F r) = F G(r) F.  A
+    missing generator gives the smaller group; without a kept generator G is the identity
+    and its one sector is Q = I.
     """
-    n = array.n if h is None else len(h)
-    perms, signs = np.arange(n)[None], np.ones((1, n))
-    for flip, perm in array.symmetries if array is not None else ():
-        dip = array.dipoles
+    dip = array.dipoles
+    perms, signs = np.arange(array.n)[None], np.ones((1, array.n))
+    for flip, perm in array.symmetries:
         turned, image = flip * dip, dip[perm]
         sign = np.where(np.real(np.sum(np.conj(image) * turned, axis=1)) < 0, -1.0, 1.0)
         kept = (np.abs(turned - sign[:, None] * image).max(initial=0.0)
                 <= 1e-12 * np.abs(dip).max(initial=0.0))
-        if kept and h is not None:
-            # (S h S^T)[perm[i], perm[j]] = sign[i] sign[j] h[i, j], and sign[perm] = sign
-            residual = np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)
-            kept = residual.max() <= SYMMETRY_RTOL * np.abs(h).max()
         if kept:                                                  # gen after each element of G
             perms, signs = np.r_[perms, perm[perms]], np.r_[signs, signs * sign[perms]]
     return perms, signs
 
 
 def _is_uniform_chain(array: EmitterArray) -> bool:
-    """Equal steps to 1e-9 and one dipole: h is symmetric Toeplitz, h_ij = h_0|i-j| (G even)."""
-    dip, steps = array.dipoles, np.diff(array.positions, axis=0)
-    return not (np.any(dip != dip[0]) or np.any(np.abs(steps - steps[:1])
-                                                > 1e-9 * np.abs(steps[:1]).max(initial=0.0)))
+    """Equal steps and one dipole: h is symmetric Toeplitz, h_ij = h_0|i-j| (G even).  Steps are
+    equal to 4 eps of the largest |coordinate|, the positions' round-off (as in EmitterArray)."""
+    pos, dip = array.positions, array.dipoles
+    steps = np.diff(pos, axis=0)
+    tol = 4 * np.finfo(float).eps * np.abs(pos).max(initial=0.0)
+    return not (np.any(dip != dip[0]) or np.any(np.abs(steps - steps[:1]) > tol))
 
 
-def _orbit_rows(array: EmitterArray | None, h: np.ndarray | None = None, extra=()) -> tuple:
-    """(sectors, sites, rows): the sectors of the symmetry group of h (_symmetry_group) and
-    rows = h[sites] (a view where they lead) for the ascending sites of each orbit's
-    representative and of `extra`; without h from _couplings, but for a uniform chain
-    (_is_uniform_chain) from its row 0, as h_0|i-j|, off the full h by about 3 n eps max|h|."""
-    sectors = _sectors(*_symmetry_group(array, h))
-    sites = np.union1d(np.concatenate([s[0] for s in sectors]), np.asarray(extra, dtype=int))
-    if h is None and _is_uniform_chain(array):
-        row = _couplings(array, [0])[0]
-        h = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], array.n)[::-1]
-    if h is None:
+def _orbit_rows(array: EmitterArray | None, h: np.ndarray | None = None) -> tuple:
+    """(sectors, sites, rows) of one source: a given h is one sector, Q = I, with every site and
+    rows = h itself; else the sectors of the array's declared symmetries (_symmetry_group),
+    the ascending sites of each orbit's representative and rows = h[sites] of the array's h
+    from _couplings, but for a uniform chain (_is_uniform_chain) a view of h_0|i-j| built from
+    its row 0, off the full h by about 3 n eps max|h|."""
+    if h is not None:
+        n = len(h)
+        return _sectors(np.arange(n)[None], np.ones((1, n))), np.arange(n), h
+    sectors = _sectors(*_symmetry_group(array))
+    sites = np.unique(np.concatenate([s[0] for s in sectors]))
+    if not _is_uniform_chain(array):
         return sectors, sites, _couplings(array, sites)
+    row = _couplings(array, [0])[0]
+    h = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], array.n)[::-1]
     return sectors, sites, h[:len(sites)] if sites[-1] == len(sites) - 1 else h[sites]
 
 
@@ -259,9 +253,10 @@ def _factor(orbit: tuple, vectors: bool) -> list:
 
 
 def _modes(array: EmitterArray | None, h: np.ndarray | None = None, vectors: bool = True):
-    """(eigenvalues, eigenvectors or None) of the h of the array, or of a caller's h, from one
-    _factor of its _orbit_rows: the eigenvalues sorted by (Re, Im), and the columns Q_s W_s
-    in that order in the convention of _fix_phases, each Q_s the transpose of _project."""
+    """(eigenvalues, eigenvectors or None) of one source, the h of the array or a given h (one
+    sector), from one _factor of its _orbit_rows: the eigenvalues sorted by (Re, Im), and the
+    columns Q_s W_s in that order in the convention of _fix_phases, each Q_s the transpose of
+    _project."""
     orbit = _orbit_rows(array, h)
     factors = _factor(orbit, vectors)
     vals = np.concatenate([f[0] for f in factors] if vectors else factors)

@@ -38,25 +38,27 @@ def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> Ring
 
     lambda_{m1,m2} = (1/N) sum_{i in R1, j in R2} h_ij e^{i(m1 theta_i - m2 theta_j)}
     with each ring's local site angles.  Without h only the N x N inter-ring
-    block of h is built.
+    block of h is built.  Groups without ring metadata raise ValueError.
     """
     if len(array.groups) != 2 or len(array.groups[0]) != len(array.groups[1]):
         raise ValueError("need exactly two equal-size ring groups")
+    th1, th2 = (_ring(array, group).angles for group in (0, 1))
     idx1, idx2 = (np.asarray(g) for g in array.groups)
     block = _couplings(array, idx1, idx2) if h is None else h[np.ix_(idx1, idx2)]
-    return _block_coupling(array, block)
-
-
-def _block_coupling(array: EmitterArray, block: np.ndarray) -> RingRingCoupling:
-    """ring_ring_coupling from the (N, N) inter-ring block h[ring 1][:, ring 2]."""
-    n = len(block)
-    th1 = array.ring_meta[0].angles
-    th2 = array.ring_meta[1].angles
+    n = len(idx1)
     ms = canonical_m_range(n)
     e1 = np.exp(1j * np.outer(ms, th1))          # (m1, i)
     e2 = np.exp(-1j * np.outer(th2, ms))         # (j, m2)
     lam = e1 @ block @ e2 / n
     return RingRingCoupling(m_values=ms, lambda_mm=lam)
+
+
+def _ring(array: EmitterArray, group: int):
+    """The RingMeta of one group of array; ValueError if the group has no ring metadata."""
+    meta = array.ring_meta[group]
+    if meta is None:
+        raise ValueError(f"group {group} has no ring metadata")
+    return meta
 
 
 def eta_map(coupling: RingRingCoupling, ring_lambdas: np.ndarray) -> np.ndarray:
@@ -85,9 +87,7 @@ def _packets(array: EmitterArray, ring: int, centers: np.ndarray, m: int,
     per centre, from one (centres, sites) table of chord distances; see gaussian_packet."""
     if delta_theta <= 0:
         raise ValueError("angular spread must be positive")
-    meta = array.ring_meta[ring]
-    if meta is None:
-        raise ValueError("chosen group has no ring metadata")
+    meta = _ring(array, ring)
     idx = np.asarray(array.groups[ring])
     pos = array.positions[idx]
     chord = np.linalg.norm(pos[None, :, :] - pos[centers, None, :], axis=2)   # (centre, site)
@@ -165,32 +165,30 @@ def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _evolve(array: EmitterArray | None, h: np.ndarray | None, psi0s: np.ndarray,
-            times: np.ndarray, basis: np.ndarray, weights: list, orbit: tuple | None = None):
-    """Factor h once per sector of the symmetries that array declares and h has (see
-    spectrum._symmetry_group) for all initial states psi_j = psi0s[:, j]: the method ('eig' or
-    'ode'), cond(V), and lazily per j the (t, k) overlaps psi_j(t)^T C_j, where
-    weights[j] = (cols_j, R_j) gives C_j = basis[:, cols_j] @ R_j, or basis[:, cols_j] when
-    R_j is None (the overlaps <T_jk|psi_j(t)> for C_j = conj(T_j); see _target_factors).
+            times: np.ndarray, basis: np.ndarray, cols: list):
+    """Factor one source once for all initial states psi_j = psi0s[:, j], the h of the array in
+    the sectors of its declared symmetries or a given h as one sector, Q = I
+    (spectrum._orbit_rows): the method ('eig' or 'ode'), cond(V), and lazily per j the (t, k)
+    overlaps psi_j(t)^T basis[:, cols[j]].
 
     Each block Q_s^T h Q_s comes from the rows of the orbit representatives alone and is
     factored into W_s by spectrum._factor; V = [Q_s W_s] is never formed (see _project).
-    The rows are orbit = _orbit_rows(array, h) unless the caller passes them; with h = None they
-    come from _couplings, and the full h is assembled only for the ODE fallback.  Q is
-    orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
-    Z = V^T basis = [W_s^T Q_s^T basis] is formed once for all j, and the overlaps are
-    (phases @ (a_j Z[:, cols_j])) @ R_j with W_s a_s = Q_s^T psi_j solved per sector
+    Without h the rows come from _couplings, and the full h is assembled only for the ODE
+    fallback.  Q is orthogonal, so cond(V) is the largest singular value over all W_s over
+    the smallest.  Z = V^T basis = [W_s^T Q_s^T basis] is formed once for all j, and the
+    overlaps are phases @ (a_j Z[:, cols_j]) with W_s a_s = Q_s^T psi_j solved per sector
     (W_s^{-1} is not W_s^T/norms on degenerate +-m pairs), one j at a time, so the (t, n)
     states are never built; the (t, n) table e^{-i lambda t} is exact exp anchors joined by
     running products, with tails below sqrt(tiny) zeroed (see _phases).  When
     cond(V) > 1e8 each psi_j is integrated under the full h (DOP853), and its states are
-    multiplied by the same basis[:, cols_j] and R_j.
+    multiplied by the same basis[:, cols_j].
     """
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
     if h is not None:
         h = np.asarray(h, dtype=complex)
     psi0s = np.asarray(psi0s, dtype=complex)
-    orbit = orbit if orbit is not None else _orbit_rows(array, h)
+    orbit = _orbit_rows(array, h)
     sectors, blocks = orbit[0], _factor(orbit, vectors=True)
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
@@ -206,32 +204,23 @@ def _evolve(array: EmitterArray | None, h: np.ndarray | None, psi0s: np.ndarray,
             if not sol.success:
                 raise ArithmeticError(f"direct integration failed: {sol.message}")
             return sol.y.T
-        return "ode", cond, (_chain(integrate(psi0), basis[:, cols], r)
-                             for psi0, (cols, r) in zip(psi0s.T, weights))
+        return "ode", cond, (integrate(psi0) @ basis[:, c] for psi0, c in zip(psi0s.T, cols))
     a = np.vstack([np.linalg.solve(w, _project(s, psi0s)) for s, (_, w) in zip(sectors, blocks)])
     phases = _phases(times, np.concatenate([vals for vals, _ in blocks]))
     z = np.vstack([w.T @ _project(s, basis) for s, (_, w) in zip(sectors, blocks)])
-    return "eig", cond, (_chain(phases, a_j[:, None] * z[:, cols], r)
-                         for a_j, (cols, r) in zip(a.T, weights))
-
-
-def _chain(left: np.ndarray, right: np.ndarray, r: np.ndarray | None) -> np.ndarray:
-    """(left @ right) @ r, or left @ right where r is None."""
-    product = left @ right
-    return product if r is None else product @ r
+    return "eig", cond, (phases @ (a_j[:, None] * z[:, c]) for a_j, c in zip(a.T, cols))
 
 
 def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     """Evolve psi under dpsi/dt = -i h psi.
 
     Uses the eigendecomposition psi(t) = V exp(-i Lambda t) V^{-1} psi0 with h factored
-    once per symmetry sector; without an array no site symmetry is known, so the one
-    sector is Q = I.  Falls back to adaptive direct integration when the eigenvector
+    once as one sector, Q = I.  Falls back to adaptive direct integration when the eigenvector
     matrix is ill-conditioned (condition number above 1e8).
     """
     times = np.asarray(times, dtype=float)
     method, _, states = _evolve(None, h, np.reshape(psi0, (-1, 1)), times,
-                                np.eye(len(psi0)), [(slice(None), None)])
+                                np.eye(len(psi0)), [slice(None)])
     return Propagation(times=times, states=next(states), method=method)
 
 
@@ -256,9 +245,10 @@ def _targets(array: EmitterArray, m: int, delta_thetas) -> list[np.ndarray]:
     return [_packets(array, 1, centers, -m, float(dt)) for dt in delta_thetas]
 
 
-def _target_factors(array: EmitterArray, m: int, delta_thetas) -> tuple[np.ndarray, list]:
-    """conj(T_j) of the _targets of each width j as (basis, weights) for _evolve, through the
-    ring-2 momenta where that is cheaper; n = 2N is the number of emitters.
+def _target_factors(array: EmitterArray, m: int, delta_thetas) -> tuple[np.ndarray, list, list]:
+    """conj(T_j) = basis[:, cols_j] @ R_j of the _targets of each width j as (basis, cols,
+    factors), R_j = factors[j], through the ring-2 momenta where that is cheaper; n = 2N is the
+    number of emitters.
 
     The N packets of one width share one envelope c_{(l-k) mod N} (chord distances from ring-2
     site 0, normalized), so conj(T_jk)[l] = e^{i m theta_l} c_{l-k} on ring-2 site l, and with
@@ -280,17 +270,19 @@ def _target_factors(array: EmitterArray, m: int, delta_thetas) -> tuple[np.ndarr
     fourier = np.zeros((array.n, len(qs)), dtype=complex)
     fourier[idx] = (np.exp(1j * m * array.ring_meta[1].angles)[:, None]
                     * np.exp(2j * np.pi * (np.outer(sites, qs) % n_ring) / n_ring))
-    columns, weights = [fourier], []
+    columns, cols, factors = [fourier], [], []
     for dt, c, k, momentum in zip(delta_thetas, spectra, kept, cheaper):
         if momentum:
             q = np.flatnonzero(k)
-            weights.append((np.searchsorted(qs, q), c[q, None] / n_ring
-                            * np.exp(-2j * np.pi * (np.outer(q, sites) % n_ring) / n_ring)))
+            cols.append(np.flatnonzero(k[qs]))                  # where qs holds q
+            factors.append(c[q, None] / n_ring
+                           * np.exp(-2j * np.pi * (np.outer(q, sites) % n_ring) / n_ring))
         else:
             start = sum(part.shape[1] for part in columns)
             columns.append(np.conj(_targets(array, m, [dt])[0]))
-            weights.append((slice(start, start + n_ring), None))
-    return np.hstack(columns), weights
+            cols.append(slice(start, start + n_ring))
+            factors.append(None)
+    return np.hstack(columns), cols, factors
 
 
 def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: float,
@@ -301,15 +293,15 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     the same angular spread as the initial state and the overlap taken against
     the unnormalized evolved state (photon loss lowers F).  Without h only the rows of h
     at one site per orbit of the array's declared and realised symmetries are built
-    (_orbit_rows), and the full h only if the eigenvectors are ill-conditioned; a caller's
-    h is checked against each declared symmetry (spectrum._symmetry_group).  The one width
-    keeps its explicit targets rather than _target_factors: the trace reports F at every
-    step, down to the round-off of F(0), whose digits follow the order of the sums.
+    (_orbit_rows), and the full h only if the eigenvectors are ill-conditioned; a given h is
+    factored as it is, as one sector (Q = I).  The one width keeps its explicit targets
+    rather than _target_factors: the trace reports F at every step, down to the round-off
+    of F(0), whose digits follow the order of the sums.
     """
     times = np.asarray(times, dtype=float)
     targets = np.conj(_targets(array, m, [delta_theta])[0])
-    method, cond, overlaps = _evolve(array, h, np.reshape(psi0, (-1, 1)), times, targets,
-                                     [(slice(None), None)])
+    method, cond, overlaps = _evolve(array if h is None else None, h,
+                                     np.reshape(psi0, (-1, 1)), times, targets, [slice(None)])
     overlaps = np.abs(next(overlaps))                        # (t, k)
     fid = np.max(overlaps, axis=1)
     # ties within the state's round-off floor go to the lowest site; the phase error that F
@@ -325,8 +317,9 @@ def farthest_site(array: EmitterArray, ring: int = 0) -> int:
 
     Sites within 1e-12 relative of the largest distance count as tied, and the lowest index
     wins: for odd n the two mirror-image sites (n-1)/2 and (n+1)/2 differ only by round-off.
+    The other ring without ring metadata raises ValueError.
     """
-    other = array.ring_meta[1 - ring].center
+    other = _ring(array, 1 - ring).center
     idx = np.asarray(array.groups[ring])
     dist = np.linalg.norm(array.positions[idx] - other, axis=1)
     return int(np.argmax(dist >= (1.0 - 1e-12) * dist.max()))
@@ -357,24 +350,20 @@ def _separation_peaks(arrangement: str, n: int, d: float, polarization, m: int,
                       dts: np.ndarray, t_max: float | None, t_steps: int, x: float) -> tuple:
     """(max_t F, t at max, widths, method, cond(V)) of one fidelity_scan separation x,
     module level so that it pickles.  The couplings are the rows of h at the orbit
-    representatives and, for the default horizon, at ring 1 (_orbit_rows)."""
+    representatives (_evolve) and, for the default horizon, the N x N inter-ring block
+    (ring_ring_coupling)."""
     system = build_two_rings(arrangement, n, d, float(x), polarization)
-    ring1, ring2 = system.groups
-    orbit = _orbit_rows(system, extra=ring1 if t_max is None else ())
-    if t_max is None:
-        sites, rows = orbit[1:]
-        block = rows[np.ix_(np.searchsorted(sites, ring1), ring2)]   # h[ring 1][:, ring 2]
-        horizon = default_horizon(_block_coupling(system, block), m)
-    else:
-        horizon = t_max
+    horizon = default_horizon(ring_ring_coupling(system), m) if t_max is None else t_max
     times = np.linspace(0.0, horizon, t_steps)
     k0_site = farthest_site(system, ring=0)
     psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
                                              delta_theta=float(dt)) for dt in dts])
-    basis, weights = _target_factors(system, m, dts)
-    method, cond, overlaps = _evolve(system, None, psi0s, times, basis, weights, orbit)
-    # (t, width); map drops each width's (t, N) overlaps before the next one is formed
-    fid = np.column_stack(list(map(lambda o: np.max(np.abs(o), axis=1), overlaps)))
+    basis, cols, factors = _target_factors(system, m, dts)
+    method, cond, overlaps = _evolve(system, None, psi0s, times, basis, cols)
+    # (t, width), each width's overlaps times its R_j: map drops each width's (t, N) overlaps
+    # before the next one is formed
+    fid = np.column_stack(list(map(lambda o, r: np.max(np.abs(o if r is None else o @ r), axis=1),
+                                   overlaps, factors)))
     peak = np.argmax(fid, axis=0)
     return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,
             method, cond)
@@ -386,11 +375,11 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     """Scan max_t F over ring separation and initial packet width.
 
     The packet starts on ring 1 at the site farthest from ring 2.  For each
-    separation the system is built, the rows of h at its orbit representatives (and at
-    ring 1, for the default horizon) are computed and h is factored once per symmetry
-    sector; all widths are propagated together on a uniform time grid of t_steps points up
-    to t_max (default 20 pi / |J_{m,-m}|), their overlaps with the ring-2 targets taken in
-    ring-2 momentum space where that is cheaper (_target_factors).  methods and conds record
+    separation the system is built, the rows of h at its orbit representatives (and the
+    inter-ring block, for the default horizon) are computed and h is factored once per
+    symmetry sector; all widths are propagated together on a uniform time grid of t_steps
+    points up to t_max (default 20 pi / |J_{m,-m}|), their overlaps with the ring-2 targets
+    taken in ring-2 momentum space where that is cheaper (_target_factors).  methods and conds record
     each separation's solver path and cond(V), as FidelityTrace does for one trace.  The
     separations run on at most `threads` worker processes (spectrum._pool_map).
     """

@@ -28,12 +28,14 @@ from scipy.optimize import linear_sum_assignment
 
 from dipolerings.emfield import pair_coupling, radiated_field
 from dipolerings.geometry import EmitterArray, build_two_rings
-from dipolerings.spectrum import (SYMMETRY_RTOL, ModeSpectrum, _fix_phases, assemble_heff,
-                                  canonical_m_range, ring_spectrum, spin_wave_state, wrap_m)
+from dipolerings.spectrum import (ModeSpectrum, _fix_phases, assemble_heff, canonical_m_range,
+                                  ring_spectrum, spin_wave_state, wrap_m)
 from dipolerings.transfer import (default_horizon, farthest_site, gaussian_packet, propagate,
                                   ring_ring_coupling)
 
 K0 = 2.0 * np.pi
+# Largest |S h S^T - h| / max|h| at which geometric_symmetry_group keeps a site involution S.
+SYMMETRY_RTOL = 1e-10
 
 
 def two_atom_perpendicular(r):

@@ -132,10 +132,11 @@ def test_uniform_chain_rows_are_the_rows_of_the_full_h(n, dipole):
     for array in (build_chain(n, 0.1, dipole), build_chain(n, 1.0 / 3.0, dipole), line):
         assert spectrum._is_uniform_chain(array)
         h = assemble_heff(array)
-        for extra in ((), [n - 1]):
-            _, sites, rows = _orbit_rows(array, extra=extra)
-            assert np.all(np.isin(extra, sites))
+        # the chain's representatives, and (no declaration) every site
+        for rows_of in (array, EmitterArray(array.positions, array.dipoles)):
+            _, sites, rows = _orbit_rows(rows_of)
             assert np.max(np.abs(rows - h[sites])) <= 1e-13 * np.abs(h).max()
+        assert len(sites) == n
 
 
 @pytest.mark.parametrize("array", [
@@ -146,17 +147,26 @@ def test_uniform_chain_rows_are_the_rows_of_the_full_h(n, dipole):
 def test_two_site_uniform_arrays_keep_the_bits_of_h(array):
     # h_10 = h_01 bit for bit (the separation flips sign exactly), so their view is exact
     assert spectrum._is_uniform_chain(array)
-    _, sites, rows = _orbit_rows(array, extra=[0, 1])
-    assert rows.tobytes() == assemble_heff(array)[sites].tobytes()
+    _, sites, rows = _orbit_rows(EmitterArray(array.positions, array.dipoles))   # both rows
+    assert sites.tolist() == [0, 1]
+    assert rows.tobytes() == assemble_heff(array).tobytes()
+
+
+# A 40-site line of z-dipoles at spacing 0.1 whose steps from site 20 on are 0.9e-9 of a step
+# too long, far above the positions' round-off: its h is not Toeplitz to 3e-9 max|h|.
+STRETCHED = EmitterArray(0.1 * np.column_stack([np.arange(40) + 0.9e-9 * np.maximum(
+    np.arange(40) - 20, 0), np.zeros(40), np.zeros(40)]), [[0, 0, 1]] * 40)
 
 
 def test_a_non_uniform_array_is_no_uniform_chain():
     uneven = EmitterArray([[0, 0, 0], [1, 0, 0], [2.5, 0, 0]], [[0, 0, 1]] * 3)
     mixed = EmitterArray([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 0, 1]] * 2 + [[1, 0, 0]])
     bent = EmitterArray([[0, 0, 0], [1, 0, 0], [2, 1e-6, 0]], [[0, 0, 1]] * 3)
-    for array in (uneven, mixed, bent, build_ring(3, 0.1, "transverse"),
+    for array in (uneven, mixed, bent, STRETCHED, build_ring(3, 0.1, "transverse"),
                   build_ring(2, 0.1, "tangential")):
         assert not spectrum._is_uniform_chain(array)
+        with pytest.raises(ValueError):
+            spectrum.chain_spectrum(array)
         h = assemble_heff(array)
-        _, sites, rows = _orbit_rows(array)
+        _, sites, rows = _orbit_rows(array)            # the rows of _couplings
         assert rows.tobytes() == h[sites].tobytes()

@@ -134,10 +134,12 @@ def projected_green(separations: np.ndarray, p_left: np.ndarray, p_right: np.nda
         pref, near = _radial(dist)
         # One operand order at every batch size: above 256 KiB numpy reuses a temporary
         # in place as `temp * near`, which moves the last bit of a fused complex multiply.
+        # The last product goes to the dead `far`, not in place into g: an in-place complex
+        # multiply rounds a one-element batch apart from the same pair in a larger one.
         g = np.asarray(dot_lr - dot_ll * dot_rr, dtype=complex)
         far = np.asarray(3.0 * dot_ll * dot_rr - dot_lr, dtype=complex)
         g += np.multiply(near, far, out=far)
-        return np.multiply(pref, g, out=g)
+        return np.multiply(pref, g, out=far)
 
 
 def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, np.ndarray]:

@@ -115,7 +115,7 @@ def eigenmodes(h: np.ndarray) -> ModeSpectrum:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("coupling matrix must be square")
-    return ModeSpectrum(*_modes(None, h))
+    return ModeSpectrum(*_modes(h))
 
 
 def spin_wave_state(array: EmitterArray, m: int, group: int = 0) -> np.ndarray:
@@ -222,21 +222,21 @@ def _is_uniform_chain(array: EmitterArray) -> bool:
     return not (np.any(dip != dip[0]) or np.any(np.abs(steps - steps[:1]) > tol))
 
 
-def _orbit_rows(array: EmitterArray | None, h: np.ndarray | None = None) -> tuple:
-    """(sectors, sites, rows) of one source: a given h is one sector, Q = I, with every site and
-    rows = h itself; else the sectors of the array's declared symmetries (_symmetry_group),
-    the ascending sites of each orbit's representative and rows = h[sites] of the array's h
-    from _couplings, but for a uniform chain (_is_uniform_chain) a view of h_0|i-j| built from
-    its row 0, off the full h by about 3 n eps max|h|."""
-    if h is not None:
-        n = len(h)
-        return _sectors(np.arange(n)[None], np.ones((1, n))), np.arange(n), h
-    sectors = _sectors(*_symmetry_group(array))
+def _orbit_rows(source: EmitterArray | np.ndarray) -> tuple:
+    """(sectors, sites, rows) of one source: an ndarray h is one sector, Q = I, with every site
+    and rows = h itself; an EmitterArray has the sectors of its declared symmetries
+    (_symmetry_group), the ascending sites of each orbit's representative and rows = h[sites]
+    of its h from _couplings, but for a uniform chain (_is_uniform_chain) a view of h_0|i-j|
+    built from its row 0, off the full h by about 3 n eps max|h|."""
+    if isinstance(source, np.ndarray):
+        n = len(source)
+        return _sectors(np.arange(n)[None], np.ones((1, n))), np.arange(n), source
+    sectors = _sectors(*_symmetry_group(source))
     sites = np.unique(np.concatenate([s[0] for s in sectors]))
-    if not _is_uniform_chain(array):
-        return sectors, sites, _couplings(array, sites)
-    row = _couplings(array, [0])[0]
-    h = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], array.n)[::-1]
+    if not _is_uniform_chain(source):
+        return sectors, sites, _couplings(source, sites)
+    row = _couplings(source, [0])[0]
+    h = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], source.n)[::-1]
     return sectors, sites, h[:len(sites)] if sites[-1] == len(sites) - 1 else h[sites]
 
 
@@ -252,12 +252,11 @@ def _factor(orbit: tuple, vectors: bool) -> list:
         raise ArithmeticError(f"eigensolver failed for n = {rows.shape[1]}: {exc}") from exc
 
 
-def _modes(array: EmitterArray | None, h: np.ndarray | None = None, vectors: bool = True):
-    """(eigenvalues, eigenvectors or None) of one source, the h of the array or a given h (one
-    sector), from one _factor of its _orbit_rows: the eigenvalues sorted by (Re, Im), and the
-    columns Q_s W_s in that order in the convention of _fix_phases, each Q_s the transpose of
-    _project."""
-    orbit = _orbit_rows(array, h)
+def _modes(source: EmitterArray | np.ndarray, vectors: bool = True):
+    """(eigenvalues, eigenvectors or None) of one source of _orbit_rows, an array or a given h,
+    from one _factor: the eigenvalues sorted by (Re, Im), and the columns Q_s W_s in that
+    order in the convention of _fix_phases, each Q_s the transpose of _project."""
+    orbit = _orbit_rows(source)
     factors = _factor(orbit, vectors)
     vals = np.concatenate([f[0] for f in factors] if vectors else factors)
     order = np.lexsort((np.imag(vals), np.real(vals)))

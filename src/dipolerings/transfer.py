@@ -121,7 +121,7 @@ class Propagation:
 
     times: np.ndarray
     states: np.ndarray            # (len(times), n) complex
-    method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
+    method: str = "eig"           # 'eig', or 'ode': direct propagation, no eigenvectors
 
 
 # Row spacing of the exact np.exp anchors of the phase table (see _phases).
@@ -164,47 +164,42 @@ def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return table
 
 
-def _evolve(array: EmitterArray | None, h: np.ndarray | None, psi0s: np.ndarray,
-            times: np.ndarray, basis: np.ndarray, cols: list):
-    """Factor one source once for all initial states psi_j = psi0s[:, j], the h of the array in
-    the sectors of its declared symmetries or a given h as one sector, Q = I
-    (spectrum._orbit_rows): the method ('eig' or 'ode'), cond(V), and lazily per j the (t, k)
-    overlaps psi_j(t)^T basis[:, cols[j]].
+def _evolve(source: EmitterArray | np.ndarray, psi0s: np.ndarray, times: np.ndarray,
+            basis: np.ndarray, cols: list):
+    """Factor one source once for all initial states psi_j = psi0s[:, j], an array in the
+    sectors of its declared symmetries or a given h as one sector, Q = I (spectrum._orbit_rows):
+    the method ('eig' or 'ode'), cond(V), and lazily per j the (t, k) overlaps
+    psi_j(t)^T basis[:, cols[j]].
 
     Each block Q_s^T h Q_s comes from the rows of the orbit representatives alone and is
     factored into W_s by spectrum._factor; V = [Q_s W_s] is never formed (see _project).
-    Without h the rows come from _couplings, and the full h is assembled only for the ODE
+    An array's rows come from _couplings, and its full h is assembled only for the 'ode'
     fallback.  Q is orthogonal, so cond(V) is the largest singular value over all W_s over
     the smallest.  Z = V^T basis = [W_s^T Q_s^T basis] is formed once for all j, and the
     overlaps are phases @ (a_j Z[:, cols_j]) with W_s a_s = Q_s^T psi_j solved per sector
     (W_s^{-1} is not W_s^T/norms on degenerate +-m pairs), one j at a time, so the (t, n)
     states are never built; the (t, n) table e^{-i lambda t} is exact exp anchors joined by
     running products, with tails below sqrt(tiny) zeroed (see _phases).  When
-    cond(V) > 1e8 each psi_j is integrated under the full h (DOP853), and its states are
-    multiplied by the same basis[:, cols_j].
+    cond(V) > 1e8 all psi_j are propagated together under the full h in exact exponential
+    steps, one e^{-i h dt} (scipy.linalg.expm) per distinct step dt of the grid from t = 0,
+    and each psi_j(t) is multiplied by the same basis[:, cols_j].
     """
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
-    if h is not None:
-        h = np.asarray(h, dtype=complex)
     psi0s = np.asarray(psi0s, dtype=complex)
-    orbit = _orbit_rows(array, h)
+    orbit = _orbit_rows(source)
     sectors, blocks = orbit[0], _factor(orbit, vectors=True)
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
     if cond > 1e8:
-        from scipy.integrate import solve_ivp   # ~0.5 s to import; only this fallback runs it
-        if h is None:
-            h = assemble_heff(array)
-
-        def integrate(psi0):
-            sol = solve_ivp(
-                lambda t, y: -1j * (h @ y), (0.0, times[-1] if len(times) else 0.0),
-                psi0, t_eval=times, method="DOP853", rtol=1e-10, atol=1e-12)
-            if not sol.success:
-                raise ArithmeticError(f"direct integration failed: {sol.message}")
-            return sol.y.T
-        return "ode", cond, (integrate(psi0) @ basis[:, c] for psi0, c in zip(psi0s.T, cols))
+        from scipy.linalg import expm   # only this fallback loads scipy
+        h = source if isinstance(source, np.ndarray) else assemble_heff(source)
+        steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+        props = [expm(-1j * dt * h) for dt in steps]
+        states, state = np.empty((len(times), *psi0s.shape), dtype=complex), psi0s
+        for k, step in enumerate(step_of):
+            state = states[k] = props[step] @ state
+        return "ode", cond, (states[:, :, j] @ basis[:, c] for j, c in enumerate(cols))
     a = np.vstack([np.linalg.solve(w, _project(s, psi0s)) for s, (_, w) in zip(sectors, blocks)])
     phases = _phases(times, np.concatenate([vals for vals, _ in blocks]))
     z = np.vstack([w.T @ _project(s, basis) for s, (_, w) in zip(sectors, blocks)])
@@ -215,11 +210,11 @@ def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     """Evolve psi under dpsi/dt = -i h psi.
 
     Uses the eigendecomposition psi(t) = V exp(-i Lambda t) V^{-1} psi0 with h factored
-    once as one sector, Q = I.  Falls back to adaptive direct integration when the eigenvector
+    once as one sector, Q = I.  Falls back to exact exponential steps when the eigenvector
     matrix is ill-conditioned (condition number above 1e8).
     """
     times = np.asarray(times, dtype=float)
-    method, _, states = _evolve(None, h, np.reshape(psi0, (-1, 1)), times,
+    method, _, states = _evolve(np.asarray(h, dtype=complex), np.reshape(psi0, (-1, 1)), times,
                                 np.eye(len(psi0)), [slice(None)])
     return Propagation(times=times, states=next(states), method=method)
 
@@ -235,7 +230,7 @@ class FidelityTrace:
     times: np.ndarray
     fidelity: np.ndarray          # max_k |<target_k|psi(t)>|
     argmax_site: np.ndarray       # local site index in ring 2 achieving the max, or -1
-    method: str = "eig"           # 'eig' or 'ode' (ill-conditioned fallback)
+    method: str = "eig"           # 'eig', or 'ode': direct propagation, no eigenvectors
     cond: float | None = None     # cond(V), V = [Q_s W_s], from the singular values of each W_s
 
 
@@ -300,7 +295,7 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     """
     times = np.asarray(times, dtype=float)
     targets = np.conj(_targets(array, m, [delta_theta])[0])
-    method, cond, overlaps = _evolve(array if h is None else None, h,
+    method, cond, overlaps = _evolve(array if h is None else np.asarray(h, dtype=complex),
                                      np.reshape(psi0, (-1, 1)), times, targets, [slice(None)])
     overlaps = np.abs(next(overlaps))                        # (t, k)
     fid = np.max(overlaps, axis=1)
@@ -342,7 +337,7 @@ class FidelityScan:
     widths: np.ndarray            # R * delta_theta per (x, dtheta), (nx, nw)
     max_fidelity: np.ndarray      # (nx, nw)
     t_at_max: np.ndarray          # (nx, nw)
-    methods: np.ndarray           # (nx,) 'eig' or 'ode' (ill-conditioned fallback) per x
+    methods: np.ndarray           # (nx,) 'eig' or 'ode' (direct, no eigenvectors) per x
     conds: np.ndarray             # (nx,) cond(V), from the singular values of each W_s
 
 
@@ -359,7 +354,7 @@ def _separation_peaks(arrangement: str, n: int, d: float, polarization, m: int,
     psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
                                              delta_theta=float(dt)) for dt in dts])
     basis, cols, factors = _target_factors(system, m, dts)
-    method, cond, overlaps = _evolve(system, None, psi0s, times, basis, cols)
+    method, cond, overlaps = _evolve(system, psi0s, times, basis, cols)
     # (t, width), each width's overlaps times its R_j: map drops each width's (t, N) overlaps
     # before the next one is formed
     fid = np.column_stack(list(map(lambda o, r: np.max(np.abs(o if r is None else o @ r), axis=1),

@@ -282,15 +282,15 @@ def test_defective_h_takes_the_ode_fallback():
     prop = propagate(h, psi0, times)
     assert prop.method == "ode"
     decay = np.exp(-times / 2)
-    assert np.max(np.abs(prop.states - np.column_stack([decay, -1j * times * decay]))) < 1e-8
+    assert np.max(np.abs(prop.states - np.column_stack([decay, -1j * times * decay]))) < 1e-12
     # h = N alone: eig returns two exactly parallel eigenvectors, so cond(V) is inf
     nilpotent = propagate(np.array([[0.0, 0.0], [1.0, 0.0]]), psi0, times)
     assert nilpotent.method == "ode"
     exact = np.column_stack([np.ones_like(times), -1j * times])
-    assert np.max(np.abs(nilpotent.states - exact)) < 1e-8
+    assert np.max(np.abs(nilpotent.states - exact)) < 1e-12
     trace = fidelity_trace(pair, psi0, m=0, delta_theta=1.0, times=times, h=h)
     assert trace.method == "ode" and trace.cond > 1e8
-    assert np.max(np.abs(trace.fidelity - times * decay)) < 1e-8
+    assert np.max(np.abs(trace.fidelity - times * decay)) < 1e-12
     # F(0) = 0 is below the ODE floor n eps = 2 eps: no site; every later F is above it
     assert trace.argmax_site.tolist() == [-1] + [0] * (len(times) - 1)
 
@@ -298,16 +298,40 @@ def test_defective_h_takes_the_ode_fallback():
 def test_fidelity_scan_ode_fallback_matches_eig(monkeypatch):
     args = (5, 0.1, "tangential", 2, [0.1, 0.2], [0.5, 1.5])
     eig_scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
-    import scipy.integrate
-    integrations, solve_ivp = [], scipy.integrate.solve_ivp
-    monkeypatch.setattr(scipy.integrate, "solve_ivp",
-                        lambda *a, **k: integrations.append(1) or solve_ivp(*a, **k))
+    import scipy.linalg
+    exponentials, expm = [], scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda *a: exponentials.append(1) or expm(*a))
     # cond(V) comes from the singular values of the sector blocks: force it to 1e9
     monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1e9, 1.0]))
     ode_scan = fidelity_scan(*args, t_max=20.0, t_steps=120)
-    assert len(integrations) == 4
-    assert np.max(np.abs(ode_scan.max_fidelity - eig_scan.max_fidelity)) < 1e-7
-    assert np.max(np.abs(ode_scan.t_at_max - eig_scan.t_at_max)) < 1e-7
+    # one exponential per distinct step of the grid from t = 0, for all widths together
+    assert len(exponentials) == 2 * 10
+    assert np.max(np.abs(ode_scan.max_fidelity - eig_scan.max_fidelity)) < 1e-10
+    assert np.max(np.abs(ode_scan.t_at_max - eig_scan.t_at_max)) < 1e-10
+
+
+def test_ode_fallback_steps_from_t_zero_on_every_grid(monkeypatch):
+    # the first exponential step runs from t = 0 to the grid's first time, so a grid that
+    # starts later, a single point, an irregular grid and an empty one match the eig path
+    pair = build_two_rings("site-edge", 7, 0.1, 0.15, "tangential")
+    h = assemble_heff(pair)
+    psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=2, delta_theta=1.0)
+    grids = [np.linspace(5.0, 30.0, 41), np.array([3.0]), np.array([0.0, 0.5, 7.25, 7.5, 30.0]),
+             np.array([])]
+    eig = [propagate(h, psi0, times) for times in grids]
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1e9, 1.0]))
+    for times, want in zip(grids, eig):
+        got = propagate(h, psi0, times)
+        assert (want.method, got.method) == ("eig", "ode")
+        assert got.states.shape == want.states.shape == (len(times), 14)
+        assert np.max(np.abs(got.states - want.states), initial=0.0) <= 1e-12
+    # the defective h of test_defective_h_takes_the_ode_fallback from t = 2, against
+    # psi(t) = e^{-t/2} (1, -i t)
+    times = np.linspace(2.0, 12.0, 51)
+    prop = propagate(np.array([[-0.5j, 0.0], [1.0, -0.5j]]), np.array([1.0, 0.0]), times)
+    decay = np.exp(-times / 2)
+    assert prop.method == "ode"
+    assert np.max(np.abs(prop.states - np.column_stack([decay, -1j * times * decay]))) < 1e-12
 
 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
@@ -451,7 +475,7 @@ def test_sectors_without_a_verified_symmetry_is_the_identity():
     # sector with every site, and its rows are h itself
     defective = np.array([[-0.5j, 0.0], [1.0, -0.5j]])
     for h in (assemble_heff(asymmetric), defective):
-        sectors, sites, rows = spectrum._orbit_rows(None, h)
+        sectors, sites, rows = spectrum._orbit_rows(h)
         assert len(sectors) == 1 and np.array_equal(_dense_bases(sectors, len(h))[0],
                                                     np.eye(len(h)))
         assert np.array_equal(sites, np.arange(len(h))) and rows is h
@@ -815,9 +839,9 @@ def test_momentum_targets_match_the_explicit_targets_and_the_oracles(arrangement
     # every overlap against the explicit targets on the same factorization: n eps cond(V)
     site = farthest_site(pair, 0)
     psi0s = np.column_stack([gaussian_packet(pair, 0, site, m, dt) for dt in MOMENTUM_WIDTHS])
-    method, cond, overlaps = transfer._evolve(pair, None, psi0s, times, basis, cols)
+    method, cond, overlaps = transfer._evolve(pair, psi0s, times, basis, cols)
     explicit = np.hstack([np.conj(t) for t in transfer._targets(pair, m, MOMENTUM_WIDTHS)])
-    _, _, expected = transfer._evolve(pair, None, psi0s, times, explicit,
+    _, _, expected = transfer._evolve(pair, psi0s, times, explicit,
                                       [slice(j * n, (j + 1) * n) for j in range(3)])
     assert method == "eig"
     for got, r, want in zip(overlaps, factors, expected):
@@ -895,13 +919,10 @@ def test_orbit_rows_are_the_rows_of_the_full_h():
                 pair, h = _pair_and_h(arrangement, n, polarization)
                 _, sites, rows = spectrum._orbit_rows(pair)
                 assert np.array_equal(rows, h[sites])
-                # the inter-ring block built alone is the full h's, bit for bit, but for a
-                # one-site ring's 1 x 1 block, which the kernel can round 1 ulp apart
+                # the inter-ring block built alone is the full h's, bit for bit, also a
+                # one-site ring's 1 x 1 block
                 alone, given = (ring_ring_coupling(pair, a).lambda_mm for a in (None, h))
-                if n > 1:
-                    assert np.array_equal(alone, given)
-                else:
-                    assert np.abs(alone - given).max() <= np.finfo(float).eps * np.abs(given).max()
+                assert np.array_equal(alone, given)
 
 
 def _false_declarations(n):

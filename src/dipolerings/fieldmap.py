@@ -95,8 +95,8 @@ def _orbit_representatives(array: EmitterArray, state: np.ndarray, grid: GridSpe
     amplitudes map onto themselves, w[pi] = chi D w for w = c p and one unit-modulus chi (to
     1e-12 of max |w|), and if the grid's points map onto themselves, D r_(i,j) = r at (i, j)
     with the index reversed along each grid axis that D flips (to tol).  Then E(D r) =
-    chi D E(r): |E|^2 and the nearest-emitter distance are equal on an orbit.  An array
-    that declares nothing (a chain, or one built without declarations) has no candidate.
+    chi D E(r): |E|^2 and the nearest-emitter distance are equal on an orbit.  A build_chain
+    array (n >= 2) declares its inversion but folds nothing: its centroid is off the origin.
     """
     shape = (grid.res1, grid.res2)
     rep = np.arange(len(points)).reshape(shape)

@@ -151,10 +151,12 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
     ring 2 has a site facing back at distance gap from ring 1's facing site.
     In the 'site-edge' arrangement ring 2 is additionally rotated by pi/n so an
     edge midpoint faces ring 1's site, with gap the site-to-midpoint distance
-    along the center line.  The pair declares (see EmitterArray) the mirror sigma_y, y -> -y,
-    and, for site-site pairs and one-site rings, the C2 rotation about z, j <-> j + n; the
-    dipoles decide where each is a symmetry of h (spectrum._symmetry_group).  Each ring's
-    sites are built as build_ring's, without its own declarations.
+    along the center line; a site-site gap at or below 1e-12 R, near the round-off of ring 2's
+    facing site (R sin(pi), about 1e-16 R), raises ValueError.  The pair declares (see
+    EmitterArray) the mirror sigma_y, y -> -y, and, for site-site pairs and one-site rings,
+    the C2 rotation about z, j <-> j + n; the dipoles decide where each is a symmetry of h
+    (spectrum._symmetry_group).  Each ring's sites are built as build_ring's, without its own
+    declarations.
     """
     if arrangement not in ("site-site", "site-edge"):
         raise ValueError(f"unknown arrangement {arrangement!r}")
@@ -166,6 +168,8 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
         raise ValueError("ring separation must be positive")
     pos1, dip1, meta1 = _ring_sites(n, d, polarization, (0.0, 0.0, 0.0), 0.0)
     radius = meta1.radius
+    if arrangement == "site-site" and gap <= 1e-12 * radius:
+        raise ValueError(f"site-site gap {gap:.3g} is within the round-off of R = {radius:.3g}")
     if arrangement == "site-site":
         center2_x, offset2 = 2.0 * radius + gap, np.pi
     else:

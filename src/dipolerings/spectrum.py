@@ -176,11 +176,11 @@ def _sectors(perms: np.ndarray, signs: np.ndarray) -> list[tuple]:
     return [(reps[k], idx[:, k], c[:, k], sizes[k]) for c, k in zip(coefs, kept) if np.any(k)]
 
 
-def _block(sector, rows: np.ndarray) -> np.ndarray:
-    """Q_s^T h Q_s of a sector of _sectors from rows = h[reps] alone, exact if S_g h S_g^T = h:
-    sqrt(|O_a| |O_b|)/|G| sum_g chi(g) sign_g(i_b) h[i_a, g(i_b)]."""
+def _block(sector, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Q_s^T h Q_s of a sector of _sectors from h[reps] = rows[pos] alone, gathered term by term,
+    exact if S_g h S_g^T = h: sqrt(|O_a| |O_b|)/|G| sum_g chi(g) sign_g(i_b) h[i_a, g(i_b)]."""
     _, idx, coef, sizes = sector
-    block = sum(c * rows[:, i] for i, c in zip(idx, coef))   # one (orbits, orbits) term at a time
+    block = sum(c * rows[pos[:, None], i] for i, c in zip(idx, coef))
     block *= np.sqrt(np.outer(sizes, sizes)) / len(idx)
     return block
 
@@ -223,31 +223,30 @@ def _is_uniform_chain(array: EmitterArray) -> bool:
 
 
 def _orbit_rows(source: EmitterArray | np.ndarray) -> tuple:
-    """(sectors, sites, rows) of one source: an ndarray h is one sector, Q = I, with every site
-    and rows = h itself; an EmitterArray has the sectors of its declared symmetries
-    (_symmetry_group), the ascending sites of each orbit's representative and rows = h[sites]
-    of its h from _couplings, but for a uniform chain (_is_uniform_chain) a view of h_0|i-j|
-    built from its row 0, off the full h by about 3 n eps max|h|."""
+    """(sectors, sites, rows), rows[k] = h[sites[k]] at ascending sites, of one source: an ndarray
+    h is one sector, Q = I, with every site and rows = h; an EmitterArray has the sectors of its
+    declared symmetries (_symmetry_group) and each orbit representative's rows from _couplings,
+    but a uniform chain (_is_uniform_chain) every site with rows a view of h_0|i-j| built from
+    its row 0, off the full h by about 3 n eps max|h|."""
     if isinstance(source, np.ndarray):
         n = len(source)
         return _sectors(np.arange(n)[None], np.ones((1, n))), np.arange(n), source
     sectors = _sectors(*_symmetry_group(source))
-    sites = np.unique(np.concatenate([s[0] for s in sectors]))
     if not _is_uniform_chain(source):
+        sites = np.unique(np.concatenate([s[0] for s in sectors]))
         return sectors, sites, _couplings(source, sites)
     row = _couplings(source, [0])[0]
     h = np.lib.stride_tricks.sliding_window_view(np.r_[row[:0:-1], row], source.n)[::-1]
-    return sectors, sites, h[:len(sites)] if sites[-1] == len(sites) - 1 else h[sites]
+    return sectors, np.arange(source.n), h
 
 
-def _factor(orbit: tuple, vectors: bool) -> list:
-    """Per sector of orbit = (sectors, sites, rows) of _orbit_rows, np.linalg.eig (vectors)
-    or eigvals of its block Q_s^T h Q_s (_block); a failed solve raises ArithmeticError."""
-    sectors, sites, rows = orbit
+def _factor(source: EmitterArray | np.ndarray, vectors: bool) -> tuple:
+    """(sectors, factors) of one source of _orbit_rows: np.linalg.eig (vectors) or eigvals of
+    each sector's block Q_s^T h Q_s (_block); a failed solve raises ArithmeticError."""
+    sectors, sites, rows = _orbit_rows(source)
     solve = np.linalg.eig if vectors else np.linalg.eigvals
-    try:   # leading representatives (a chain's) slice rows: a copy of a view gathers slower
-        return [solve(_block(s, rows[:len(s[0])] if np.array_equal(sites[:len(s[0])], s[0])
-                             else rows[np.searchsorted(sites, s[0])])) for s in sectors]
+    try:
+        return sectors, [solve(_block(s, rows, np.searchsorted(sites, s[0]))) for s in sectors]
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigensolver failed for n = {rows.shape[1]}: {exc}") from exc
 
@@ -256,14 +255,13 @@ def _modes(source: EmitterArray | np.ndarray, vectors: bool = True):
     """(eigenvalues, eigenvectors or None) of one source of _orbit_rows, an array or a given h,
     from one _factor: the eigenvalues sorted by (Re, Im), and the columns Q_s W_s in that
     order in the convention of _fix_phases, each Q_s the transpose of _project."""
-    orbit = _orbit_rows(source)
-    factors = _factor(orbit, vectors)
+    sectors, factors = _factor(source, vectors)
     vals = np.concatenate([f[0] for f in factors] if vectors else factors)
     order = np.lexsort((np.imag(vals), np.real(vals)))
     if not vectors:
         return vals[order], None
-    eye = np.eye(orbit[2].shape[1])
-    vecs = np.hstack([_project(s, eye).T @ w for s, (_, w) in zip(orbit[0], factors)])
+    eye = np.eye(len(vals))
+    vecs = np.hstack([_project(s, eye).T @ w for s, (_, w) in zip(sectors, factors)])
     return vals[order], _fix_phases(vecs[:, order])
 
 
@@ -311,32 +309,44 @@ class WorkerError(RuntimeError):
     """A worker process of _pool_map ended without a result (killed by the OS, say)."""
 
 
-def _pool_map(fn, items, threads: int) -> list:
-    """[fn(item) for item in items] on min(threads, len(items), usable CPUs) worker processes,
-    with BLAS on one thread per task, so that the results do not depend on `threads`.
+# _pool_map forks at this much work, the sum over its tasks of eigvals side^3: per decay-scan
+# size 0 for an FFT ring, a chain's two inversion sectors and n^3 for a fixed-dipole ring (an
+# upper bound where its half-turn splits h); per fidelity-scan separation (2 n)^3 plus its
+# overlaps (transfer.fidelity_scan).  On a 2-vCPU Xeon a two-worker pool costs 20-25 ms and
+# eigvals runs 1.2e8 side^3/s at side 100: forking pays off above about 2 * 1.2e8 * 0.02 = 5e6.
+# Default chains 10-30 are 5.4e4 (11 ms here, 25-50 ms forked), fixed-dipole rings 10-30 2.1e5,
+# chains 100-400 step 20 8.8e7; fidelity scans over three separations (two widths, 100 steps)
+# 6.5e3, 4.0e5 and 2.4e7 at n = 6, 25 and 100 (13, 19 and 110 ms here; 29, 31 and 80-93 forked).
+_FORK_WORK = 5e6
 
-    numpy's eigvals holds the GIL below side ~500, so threads would not overlap; workers are
-    forked (a spawned one re-imports numpy) and each pins its BLAS to one thread, since an
-    unpinned BLAS in every worker oversubscribes the CPUs.  fn and the items must pickle.
-    At one worker, or without fork or the BLAS setter, the tasks run in this process under
-    _one_blas_thread (unpinned without the setter).  Exceptions raised by fn come back with
-    their type; a worker that dies raises WorkerError.  Call it from a single-threaded
-    process, as the CLI is: fork copies only the calling thread.
+
+def _pool_map(fn, items, threads: int, work) -> list:
+    """[fn(item) for item in items], in item order, on min(threads, len(items), usable CPUs)
+    forked worker processes, which take the tasks largest work[i] first, if sum(work) >=
+    _FORK_WORK (work[i]: item i's cost, in eigvals side^3), else in this process.
+
+    Both paths run in one _one_blas_thread, whose pin forked workers inherit: every task sees
+    BLAS on one thread, so the results do not depend on `threads` and k workers use k CPUs.
+    Workers, not threads: numpy's eigvals holds the GIL below side ~500; forked: a spawned one
+    re-imports numpy.  fn and the items must pickle.  Without fork or the BLAS setter the tasks
+    run here (unpinned without the setter).  fn's exceptions come back with their type; a dead
+    worker raises WorkerError.  Call it single-threaded, as the CLI does: fork copies one thread.
     """
-    blas = _blas_threads()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(items), cpus or 1)
-    if workers > 1 and blas is not None:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-            try:
-                with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                         initializer=blas[1], initargs=(1,)) as pool:
-                    return list(pool.map(fn, items))
-            except BrokenProcessPool as exc:
-                raise WorkerError(f"a worker process ended without a result: {exc}") from exc
+    workers = min(threads, len(items), cpus or 1) if sum(work) >= _FORK_WORK else 1
     with _one_blas_thread():
+        if workers > 1 and _blas_threads() is not None:
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+                order = sorted(range(len(items)), key=work.__getitem__, reverse=True)
+                fork = multiprocessing.get_context("fork")
+                try:
+                    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                        done = dict(zip(order, pool.map(fn, [items[i] for i in order])))
+                except BrokenProcessPool as exc:
+                    raise WorkerError(f"a worker process ended without a result: {exc}") from exc
+                return [done[i] for i in range(len(items))]
         return [fn(item) for item in items]
 
 
@@ -368,27 +378,15 @@ def _min_rate(kind: str, d: float, polarization, n: int) -> float:
     return float(np.min(-2.0 * np.imag(lambdas)))
 
 
-# Chain and fixed-dipole ring scans fork their pool only above this much eigvals work, the
-# sum over sizes of side^3 of each eigvals call: a chain's two inversion sectors, and n^3 for a
-# ring, an upper bound where its half-turn splits h (even n).  On a 2-vCPU Xeon a two-worker
-# pool costs 20-25 ms and eigvals runs 1.2e8 side^3/s at side 100, so two workers pay off
-# above about 2 * 1.2e8 * 0.02 = 5e6.  The CLI's default chains 10-30 are 5.4e4 (11 ms in
-# this process, 25-50 ms forked), and rings 10-30 with a fixed dipole 2.1e5; chains 100-400
-# step 20 are 8.8e7.
-_FORK_WORK = 5e6
-
-
 def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
                    polarization="transverse", threads: int = 1) -> np.ndarray:
     """Minimum collective decay rate versus emitter number at fixed lambda/d.
 
-    kind is 'ring' or 'chain'.  Returns an array of rows (n, min_k Gamma_k) in n_list
-    order, computed largest n first on at most `threads` worker processes (_pool_map).
-    Rings with a symmetric polarization scheme take their rates from ring_spectrum, one
-    FFT per size, in this process; chains and rings with a fixed dipole vector from the
-    eigenvalues of their symmetry sectors (_modes), no eigenvectors, in this process when
-    their sum of side^3 is below _FORK_WORK.  Chains take `polarization`, 'transverse' (z) or
-    a dipole 3-vector, as their common dipole; any other string raises ValueError.
+    kind is 'ring' or 'chain'.  Returns rows (n, min_k Gamma_k) in n_list order, computed on at
+    most `threads` worker processes (_pool_map): from ring_spectrum, one FFT per size, for rings
+    with a symmetric polarization scheme, else from the eigenvalues of the symmetry sectors
+    (_modes), no eigenvectors.  Chains take `polarization`, 'transverse' (z) or a dipole
+    3-vector, as their common dipole; any other string raises ValueError.
     """
     if kind not in ("ring", "chain"):
         raise ValueError(f"unknown geometry kind {kind!r}")
@@ -400,13 +398,8 @@ def min_decay_scan(kind: str, n_list, wavelength_over_d: float,
         if polarization != "transverse":
             raise ValueError(f"chains take 'transverse' or a dipole 3-vector, got {polarization!r}")
         polarization = (0.0, 0.0, 1.0)
+    work = [((n + 1) // 2) ** 3 + (n // 2) ** 3 if kind == "chain" else n**3 for n in n_list]
     if kind == "ring" and isinstance(polarization, str) and polarization.lower() in SYMMETRIC_SCHEMES:
-        threads = 1   # one FFT per size costs less than forking a worker
-    work = (((n + 1) // 2) ** 3 + (n // 2) ** 3 if kind == "chain" else n**3 for n in n_list)
-    if sum(work) < _FORK_WORK:
-        threads = 1   # the eigvals cost less than forking the pool
-    order = sorted(range(len(n_list)), key=n_list.__getitem__, reverse=True)
-    rates = np.empty(len(n_list))
-    rates[order] = _pool_map(functools.partial(_min_rate, kind, d, polarization),
-                             [n_list[i] for i in order], threads)
+        work = [0] * len(n_list)   # ring_spectrum: one FFT per size
+    rates = _pool_map(functools.partial(_min_rate, kind, d, polarization), n_list, threads, work)
     return np.column_stack([np.array(n_list, dtype=float), rates])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EmitterArray, build_two_rings
-from .spectrum import (_couplings, _factor, _orbit_rows, _pool_map, _project, assemble_heff,
+from .spectrum import (_couplings, _factor, _pool_map, _project, assemble_heff,
                        canonical_m_range, wrap_m)
 
 
@@ -187,8 +187,7 @@ def _evolve(source: EmitterArray | np.ndarray, psi0s: np.ndarray, times: np.ndar
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-negative and ascending")
     psi0s = np.asarray(psi0s, dtype=complex)
-    orbit = _orbit_rows(source)
-    sectors, blocks = orbit[0], _factor(orbit, vectors=True)
+    sectors, blocks = _factor(source, vectors=True)
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
     if cond > 1e8:
@@ -234,16 +233,15 @@ class FidelityTrace:
     cond: float | None = None     # cond(V), V = [Q_s W_s], from the singular values of each W_s
 
 
-def _targets(array: EmitterArray, m: int, delta_thetas) -> list[np.ndarray]:
-    """Momentum-reversed packets centred on each ring-2 site, one (n, n2) set per width."""
-    centers = np.arange(len(array.groups[1]))
-    return [_packets(array, 1, centers, -m, float(dt)) for dt in delta_thetas]
+def _targets(array: EmitterArray, m: int, delta_theta: float) -> np.ndarray:
+    """Conjugated momentum-reversed packets of one width on each ring-2 site, one (n, n2) set."""
+    return np.conj(_packets(array, 1, np.arange(len(array.groups[1])), -m, float(delta_theta)))
 
 
 def _target_factors(array: EmitterArray, m: int, delta_thetas) -> tuple[np.ndarray, list, list]:
-    """conj(T_j) = basis[:, cols_j] @ R_j of the _targets of each width j as (basis, cols,
-    factors), R_j = factors[j], through the ring-2 momenta where that is cheaper; n = 2N is the
-    number of emitters.
+    """conj(T_j) = basis[:, cols_j] @ R_j for the _targets conj(T_j) of each width j as (basis,
+    cols, factors), R_j = factors[j], through the ring-2 momenta where that is cheaper; n = 2N is
+    the number of emitters.
 
     The N packets of one width share one envelope c_{(l-k) mod N} (chord distances from ring-2
     site 0, normalized), so conj(T_jk)[l] = e^{i m theta_l} c_{l-k} on ring-2 site l, and with
@@ -274,7 +272,7 @@ def _target_factors(array: EmitterArray, m: int, delta_thetas) -> tuple[np.ndarr
                            * np.exp(-2j * np.pi * (np.outer(q, sites) % n_ring) / n_ring))
         else:
             start = sum(part.shape[1] for part in columns)
-            columns.append(np.conj(_targets(array, m, [dt])[0]))
+            columns.append(_targets(array, m, dt))
             cols.append(slice(start, start + n_ring))
             factors.append(None)
     return np.hstack(columns), cols, factors
@@ -288,13 +286,13 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     the same angular spread as the initial state and the overlap taken against
     the unnormalized evolved state (photon loss lowers F).  Without h only the rows of h
     at one site per orbit of the array's declared and realised symmetries are built
-    (_orbit_rows), and the full h only if the eigenvectors are ill-conditioned; a given h is
-    factored as it is, as one sector (Q = I).  The one width keeps its explicit targets
-    rather than _target_factors: the trace reports F at every step, down to the round-off
-    of F(0), whose digits follow the order of the sums.
+    (spectrum._orbit_rows), and the full h only if the eigenvectors are ill-conditioned; a
+    given h is factored as it is, as one sector (Q = I).  The one width keeps its explicit
+    targets rather than _target_factors: the trace reports F at every step, down to the
+    round-off of F(0), whose digits follow the order of the sums.
     """
     times = np.asarray(times, dtype=float)
-    targets = np.conj(_targets(array, m, [delta_theta])[0])
+    targets = _targets(array, m, delta_theta)
     method, cond, overlaps = _evolve(array if h is None else np.asarray(h, dtype=complex),
                                      np.reshape(psi0, (-1, 1)), times, targets, [slice(None)])
     overlaps = np.abs(next(overlaps))                        # (t, k)
@@ -382,8 +380,12 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     dts = np.asarray(delta_theta_values, dtype=float)
     if x_values.size == 0 or dts.size == 0:
         raise ValueError("scan ranges must be nonempty")
-    rows = _pool_map(functools.partial(_separation_peaks, arrangement, n, d, polarization, m,
-                                       dts, t_max, t_steps), x_values, threads)
+    peaks = functools.partial(_separation_peaks, arrangement, n, d, polarization, m, dts, t_max,
+                              t_steps)
+    # per separation in eigvals side^3 (spectrum._FORK_WORK): (2 n)^3, over its largest eig, and
+    # t_steps widths 2 n n overlap multiply-adds, about 32 times faster (4e9/s, 2-vCPU Xeon)
+    work = (2 * n) ** 3 + t_steps * dts.size * 2 * n * n / 32
+    rows = _pool_map(peaks, x_values, threads, [work] * x_values.size)
     maxf, tat, widths, methods, conds = (np.array(column) for column in zip(*rows))
     return FidelityScan(x_values=x_values, delta_theta_values=dts, widths=widths,
                         max_fidelity=maxf, t_at_max=tat, methods=methods, conds=conds)

@@ -513,6 +513,19 @@ def test_overflow_to_non_finite_is_a_numeric_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--set", "geometry.arrangement=site-site", "--set", "geometry.x=1e-320"],
+    ["fidelity", "--set", "geometry.n=3", "--set", "geometry.x=1e-300"],
+    ["spectrum", "--set", "geometry.arrangement=site-site", "--set", "geometry.d=1e200"],
+])
+def test_site_site_gap_at_the_positions_round_off_is_a_numeric_error(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--out", str(out)]) == 3
+    info = json.loads(capsys.readouterr().err)["error"]
+    assert info["code"] == 3 and "site-site gap" in info["message"]
+    assert not out.exists()
+
+
 def test_underflowing_spacing_is_a_numeric_error_naming_the_couplings(tmp_path, capsys):
     # lambda/d = 1e200: the 1e-200 separations underflow in the norm, so row 0 of h is NaN
     out = tmp_path / "x.csv"
@@ -529,9 +542,12 @@ def test_underflowing_spacing_is_a_numeric_error_naming_the_couplings(tmp_path, 
 @pytest.mark.parametrize("arrangement", ["chain", "site-site"])
 @pytest.mark.parametrize("d, shown", [("1e-200", "1e-200"), ("1e200", "1e+200")])
 def test_out_of_range_spacing_names_the_couplings(tmp_path, capsys, arrangement, d, shown):
+    # at d = 1e200 a gap of one spacing: the default 0.15 is below a 1e200 ring's position
+    # round-off, a site-site gap that build_two_rings rejects before any coupling
+    gap = ["--set", "geometry.x=1e200"] if d == "1e200" else []
     out = tmp_path / "x.csv"
     assert run_cli(["spectrum", "--out", str(out), "--set", f"geometry.arrangement={arrangement}",
-                    "--set", f"geometry.d={d}"]) == 3
+                    "--set", f"geometry.d={d}", *gap]) == 3
     info = json.loads(capsys.readouterr().err)["error"]
     assert info["code"] == 3
     assert "non-finite couplings" in info["message"] and "out of range" in info["message"]

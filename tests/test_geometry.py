@@ -96,6 +96,21 @@ def test_site_site_two_rings():
         assert np.min(np.linalg.norm(system.positions - p, axis=1)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 64])
+def test_site_site_gap_at_the_positions_round_off_raises(n):
+    # ring 2's facing site sits about 1e-16 R off the x axis (R sin pi): at 1e-13 R the facing
+    # distance would be round-off, at 1e-11 R it is the gap to 1e-4
+    r = ring_radius(n, 0.1)
+    with pytest.raises(ValueError, match="site-site gap"):
+        build_two_rings("site-site", n, 0.1, 1e-13 * r)
+    pair = build_two_rings("site-site", n, 0.1, 1e-11 * r)
+    facing = np.linalg.norm(pair.positions[n] - pair.positions[0])
+    assert abs(facing - 1e-11 * r) <= 1e-4 * 1e-11 * r
+    # nearest site-edge sites stay d/2 apart, and one-site rings (R = 0) have no round-off
+    build_two_rings("site-edge", n, 0.1, 1e-13 * r)
+    build_two_rings("site-site", 1, 0.1, 1e-300)
+
+
 def test_site_edge_two_rings():
     n, d, x = 10, 0.1, 0.15
     system = build_two_rings("site-edge", n, d, x)

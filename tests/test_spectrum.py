@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures.process
 import csv
+import dataclasses
 import json
 import multiprocessing
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from dipolerings import spectrum
+from dipolerings import spectrum, transfer
 from dipolerings.cli import main
 from dipolerings.emfield import SingularityError, pair_coupling
 from dipolerings.geometry import SYMMETRIC_SCHEMES, EmitterArray, build_ring, build_two_rings
@@ -266,6 +267,12 @@ def test_no_pool_for_ring_ffts_or_without_the_blas_setter(monkeypatch):
     for dipole in ((1.0, 0.0, 0.0), (0.3, 0.4, 0.5)):
         assert np.array_equal(min_decay_scan("ring", range(10, 31), 3.0, dipole, threads=2),
                               min_decay_scan("ring", range(10, 31), 3.0, dipole))
+    # a fidelity scan of 6-site rings over three separations, 3 * 12^3 below the threshold
+    args = (6, 0.1, "tangential", 2, [0.1, 0.2, 0.3], [0.3, 1.0])
+    pooled = transfer.fidelity_scan(*args, t_steps=100, threads=2)
+    serial = transfer.fidelity_scan(*args, t_steps=100)
+    for field in dataclasses.fields(transfer.FidelityScan):
+        assert np.array_equal(getattr(pooled, field.name), getattr(serial, field.name))
     monkeypatch.setattr(spectrum, "_blas_threads", lambda: None)
     monkeypatch.setattr(spectrum, "_FORK_WORK", 0)   # a scan that would fork with the setter
     assert np.array_equal(min_decay_scan("chain", [10, 21], 3.0, threads=2), expected)
@@ -285,7 +292,8 @@ def test_tasks_pin_blas_to_one_thread_and_restore_it(threads):
     previous = get_threads()
     set_threads(2)
     try:
-        assert spectrum._pool_map(_task_blas_threads, [0, 1], threads) == [1, 1]
+        assert spectrum._pool_map(_task_blas_threads, [0, 1], threads,
+                                  work=[spectrum._FORK_WORK] * 2) == [1, 1]
         assert get_threads() == 2
     finally:
         set_threads(previous)

@@ -356,10 +356,11 @@ def test_fidelity_scan_reports_its_solver_path(monkeypatch, arrangement):
 def test_targets_match_per_site_packets(arrangement, n):
     pair = build_two_rings(arrangement, n, 0.1, 0.15, "tangential")
     dts = [0.3, 1.7]
-    for dt, targets in zip(dts, transfer._targets(pair, 3, dts)):
+    for dt in dts:
+        targets = transfer._targets(pair, 3, dt)                 # conjugated
         columns = np.column_stack([gaussian_packet(pair, 1, k, -3, dt) for k in range(n)])
         assert targets.shape == (2 * n, n)
-        assert np.max(np.abs(targets - columns)) <= 1e-15
+        assert np.max(np.abs(np.conj(targets) - columns)) <= 1e-15
 
 
 CIRCULAR = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
@@ -396,7 +397,7 @@ def _assert_sectors_split_h(sectors, h):
     assert np.max(np.abs(rotated)) <= 1e-12 * scale
     x = np.random.default_rng(n).normal(size=(n, 3)) + 1j
     for sector, b in zip(sectors, bases):
-        assert np.max(np.abs(_block(sector, h[sector[0]]) - b.T @ h @ b)) <= 1e-13 * scale
+        assert np.max(np.abs(_block(sector, h, sector[0]) - b.T @ h @ b)) <= 1e-13 * scale
         assert np.max(np.abs(_project(sector, x) - b.T @ x)) <= 1e-13 * np.max(np.abs(x))
     return bases
 
@@ -414,7 +415,7 @@ def test_sectors_split_h_into_orthonormal_blocks(arrangement, polarization, coun
     assert len(sectors) == count
     _assert_sectors_split_h(sectors, h)
     from scipy.optimize import linear_sum_assignment
-    sector_vals = np.concatenate([np.linalg.eigvals(_block(s, h[s[0]])) for s in sectors])
+    sector_vals = np.concatenate([np.linalg.eigvals(_block(s, h, s[0])) for s in sectors])
     dense_vals = np.linalg.eigvals(h)
     distance = np.abs(sector_vals[:, None] - dense_vals[None, :])
     rows, cols = linear_sum_assignment(distance)
@@ -793,12 +794,60 @@ def test_threads_is_an_upper_bound_on_the_pool_size(monkeypatch):
 
 
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
-def test_fidelity_scan_on_workers_is_the_in_process_scan(arrangement):
+def test_fidelity_scan_on_workers_is_the_in_process_scan(monkeypatch, arrangement):
+    monkeypatch.setattr(spectrum, "_FORK_WORK", 0)   # fork these small scans too
     args = (8, 0.1, "tangential", 2, [0.1, 0.2, 0.3], [0.3, 1.0])
     serial = fidelity_scan(*args, t_steps=100, arrangement=arrangement, threads=1)
     assert multiprocessing.active_children() == []
     pooled = fidelity_scan(*args, t_steps=100, arrangement=arrangement, threads=2)
     assert multiprocessing.active_children() == []
+    for field in fields(FidelityScan):
+        assert np.array_equal(getattr(serial, field.name), getattr(pooled, field.name))
+
+
+@pytest.mark.parametrize("n, widths, t_steps, forks", [
+    (6, 2, 100, False), (25, 2, 100, False), (10, 8, 2000, False), (100, 2, 100, True),
+    (40, 8, 20000, True),   # (2n)^3 alone is 1.5e6: the overlaps carry this one past the rule
+])
+def test_fidelity_scan_work_counts_the_eig_and_the_overlaps(monkeypatch, n, widths, t_steps,
+                                                            forks):
+    stated = []
+
+    class Stated(Exception):
+        pass
+
+    def record(fn, items, threads, work):   # the stated work, without running the scan
+        stated.append(work)
+        raise Stated
+
+    monkeypatch.setattr(transfer, "_pool_map", record)
+    with pytest.raises(Stated):
+        fidelity_scan(n, 0.1, "tangential", 2, [0.1, 0.2, 0.3], np.linspace(0.3, 1.0, widths),
+                      t_steps=t_steps, threads=2)
+    assert stated == [[(2 * n) ** 3 + t_steps * widths * 2 * n * n / 32] * 3]
+    assert (sum(stated[0]) >= spectrum._FORK_WORK) == forks
+
+
+def test_fidelity_scan_above_the_fork_work_forks(monkeypatch):
+    # 100-site rings over three separations state 3 (200^3 + 100 * 2 * 200 * 100 / 32) = 2.4e7
+    # >= _FORK_WORK: two workers wherever there are two CPUs, fork and the BLAS setter, and the
+    # in-process fields
+    sizes = []
+
+    class Recording(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    args = (100, 0.1, "tangential", 2, [0.1, 0.2, 0.3], [0.3, 1.0])
+    serial = fidelity_scan(*args, t_steps=100, threads=1)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recording)
+    pooled = fidelity_scan(*args, t_steps=100, threads=2)
+    assert multiprocessing.active_children() == []
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    forks = ((cpus or 1) >= 2 and spectrum._blas_threads() is not None
+             and "fork" in multiprocessing.get_all_start_methods())
+    assert sizes == ([2] if forks else [])
     for field in fields(FidelityScan):
         assert np.array_equal(getattr(serial, field.name), getattr(pooled, field.name))
 
@@ -833,14 +882,14 @@ def test_momentum_targets_match_the_explicit_targets_and_the_oracles(arrangement
     # the narrowest packet keeps every momentum, so its explicit targets; from n = 40 the
     # widest one takes the momentum path, and from n = 101 also dtheta = 0.3
     assert momentum == [False, n >= 101, n >= 40]
-    for c, r, targets in zip(cols, factors, transfer._targets(pair, m, MOMENTUM_WIDTHS)):
+    for c, r, dt in zip(cols, factors, MOMENTUM_WIDTHS):
         factored = basis[:, c] if r is None else basis[:, c] @ r
-        assert np.max(np.abs(factored - np.conj(targets))) <= 2 * n * eps
+        assert np.max(np.abs(factored - transfer._targets(pair, m, dt))) <= 2 * n * eps
     # every overlap against the explicit targets on the same factorization: n eps cond(V)
     site = farthest_site(pair, 0)
     psi0s = np.column_stack([gaussian_packet(pair, 0, site, m, dt) for dt in MOMENTUM_WIDTHS])
     method, cond, overlaps = transfer._evolve(pair, psi0s, times, basis, cols)
-    explicit = np.hstack([np.conj(t) for t in transfer._targets(pair, m, MOMENTUM_WIDTHS)])
+    explicit = np.hstack([transfer._targets(pair, m, dt) for dt in MOMENTUM_WIDTHS])
     _, _, expected = transfer._evolve(pair, psi0s, times, explicit,
                                       [slice(j * n, (j + 1) * n) for j in range(3)])
     assert method == "eig"

@@ -2,8 +2,8 @@
 
 A command's table is a numpy structured array, one typed field per column: float64,
 int64, bool or str, plus the JSON-only rows of floats of `spectrum`.  The CSV writer
-formats it a column at a time and the JSON writer takes its records from `tolist()`,
-so both formats print the same values."""
+formats it a column at a time, in blocks of rows, and the JSON writer takes its records
+from `tolist()`, so both formats print the same values."""
 
 import json
 
@@ -45,19 +45,25 @@ def _format_column(column: np.ndarray, digits: int) -> list[str]:
     return texts if inverse is None else np.array(texts, dtype=object)[inverse].tolist()
 
 
+# Rows per block of write_csv: a block's cell texts cost about 480 B a row.
+_WRITE_ROWS = 1 << 16
+
+
 def write_csv(path, version, config_items, columns, rows, digits=12):
     """Write the header, the column names and one line per row of the table `rows`.
 
-    `rows` is a structured array with a field for each name in `columns`; each field
-    is formatted once, as a whole column (see `_format_column`), and the lines are
-    joined once.  `len(rows)` is the number of data lines.
+    `rows` is a structured array with a field for each name in `columns`.  The lines are
+    formatted and written _WRITE_ROWS rows at a time, each field of a block as a whole column
+    (see `_format_column`, whose texts do not depend on the other rows), so the memory beyond
+    the table is one block's text.  `len(rows)` is the number of data lines.
     """
-    texts = [_format_column(rows[name], digits) for name in columns]
-    out = header_lines(version, config_items)
-    out.append(",".join(columns))
-    out += map(",".join, zip(*texts))
+    head = header_lines(version, config_items) + [",".join(columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+        f.write("\n".join(head) + "\n")
+        for start in range(0, len(rows), _WRITE_ROWS):
+            block = rows[start:start + _WRITE_ROWS]
+            texts = [_format_column(block[name], digits) for name in columns]
+            f.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def write_json(path, version, config_items, payload):

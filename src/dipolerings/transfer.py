@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EmitterArray, build_two_rings
-from .spectrum import (_couplings, _factor, _pool_map, _project, assemble_heff,
+from .spectrum import (_BLOCK_ENTRIES, _couplings, _factor, _pool_map, _project, assemble_heff,
                        canonical_m_range, wrap_m)
 
 
@@ -140,7 +140,9 @@ def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
     offset within a block of rows.  Where the analytic magnitude e^{Im(vals) t} is below
     2^-511 (sqrt tiny, far below the n eps cond(V) round-off floor of a fidelity) the entry
     is exactly 0, so no product with it is subnormal; columns with Im(vals) >= 0 keep every
-    row.
+    row.  Every entry depends only on the times from its row's anchor on, so the rows
+    times[s:e] of a grid, s a multiple of _ANCHOR_ROWS, are bit for bit _phases(times)[s:e]
+    (see _time_blocks).
     """
     table = np.empty((len(times), len(vals)), dtype=complex)
     steps, step_of = np.unique(np.diff(times), return_inverse=True)
@@ -164,58 +166,86 @@ def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return table
 
 
+def _time_blocks(steps: int, modes: int) -> list:
+    """Row slices over a grid of `steps` times, each of about spectrum._BLOCK_ENTRIES phase
+    entries of `modes` columns and starting on an exp anchor of _phases."""
+    size = _ANCHOR_ROWS * max(1, _BLOCK_ENTRIES // modes // _ANCHOR_ROWS)
+    return [slice(start, min(start + size, steps)) for start in range(0, steps, size)]
+
+
 def _evolve(source: EmitterArray | np.ndarray, psi0s: np.ndarray, times: np.ndarray,
             basis: np.ndarray, cols: list):
     """Factor one source once for all initial states psi_j = psi0s[:, j], an array in the
     sectors of its declared symmetries or a given h as one sector, Q = I (spectrum._orbit_rows):
-    the method ('eig' or 'ode'), cond(V), and lazily per j the (t, k) overlaps
-    psi_j(t)^T basis[:, cols[j]].
+    the method ('eig' or 'ode'), cond(V), and a generator of (rows, [overlaps_j]) over the
+    _time_blocks of the grid, overlaps_j the (rows, k) overlaps psi_j(t)^T basis[:, cols[j]].
 
-    Each block Q_s^T h Q_s comes from the rows of the orbit representatives alone and is
-    factored into W_s by spectrum._factor; V = [Q_s W_s] is never formed (see _project).
-    An array's rows come from _couplings, and its full h is assembled only for the 'ode'
-    fallback.  Q is orthogonal, so cond(V) is the largest singular value over all W_s over
-    the smallest.  Z = V^T basis = [W_s^T Q_s^T basis] is formed once for all j, and the
-    overlaps are phases @ (a_j Z[:, cols_j]) with W_s a_s = Q_s^T psi_j solved per sector
-    (W_s^{-1} is not W_s^T/norms on degenerate +-m pairs), one j at a time, so the (t, n)
-    states are never built; the (t, n) table e^{-i lambda t} is exact exp anchors joined by
-    running products, with tails below sqrt(tiny) zeroed (see _phases).  When
-    cond(V) > 1e8 all psi_j are propagated together under the full h in exact exponential
-    steps, one e^{-i h dt} (scipy.linalg.expm) per distinct step dt of the grid from t = 0,
-    and each psi_j(t) is multiplied by the same basis[:, cols_j].
+    Everything but the time axis is done when _evolve is called: the times are checked (finite,
+    non-negative, ascending), h is factored, and each width's coefficients are formed.  Each
+    block Q_s^T h Q_s comes from the rows of the orbit representatives alone and is factored
+    into W_s by spectrum._factor; V = [Q_s W_s] is never formed (see _project).  An array's
+    rows come from _couplings, and its full h is assembled only for the 'ode' fallback.  Q is
+    orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
+    Z = V^T basis = [W_s^T Q_s^T basis] is formed once, and Y_j = a_j Z[:, cols_j] per j with
+    W_s a_s = Q_s^T psi_j solved per sector (W_s^{-1} is not W_s^T/norms on degenerate +-m
+    pairs).  Each block of rows then takes its own phase table e^{-i lambda t} (exact exp
+    anchors joined by running products, tails below sqrt(tiny) zeroed; see _phases), whose
+    rows are those of the whole grid's table, and one product phases @ Y_j per j, so neither
+    the (t, n) states nor a table of all t rows is built: memory is O(B (n + sum_j k_j)) for
+    the B rows of a block, whatever the number of times.  When cond(V) > 1e8 all psi_j are
+    propagated together under the full h in exact exponential steps, one e^{-i h dt}
+    (scipy.linalg.expm) per distinct step dt of the grid from t = 0, the state carried
+    through the same blocks, and each psi_j(t) is multiplied by the same basis[:, cols_j].
     """
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-negative and ascending")
+    if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be finite, non-negative and ascending")
     psi0s = np.asarray(psi0s, dtype=complex)
-    sectors, blocks = _factor(source, vectors=True)
-    sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in blocks])
+    sectors, factors = _factor(source, vectors=True)
+    sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in factors])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
+    spans = _time_blocks(len(times), len(psi0s))
     if cond > 1e8:
         from scipy.linalg import expm   # only this fallback loads scipy
         h = source if isinstance(source, np.ndarray) else assemble_heff(source)
         steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
         props = [expm(-1j * dt * h) for dt in steps]
-        states, state = np.empty((len(times), *psi0s.shape), dtype=complex), psi0s
-        for k, step in enumerate(step_of):
-            state = states[k] = props[step] @ state
-        return "ode", cond, (states[:, :, j] @ basis[:, c] for j, c in enumerate(cols))
-    a = np.vstack([np.linalg.solve(w, _project(s, psi0s)) for s, (_, w) in zip(sectors, blocks)])
-    phases = _phases(times, np.concatenate([vals for vals, _ in blocks]))
-    z = np.vstack([w.T @ _project(s, basis) for s, (_, w) in zip(sectors, blocks)])
-    return "eig", cond, (phases @ (a_j[:, None] * z[:, c]) for a_j, c in zip(a.T, cols))
+
+        def stepped():
+            state = psi0s
+            for rows in spans:
+                states = np.empty((rows.stop - rows.start, *psi0s.shape), dtype=complex)
+                for k, step in enumerate(step_of[rows]):
+                    state = states[k] = props[step] @ state
+                yield rows, [states[:, :, j] @ basis[:, c] for j, c in enumerate(cols)]
+        return "ode", cond, stepped()
+    a = np.vstack([np.linalg.solve(w, _project(s, psi0s)) for s, (_, w) in zip(sectors, factors)])
+    vals = np.concatenate([v for v, _ in factors])
+    z = np.vstack([w.T @ _project(s, basis) for s, (_, w) in zip(sectors, factors)])
+    ys = [a_j[:, None] * z[:, c] for a_j, c in zip(a.T, cols)]
+
+    def products():
+        for rows in spans:
+            phases = _phases(times[rows], vals)
+            yield rows, [phases @ y for y in ys]
+    return "eig", cond, products()
 
 
 def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     """Evolve psi under dpsi/dt = -i h psi.
 
     Uses the eigendecomposition psi(t) = V exp(-i Lambda t) V^{-1} psi0 with h factored
-    once as one sector, Q = I.  Falls back to exact exponential steps when the eigenvector
-    matrix is ill-conditioned (condition number above 1e8).
+    once as one sector, Q = I, filling the (t, n) states one block of times at a time
+    (_evolve).  Falls back to exact exponential steps when the eigenvector matrix is
+    ill-conditioned (condition number above 1e8).
     """
     times = np.asarray(times, dtype=float)
-    method, _, states = _evolve(np.asarray(h, dtype=complex), np.reshape(psi0, (-1, 1)), times,
-                                np.eye(len(psi0)), [slice(None)])
-    return Propagation(times=times, states=next(states), method=method)
+    psi0s = np.reshape(psi0, (-1, 1))
+    method, _, blocks = _evolve(np.asarray(h, dtype=complex), psi0s, times,
+                                np.eye(len(psi0s)), [slice(None)])
+    states = np.empty((len(times), len(psi0s)), dtype=complex)
+    for rows, (part,) in blocks:
+        states[rows] = part
+    return Propagation(times=times, states=states, method=method)
 
 
 @dataclass(frozen=True)
@@ -293,14 +323,16 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     """
     times = np.asarray(times, dtype=float)
     targets = _targets(array, m, delta_theta)
-    method, cond, overlaps = _evolve(array if h is None else np.asarray(h, dtype=complex),
-                                     np.reshape(psi0, (-1, 1)), times, targets, [slice(None)])
-    overlaps = np.abs(next(overlaps))                        # (t, k)
-    fid = np.max(overlaps, axis=1)
+    method, cond, blocks = _evolve(array if h is None else np.asarray(h, dtype=complex),
+                                   np.reshape(psi0, (-1, 1)), times, targets, [slice(None)])
     # ties within the state's round-off floor go to the lowest site; the phase error that F
     # also carries (see FidelityTrace) is left out, since a wider floor changes argmax_site
     floor = array.n * np.finfo(float).eps * (cond if method == "eig" else 1.0)
-    best = np.argmax(overlaps >= (fid - floor)[:, None], axis=1)
+    fid, best = np.empty(len(times)), np.empty(len(times), dtype=np.intp)
+    for rows, (overlaps,) in blocks:
+        overlaps = np.abs(overlaps)                          # (rows, k)
+        fid[rows] = np.max(overlaps, axis=1)
+        best[rows] = np.argmax(overlaps >= (fid[rows] - floor)[:, None], axis=1)
     return FidelityTrace(times=times, fidelity=fid, argmax_site=np.where(fid > floor, best, -1),
                          method=method, cond=cond)
 
@@ -352,11 +384,11 @@ def _separation_peaks(arrangement: str, n: int, d: float, polarization, m: int,
     psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
                                              delta_theta=float(dt)) for dt in dts])
     basis, cols, factors = _target_factors(system, m, dts)
-    method, cond, overlaps = _evolve(system, psi0s, times, basis, cols)
-    # (t, width), each width's overlaps times its R_j: map drops each width's (t, N) overlaps
-    # before the next one is formed
-    fid = np.column_stack(list(map(lambda o, r: np.max(np.abs(o if r is None else o @ r), axis=1),
-                                   overlaps, factors)))
+    method, cond, blocks = _evolve(system, psi0s, times, basis, cols)
+    fid = np.empty((len(times), len(dts)))                   # (t, width)
+    for rows, overlaps in blocks:
+        for j, (o, r) in enumerate(zip(overlaps, factors)):
+            fid[rows, j] = np.max(np.abs(o if r is None else o @ r), axis=1)
     peak = np.argmax(fid, axis=0)
     return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,
             method, cond)
@@ -372,14 +404,20 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     inter-ring block, for the default horizon) are computed and h is factored once per
     symmetry sector; all widths are propagated together on a uniform time grid of t_steps
     points up to t_max (default 20 pi / |J_{m,-m}|), their overlaps with the ring-2 targets
-    taken in ring-2 momentum space where that is cheaper (_target_factors).  methods and conds record
-    each separation's solver path and cond(V), as FidelityTrace does for one trace.  The
-    separations run on at most `threads` worker processes (spectrum._pool_map).
+    taken in ring-2 momentum space where that is cheaper (_target_factors) and reduced to F
+    one block of times at a time (_evolve).  A t_steps below 1 or a non-finite t_max raises
+    ValueError.  methods and conds record each separation's solver path and cond(V), as
+    FidelityTrace does for one trace.  The separations run on at most `threads` worker
+    processes (spectrum._pool_map).
     """
     x_values = np.asarray(x_values, dtype=float)
     dts = np.asarray(delta_theta_values, dtype=float)
     if x_values.size == 0 or dts.size == 0:
         raise ValueError("scan ranges must be nonempty")
+    if t_steps < 1:
+        raise ValueError(f"t_steps must be at least 1, got {t_steps}")
+    if t_max is not None and not np.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     peaks = functools.partial(_separation_peaks, arrangement, n, d, polarization, m, dts, t_max,
                               t_steps)
     # per separation in eigvals side^3 (spectrum._FORK_WORK): (2 n)^3, over its largest eig, and

@@ -724,6 +724,28 @@ def test_multi_row_table_cells_keep_their_text(tmp_path, monkeypatch, digits):
     assert (tmp_path / "head.csv").read_text().splitlines()[-12:] == lines[-4101:-4089]
 
 
+def test_row_blocks_print_the_text_of_one_block(tmp_path, monkeypatch):
+    """A table of two row blocks plus one row, every column type a command writes, prints
+    byte for byte as it does when written in one piece; the grid column is a grid in the
+    whole table but not in its one-row last block."""
+    rows = 2 * output._WRITE_ROWS + 1
+    table = _typed_table(_table_columns(rows))
+    assert [table[c].dtype.kind for c in table.dtype.names] == list("fffibUff")
+    columns, format_column = [], output._format_column
+    monkeypatch.setattr(output, "_format_column",
+                        lambda column, digits: columns.append(len(column))
+                        or format_column(column, digits))
+    items = [("geometry.n", "7")]
+    write_csv(tmp_path / "blocks.csv", "0", items, table.dtype.names, table, 12)
+    assert columns == [output._WRITE_ROWS] * 16 + [1] * 8
+    monkeypatch.setattr(output, "_WRITE_ROWS", rows)
+    write_csv(tmp_path / "whole.csv", "0", items, table.dtype.names, table, 12)
+    assert columns[24:] == [rows] * 8
+    text = (tmp_path / "blocks.csv").read_bytes()
+    assert text == (tmp_path / "whole.csv").read_bytes()
+    assert text.count(b"\n") == 3 + 1 + rows and text.endswith(b"\n")
+
+
 @pytest.mark.skipif(spectrum._blas_threads() is None
                     or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs the OpenBLAS thread setter and two CPUs")

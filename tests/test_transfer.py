@@ -310,14 +310,20 @@ def test_fidelity_scan_ode_fallback_matches_eig(monkeypatch):
     assert np.max(np.abs(ode_scan.t_at_max - eig_scan.t_at_max)) < 1e-10
 
 
+def _block_rows(n):
+    """Rows per time block of a pair of two n-site rings (at most _BLOCK_ENTRIES rows)."""
+    return transfer._time_blocks(spectrum._BLOCK_ENTRIES, 2 * n)[0].stop
+
+
 def test_ode_fallback_steps_from_t_zero_on_every_grid(monkeypatch):
     # the first exponential step runs from t = 0 to the grid's first time, so a grid that
-    # starts later, a single point, an irregular grid and an empty one match the eig path
+    # starts later, a single point, an irregular grid and an empty one match the eig path,
+    # as does a grid of two time blocks and three rows, through which the state is carried
     pair = build_two_rings("site-edge", 7, 0.1, 0.15, "tangential")
     h = assemble_heff(pair)
     psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=2, delta_theta=1.0)
     grids = [np.linspace(5.0, 30.0, 41), np.array([3.0]), np.array([0.0, 0.5, 7.25, 7.5, 30.0]),
-             np.array([])]
+             np.array([]), np.linspace(0.0, 30.0, 2 * _block_rows(7) + 3)]
     eig = [propagate(h, psi0, times) for times in grids]
     monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1e9, 1.0]))
     for times, want in zip(grids, eig):
@@ -744,6 +750,99 @@ def test_phases_are_the_row_by_row_products(times):
     assert np.array_equal(transfer._phases(times, _VALS), _phases_row_by_row(times, _VALS))
 
 
+def test_phases_of_anchor_aligned_rows_are_the_rows_of_the_whole_table():
+    # an irregular grid with repeated times, on which the sub-sqrt(tiny) tails of the
+    # radiant columns start inside blocks of rows
+    steps = np.random.default_rng(5).uniform(0.05, 0.6, 899)
+    steps[::97] = 0.0
+    times = np.r_[0.0, np.cumsum(steps)]
+    whole = transfer._phases(times, _VALS)
+    decaying = np.imag(_VALS) < 0
+    tails = np.searchsorted(times, transfer._LOG_PHASE_FLOOR / np.imag(_VALS[decaying]),
+                            side="right")
+    inside = tails[(tails > 0) & (tails < len(times))]
+    assert np.count_nonzero(inside % transfer._ANCHOR_ROWS) >= 2
+    for start in range(0, len(times), transfer._ANCHOR_ROWS):
+        for stop in (start + 1, start + transfer._ANCHOR_ROWS, start + 100, len(times)):
+            assert np.array_equal(transfer._phases(times[start:stop], _VALS), whole[start:stop])
+
+
+def test_time_blocks_tile_the_grid_from_anchors():
+    # about spectrum._BLOCK_ENTRIES phase entries per block, in whole anchor periods
+    assert [(s.start, s.stop) for s in transfer._time_blocks(1000, 200)] == [
+        (0, 320), (320, 640), (640, 960), (960, 1000)]
+    for steps, modes in [(0, 5), (1, 5), (5000, 80), (200_000, 2000), (130, 10**6)]:
+        spans = transfer._time_blocks(steps, modes)
+        bounds = [0] + [s.stop for s in spans]
+        assert [s.start for s in spans] == bounds[:-1] and bounds[-1] == steps
+        assert all(s.start % transfer._ANCHOR_ROWS == 0 for s in spans)
+        assert all(s.stop - s.start <= max(transfer._ANCHOR_ROWS, spectrum._BLOCK_ENTRIES // modes)
+                   for s in spans)
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_fidelity_across_time_blocks_matches_the_oracles(arrangement, blocks, extra):
+    t_steps = blocks * _block_rows(40) + extra
+    # dtheta = 2.5 takes the momentum path at n = 40, dtheta = 0.3 its explicit targets
+    args = (40, 0.1, "tangential", 6, [0.15], [0.3, 2.5])
+    kwargs = dict(t_max=None, t_steps=t_steps, arrangement=arrangement)
+    scan = fidelity_scan(*args, **kwargs)
+    for oracle in (fidelity_scan_from_dense_eig, fidelity_scan_from_states):
+        expected_f, expected_t = oracle(*args, **kwargs)
+        assert np.max(np.abs(scan.max_fidelity - expected_f)) < 1e-10
+        assert np.max(np.abs(scan.t_at_max - expected_t)) < 1e-10 * np.max(expected_t)
+    # the trace against the textbook dense eig time axis
+    pair, h = _pair_and_h(arrangement, 40, "tangential")
+    psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=6, delta_theta=1.0)
+    times = np.linspace(0.0, 200.0, t_steps)
+    trace = fidelity_trace(pair, psi0, m=6, delta_theta=1.0, times=times)
+    vals, vecs = np.linalg.eig(h)
+    states = (np.exp(np.outer(times, -1j * vals)) * np.linalg.solve(vecs, psi0)) @ vecs.T
+    targets = np.column_stack([gaussian_packet(pair, 1, k, -6, 1.0) for k in range(40)])
+    overlaps = np.abs(states @ np.conj(targets))
+    lit = overlaps.max(axis=1) > 1e-8
+    assert np.count_nonzero(lit) == len(times) - 1
+    assert trace.argmax_site[0] == -1 and np.all(trace.argmax_site[1:] >= 0)
+    assert np.array_equal(trace.argmax_site[lit], np.argmax(overlaps, axis=1)[lit])
+    assert np.max(np.abs(trace.fidelity - overlaps.max(axis=1))) < 1e-10
+
+
+def test_fidelity_scan_memory_does_not_grow_with_the_number_of_steps():
+    import tracemalloc
+    peaks = []
+    for t_steps in (2000, 20000):
+        tracemalloc.start()
+        try:
+            fidelity_scan(40, 0.1, "tangential", 10, [0.15], [0.3, 1.0, 2.5], t_steps=t_steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the (t, widths) fidelities and the times grow, 32 B a step; the blocks do not
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_times_are_rejected_when_evolve_is_called(bad):
+    pair, h = _pair_and_h("site-edge", 6, "tangential")
+    psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=2, delta_theta=0.5)
+    times = np.array([0.0, 1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        transfer._evolve(pair, psi0[:, None], times, np.eye(12), [slice(None)])
+    with pytest.raises(ValueError, match="finite"):
+        propagate(h, psi0, times)
+    with pytest.raises(ValueError, match="finite"):
+        fidelity_trace(pair, psi0, m=2, delta_theta=0.5, times=times)
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        fidelity_scan(6, 0.1, "tangential", 2, [0.2], [0.5], t_max=float(bad), t_steps=10)
+
+
+@pytest.mark.parametrize("t_steps", [0, -3])
+def test_fidelity_scan_without_time_steps_is_rejected(t_steps):
+    with pytest.raises(ValueError, match="t_steps must be at least 1"):
+        fidelity_scan(6, 0.1, "tangential", 2, [0.2], [0.5], t_max=10.0, t_steps=t_steps)
+
+
 def test_fidelity_scan_matches_a_dense_eig_time_axis_at_a_long_horizon():
     # site-edge transverse at x = 0.3: the default horizon for m = 10 is 2.1e5, and 30 of
     # the 80 phases fall below 2^-511 on the way
@@ -888,10 +987,12 @@ def test_momentum_targets_match_the_explicit_targets_and_the_oracles(arrangement
     # every overlap against the explicit targets on the same factorization: n eps cond(V)
     site = farthest_site(pair, 0)
     psi0s = np.column_stack([gaussian_packet(pair, 0, site, m, dt) for dt in MOMENTUM_WIDTHS])
-    method, cond, overlaps = transfer._evolve(pair, psi0s, times, basis, cols)
+    method, cond, blocks = transfer._evolve(pair, psi0s, times, basis, cols)
+    overlaps = [np.vstack(parts) for parts in zip(*(o for _, o in blocks))]   # joined per width
     explicit = np.hstack([transfer._targets(pair, m, dt) for dt in MOMENTUM_WIDTHS])
-    _, _, expected = transfer._evolve(pair, psi0s, times, explicit,
-                                      [slice(j * n, (j + 1) * n) for j in range(3)])
+    _, _, blocks = transfer._evolve(pair, psi0s, times, explicit,
+                                    [slice(j * n, (j + 1) * n) for j in range(3)])
+    expected = [np.vstack(parts) for parts in zip(*(o for _, o in blocks))]
     assert method == "eig"
     for got, r, want in zip(overlaps, factors, expected):
         got = got if r is None else got @ r

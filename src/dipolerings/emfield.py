@@ -19,8 +19,16 @@ import numpy as np
 
 K0 = 2.0 * np.pi
 GAMMA0 = 1.0
-# Field points per block of radiated_field: its temporaries are (N, BLOCK_POINTS).
-BLOCK_POINTS = 1024
+# Emitter-point pairs per block of radiated_field, whose work arrays take 96 B a pair (800 KB,
+# inside a core's L2), and the fewest points per block, so that a large N pays little per-block
+# overhead.
+_BLOCK_PAIRS = 8192
+_MIN_BLOCK_POINTS = 32
+
+
+def _block_points(n: int) -> int:
+    """Points (or, in fieldmap._mask_radius, emitters) per block against n emitters."""
+    return max(_MIN_BLOCK_POINTS, _BLOCK_PAIRS // n)
 
 
 class SingularityError(ValueError):
@@ -147,8 +155,8 @@ def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, 
 
     positions (N, 3), dipoles (N, 3) and amplitudes c (N,) describe the
     emitters.  Returns the (P, 3) complex field and the (P,) distance from each
-    point to its nearest emitter.  Raises SingularityError if a point coincides
-    with an emitter.
+    point to its nearest emitter (0 and inf with no emitters).  Raises
+    SingularityError if a point coincides with an emitter.
 
     With w = c p, u = 1/x and pref = e^{ix} u / 2 (= e^{ix}/(4 pi r), x = k0 r),
         c G . p = pref [(1 - u^2 + i u) w + (3 u^2 - 1 - 3 i u) sep (sep . w) / r^2],
@@ -159,45 +167,65 @@ def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, 
     not cos or sin, and the phase table costs a third of np.exp(1j * x); without
     it, one tan still replaces two calls.  The two tables agree to a few ulp.
 
-    The points are taken BLOCK_POINTS at a time.  The work arrays of a block
-    are (N, BLOCK_POINTS), emitters by points, so every elementwise pass runs
-    along the points.  Per block: the separations, r^2 and r (in
+    The points are taken B = _block_points(N) at a time, about _BLOCK_PAIRS
+    emitter-point pairs, into (N, B) work arrays (emitters by points, so every
+    elementwise pass runs along the points) that are allocated once per call
+    and stay in cache.  Per block: the separations, r^2 and r (in
     np.linalg.norm's order, so `nearest` has its bits), one tan, a dozen real
     passes for s and its u-polynomials, two complex products with the phase
     for f and g, the matrix product f @ w, sep . w as one real matrix product
-    over (re, im) pairs, and the three sums over emitters of g sep_a.
+    over (re, im) pairs, and the three sums over emitters of g sep_a.  A block
+    of one point is evaluated as two equal columns, since numpy gives a
+    one-row product to gemv and a one-column sum to pairwise summation.  So on
+    one BLAS thread the result is the same to the bit at any block size (with
+    more, OpenBLAS can round a row of f @ w by the number of rows).
     """
     points = np.asarray(points, dtype=float)
     pos = np.asarray(positions, dtype=float)
+    n = len(pos)
+    if n == 0:
+        return np.zeros((len(points), 3), dtype=complex), np.full(len(points), np.inf)
     w = np.asarray(amplitudes, dtype=complex)[:, None] * np.asarray(dipoles, dtype=complex)
-    w_pairs = w.view(float).reshape(len(w), 3, 2)
-    coords = np.ascontiguousarray(points.T)
+    w_pairs = w.view(float).reshape(n, 3, 2)
+    coords = np.ascontiguousarray(points.T)[:, None, :]         # (3, 1, P) against (3, N, 1)
+    sites = pos.T[:, :, None]
     field = np.empty((len(points), 3), dtype=complex)
     nearest = np.empty(len(points))
-    for start in range(0, len(points), BLOCK_POINTS):
-        rows = slice(start, start + BLOCK_POINTS)
-        sep = coords[:, None, rows] - pos.T[:, :, None]         # (3, N, B)
-        s0, s1, s2 = sep
-        dist2 = s0 * s0 + s1 * s1 + s2 * s2
-        dist = np.sqrt(dist2)
-        nearest[rows] = np.min(dist, axis=0)
-        if np.any(nearest[rows] == 0.0):
+    step = _block_points(n)
+    size = max(min(step, len(points)), 2)                       # points of the widest block
+    real = np.empty((8, n * size))                              # each row: one block's (N, b)
+    cplx = np.empty((2, n * size), dtype=complex)
+    block, near = np.empty((size, 3), dtype=complex), np.empty(size)
+    b = 0
+    for start in range(0, len(points), step):
+        stop = min(start + step, len(points))
+        cols = coords[..., start:stop] if stop - start > 1 else coords[..., [start, start]]
+        if cols.shape[2] != b:
+            b = cols.shape[2]
+            sep = real[:3, :n * b].reshape(3, n, b)
+            s0, s1, s2 = sep
+            dist2, dist, t, su, su2 = real[3:, :n * b].reshape(5, n, b)
+            phase, coef = cplx[:, :n * b].reshape(2, n, b)
+            out, near_b = block[:b], near[:b]
+        np.subtract(cols, sites, out=sep)                       # (3, N, b)
+        np.add(np.multiply(s0, s0, out=dist2), np.multiply(s1, s1, out=dist), out=dist2)
+        dist2 += np.multiply(s2, s2, out=dist)
+        np.minimum.reduce(np.sqrt(dist2, out=dist), axis=0, out=near_b)
+        if not near_b.all():
             raise SingularityError("field requested on top of an emitter")
-        t = np.tan(np.pi * dist)                                # tan(x/2), exactly half of K0 r
+        np.tan(np.multiply(np.pi, dist, out=t), out=t)          # tan(x/2), exactly half of K0 r
         u = np.divide(1.0, np.multiply(K0, dist, out=dist), out=dist)
-        phase = np.empty(u.shape, dtype=complex)                # (1 + i t)^2 = e^{ix} (1 + t^2)
-        np.add(t, t, out=phase.imag)
+        np.add(t, t, out=phase.imag)                            # (1 + i t)^2 = e^{ix} (1 + t^2)
         t *= t
         np.subtract(1.0, t, out=phase.real)
         t += 1.0
-        s = np.divide(0.5 * u, t, out=t)
-        su = s * u
-        su2 = su * u
-        coef = np.empty(u.shape, dtype=complex)                 # f = phase s (1 - u^2 + i u)
-        np.subtract(s, su2, out=coef.real)
+        s = np.divide(np.multiply(0.5, u, out=su), t, out=t)
+        np.multiply(s, u, out=su)
+        np.multiply(su, u, out=su2)
+        np.subtract(s, su2, out=coef.real)                      # f = phase s (1 - u^2 + i u)
         coef.imag[...] = su
         coef *= phase
-        block = coef.T @ w
+        np.matmul(coef.T, w, out=out)
         inv_r2 = np.divide(1.0, dist2, out=dist2)               # g = phase s (3u^2 - 1 - 3iu) / r^2
         su2 *= 3.0
         su2 -= s
@@ -205,8 +233,10 @@ def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, 
         su *= -3.0
         np.multiply(su, inv_r2, out=coef.imag)
         coef *= phase
-        coef *= np.matmul(sep.transpose(1, 2, 0), w_pairs).view(complex)[..., 0]
+        np.matmul(sep.transpose(1, 2, 0), w_pairs, out=phase.view(float).reshape(n, b, 2))
+        coef *= phase                                           # phase now holds sep . w
         for a in range(3):
-            block[:, a] += np.sum(np.multiply(coef, sep[a], out=phase), axis=0)
-        field[rows] = block
+            out[:, a] += np.add.reduce(np.multiply(coef, sep[a], out=phase), axis=0)
+        field[start:stop] = out[:stop - start]
+        nearest[start:stop] = near_b[:stop - start]
     return field, nearest

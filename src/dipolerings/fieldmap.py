@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emfield import BLOCK_POINTS, radiated_field
+from .emfield import _block_points, radiated_field
 from .geometry import EmitterArray
 
 
@@ -72,13 +72,14 @@ class IntensityMap:
 
 
 def _mask_radius(array: EmitterArray) -> float:
-    """A quarter of the nearest-neighbour distance, taken BLOCK_POINTS emitters at a time."""
+    """A quarter of the nearest-neighbour distance, _block_points(n) emitters at a time."""
     if array.n < 2:
         return 0.0
     pos = array.positions
     nearest = np.inf
-    for start in range(0, array.n, BLOCK_POINTS):
-        dist = np.linalg.norm(pos[start:start + BLOCK_POINTS, None, :] - pos, axis=-1)
+    step = _block_points(array.n)
+    for start in range(0, array.n, step):
+        dist = np.linalg.norm(pos[start:start + step, None, :] - pos, axis=-1)
         own = np.arange(len(dist))
         dist[own, start + own] = np.inf
         nearest = min(nearest, float(np.min(dist)))

@@ -4,9 +4,10 @@ parity blocks written out by hand.  These
 deliberately avoid the library's vectorized Green's kernels, its FFT and its
 eigendecomposition code paths; the ring sum and the chain matrix take their
 couplings one pair at a time from pair_coupling.
-The fidelity-scan reference is the exception: it projects the full states of
-`propagate` (itself checked against RK4) point by point, the direct form that
-`fidelity_scan` factors and projects before the time expansion.
+The fidelity-scan reference `fidelity_scan_from_states` steps the full state through the
+time grid by one exact propagator scipy.linalg.expm(-1j h dt), one matrix-vector product a
+step, and projects each state onto the targets: no eigendecomposition, no time block and
+no phase table of `transfer`.
 The label oracle `classify_modes` names the modes of a dense `eig` of a ring's h
 by angular momentum: the best spin-wave overlap assignment, with degenerate
 clusters rotated onto the spin waves first.
@@ -24,14 +25,14 @@ thin wrappers over the code under test, kept here for the tests that call them."
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from dipolerings.emfield import pair_coupling, radiated_field
 from dipolerings.geometry import EmitterArray, build_two_rings
 from dipolerings.spectrum import (ModeSpectrum, _fix_phases, assemble_heff, canonical_m_range,
                                   ring_spectrum, spin_wave_state, wrap_m)
-from dipolerings.transfer import (default_horizon, farthest_site, gaussian_packet, propagate,
-                                  ring_ring_coupling)
+from dipolerings.transfer import default_horizon, farthest_site, gaussian_packet, ring_ring_coupling
 
 K0 = 2.0 * np.pi
 # Largest |S h S^T - h| / max|h| at which geometric_symmetry_group keeps a site involution S.
@@ -143,10 +144,22 @@ def dense_eigenmodes(h):
     return vals[order], _fix_phases(vecs[:, order])
 
 
+def exact_steps(h, psi0, times):
+    """(t, n) states e^{-i h t} psi0 on the uniform grid `times` from t = 0: psi0, then one
+    step of the exact propagator expm(-1j h dt) per time."""
+    states = np.empty((len(times), len(psi0)), dtype=complex)
+    states[0] = psi0
+    if len(times) > 1:
+        step = expm(-1j * h * (times[1] - times[0]))
+        for k in range(1, len(times)):
+            states[k] = step @ states[k - 1]
+    return states
+
+
 def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_values,
                               t_max, t_steps, arrangement):
-    """(max_fidelity, t_at_max) over (x, dtheta), one propagate per grid point: the
-    full (t, n) states, projected onto the ring-2 target packets afterwards."""
+    """(max_fidelity, t_at_max) over (x, dtheta) from the full (t, n) states of
+    exact_steps, projected onto the ring-2 target packets afterwards."""
     maxf = np.zeros((len(x_values), len(delta_theta_values)))
     tat = np.zeros_like(maxf)
     for i, x in enumerate(x_values):
@@ -157,7 +170,7 @@ def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_value
         for j, dt in enumerate(delta_theta_values):
             psi0 = gaussian_packet(system, 0, farthest_site(system, 0), m, dt)
             targets = np.column_stack([gaussian_packet(system, 1, k, -m, dt) for k in range(n)])
-            fid = np.abs(propagate(h, psi0, times).states @ np.conj(targets)).max(axis=1)
+            fid = np.abs(exact_steps(h, psi0, times) @ np.conj(targets)).max(axis=1)
             maxf[i, j], tat[i, j] = fid.max(), times[np.argmax(fid)]
     return maxf, tat
 

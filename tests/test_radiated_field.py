@@ -5,14 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dipolerings import fieldmap
-from dipolerings.emfield import (BLOCK_POINTS, SingularityError, green_tensor, radiated_field,
-                                unit_dipole)
+from dipolerings import emfield, fieldmap
+from dipolerings.emfield import SingularityError, green_tensor, radiated_field, unit_dipole
 from dipolerings.fieldmap import GridSpec, intensity_map
 from dipolerings.geometry import EmitterArray, build_ring
-from dipolerings.spectrum import spin_wave_state
+from dipolerings.spectrum import _one_blas_thread, spin_wave_state
 
 D = 0.3
+# Points per block of radiated_field against the 8 emitters of the block-edge ring.
+EDGE = emfield._block_points(8)
 
 
 def tensor_sum(array, state, points):
@@ -31,7 +32,7 @@ def random_state(n, seed):
 def sample_points(array, count, seed):
     """`count` points: random ones in a box around the ring, and (if room) one
     point 1e-4 d from an emitter and one in the far field at |r| = 50 at the end,
-    so a map of more than BLOCK_POINTS points has them in its last block."""
+    so a map of more than one block of points has them in its last block."""
     rng = np.random.default_rng(seed)
     points = rng.uniform(-1.0, 1.0, (count, 3))
     special = [array.positions[3] + 1e-4 * D * np.array([0.6, 0.0, 0.8]),
@@ -42,7 +43,7 @@ def sample_points(array, count, seed):
 
 
 @pytest.mark.parametrize("pol", ["transverse", "tangential", "radial"])
-@pytest.mark.parametrize("count", [1, 2, 100, BLOCK_POINTS, BLOCK_POINTS + 1])
+@pytest.mark.parametrize("count", [1, 2, 100, EDGE, EDGE + 1])
 def test_radiated_field_matches_green_tensor_sum(pol, count):
     ring = build_ring(8, D, pol)
     state = random_state(ring.n, seed=count)
@@ -66,17 +67,19 @@ def test_complex_dipoles_and_amplitudes_match_green_tensor_sum(dipole):
     ring = build_ring(9, D, "tangential")
     array = EmitterArray(ring.positions, np.tile(dipole, (ring.n, 1)))
     state = random_state(array.n, seed=5)
-    points = sample_points(array, BLOCK_POINTS + 2, seed=5)
+    edge = emfield._block_points(array.n)
+    points = sample_points(array, edge + 2, seed=5)
     field, _ = radiated_field(points, array.positions, array.dipoles, state)
     # both sides of the block edge, every 64th point, and the near and far points
-    check = sorted({*range(0, len(points), 64), *range(BLOCK_POINTS - 3, len(points))})
+    check = sorted({*range(0, len(points), 64), *range(edge - 3, len(points))})
     expected = tensor_sum(array, state, points[check])
     err = np.linalg.norm(field[check] - expected, axis=1) / np.linalg.norm(expected, axis=1)
     assert err.max() <= 1e-12
 
+
 def test_nearest_distance_is_the_brute_force_minimum_exactly():
     ring = build_ring(12, D, "radial")
-    points = sample_points(ring, BLOCK_POINTS + 7, seed=3)
+    points = sample_points(ring, emfield._block_points(ring.n) + 7, seed=3)
     _, nearest = radiated_field(points, ring.positions, ring.dipoles, random_state(12, 3))
     brute = np.linalg.norm(points[:, None, :] - ring.positions[None, :, :], axis=-1).min(axis=1)
     assert np.array_equal(nearest, brute)
@@ -84,8 +87,8 @@ def test_nearest_distance_is_the_brute_force_minimum_exactly():
 
 def test_point_on_an_emitter_in_a_later_block_raises():
     ring = build_ring(8, D, "transverse")
-    points = sample_points(ring, BLOCK_POINTS + 5, seed=9)
-    points[BLOCK_POINTS + 2] = ring.positions[6]
+    points = sample_points(ring, EDGE + 5, seed=9)
+    points[EDGE + 2] = ring.positions[6]
     with pytest.raises(SingularityError):
         radiated_field(points, ring.positions, ring.dipoles, random_state(8, 9))
 
@@ -99,7 +102,9 @@ def test_blocked_mask_radius_is_the_pairwise_minimum(monkeypatch):
     np.fill_diagonal(dist, np.inf)
     expected = float(np.min(dist)) / 4.0
     assert fieldmap._mask_radius(array) == expected
-    monkeypatch.setattr(fieldmap, "BLOCK_POINTS", 4)
+    monkeypatch.setattr(emfield, "_BLOCK_PAIRS", 4 * 11)
+    monkeypatch.setattr(emfield, "_MIN_BLOCK_POINTS", 1)
+    assert emfield._block_points(array.n) == 4
     assert fieldmap._mask_radius(array) == expected
 
 
@@ -116,3 +121,68 @@ def test_intensity_map_memory_is_independent_of_points_times_emitters():
         tracemalloc.stop()
     assert fmap.values.shape == (201, 201)
     assert peak < 30e6
+
+
+def test_radiated_field_peak_memory_is_bounded_by_the_block():
+    # N = 1000, P = 2000: a block is 1000 x _block_points(1000) pairs, and the work arrays
+    # take 96 B a pair (8 real and 2 complex (N, B) arrays).  Blocks of 1024 points would
+    # take 24.6 MB for the (3, N, B) separations alone.
+    ring = build_ring(1000, 0.1, "tangential")
+    points = sample_points(ring, 2000, seed=4)
+    state = random_state(ring.n, seed=4)
+    pairs = ring.n * emfield._block_points(ring.n)
+    bound = 2 * 96 * pairs + 64 * len(points)
+    tracemalloc.start()
+    try:
+        field, _ = radiated_field(points, ring.positions, ring.dipoles, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.shape == (2000, 3)
+    assert peak < bound < 24.6e6
+
+
+def test_no_emitters_radiate_no_field():
+    points = sample_points(build_ring(8, D, "radial"), 5, seed=1)
+    field, nearest = radiated_field(points, np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
+    assert field.shape == (5, 3) and field.dtype == complex and not field.any()
+    assert nearest.shape == (5,) and np.all(nearest == np.inf)
+
+
+# (_BLOCK_PAIRS, _MIN_BLOCK_POINTS) for one point per block and for one block per call, each
+# held to the default blocks on one BLAS thread, as the CLI runs (with more, OpenBLAS can round
+# a row of a matrix product by the number of rows)
+BUDGETS = {"one-point": (1, 1), "whole": (10 ** 9, 1)}
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("n, count", [(4, 5), (12, 2 * emfield._block_points(12) + 1),
+                                      (50, 700)])
+def test_radiated_field_bits_do_not_depend_on_the_blocks(monkeypatch, budget, n, count):
+    # (12, 2 B + 1): the default blocks end in one lone point
+    ring = build_ring(n, D, "tangential")
+    points = sample_points(ring, count, seed=n)
+    state = random_state(n, seed=n)
+    with _one_blas_thread():
+        field, nearest = radiated_field(points, ring.positions, ring.dipoles, state)
+        monkeypatch.setattr(emfield, "_BLOCK_PAIRS", BUDGETS[budget][0])
+        monkeypatch.setattr(emfield, "_MIN_BLOCK_POINTS", BUDGETS[budget][1])
+        assert emfield._block_points(n) == (1 if budget == "one-point" else 10 ** 9 // n)
+        got_field, got_nearest = radiated_field(points, ring.positions, ring.dipoles, state)
+    assert np.array_equal(got_field, field)
+    assert np.array_equal(got_nearest, nearest)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("n, grid", [(11, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41)),
+                                     (50, GridSpec.xz(0.0, ((-2.0, 2.0),) * 2, 45))])
+def test_intensity_map_bits_do_not_depend_on_the_blocks(monkeypatch, budget, n, grid):
+    ring = build_ring(n, D if n < 50 else 0.4, "tangential")
+    state = spin_wave_state(ring, 3)
+    with _one_blas_thread():
+        fmap = intensity_map(ring, state, grid)
+        monkeypatch.setattr(emfield, "_BLOCK_PAIRS", BUDGETS[budget][0])
+        monkeypatch.setattr(emfield, "_MIN_BLOCK_POINTS", BUDGETS[budget][1])
+        got = intensity_map(ring, state, grid)
+    assert np.array_equal(got.values, fmap.values)
+    assert np.array_equal(got.mask, fmap.mask)

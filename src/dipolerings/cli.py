@@ -15,8 +15,8 @@ from .geometry import SYMMETRIC_SCHEMES, build_chain, build_ring, build_two_ring
 from .output import write_csv, write_json
 from .spectrum import (WorkerError, _modes, _one_blas_thread, light_line_threshold,
                        min_decay_scan, ring_spectrum, spin_wave_state)
-from .transfer import (default_horizon, eta_map, farthest_site, fidelity_scan,
-                       fidelity_trace, gaussian_packet, ring_ring_coupling)
+from .transfer import (_orbit_horizon, _trace, eta_map, farthest_site, fidelity_scan,
+                       gaussian_packet, ring_ring_coupling)
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
@@ -286,10 +286,11 @@ def cmd_fidelity(cfg: RunConfig):
     system = _build_system(cfg)
     site = cfg.center_site if cfg.center_site >= 0 else farthest_site(system, 0)
     psi0 = gaussian_packet(system, 0, site, cfg.m, cfg.delta_theta)
-    # the inter-ring block and the orbit rows of h, never the whole of it
-    horizon = cfg.t_max or default_horizon(ring_ring_coupling(system), cfg.m)
-    times = np.linspace(0.0, horizon, cfg.t_steps)
-    trace = fidelity_trace(system, psi0, cfg.m, cfg.delta_theta, times)
+
+    def grid(sites, rows):   # the orbit rows of h that the trace factors, never the whole of h
+        horizon = cfg.t_max or _orbit_horizon(system, cfg.m, sites, rows)
+        return np.linspace(0.0, horizon, cfg.t_steps)
+    trace = _trace(system, psi0, cfg.m, cfg.delta_theta, grid)
     return "trace", _table(t=trace.times, fidelity=trace.fidelity, argmax_site=trace.argmax_site)
 
 

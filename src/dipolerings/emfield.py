@@ -132,8 +132,9 @@ def projected_green(separations: np.ndarray, p_left: np.ndarray, p_right: np.nda
     complex one makes every product complex-by-complex.
     """
     sep = np.asarray(separations, dtype=float)
-    dist = np.linalg.norm(sep, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # out-of-range separations give inf or nan, which the callers report: no numpy warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dist = np.linalg.norm(sep, axis=-1)
         rhat = sep / dist[..., None]
         pl = np.conj(p_left)
         dot_ll = np.einsum("...i,...i->...", pl, rhat)
@@ -150,6 +151,7 @@ def projected_green(separations: np.ndarray, p_left: np.ndarray, p_right: np.nda
         return np.multiply(pref, g, out=far)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # out of range: inf or nan, which callers report
 def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, np.ndarray]:
     """Field sum_j c_j G(r - r_j) . p_j at each of the (P, 3) points.
 

@@ -241,21 +241,23 @@ def _orbit_rows(source: EmitterArray | np.ndarray) -> tuple:
 
 
 def _factor(source: EmitterArray | np.ndarray, vectors: bool) -> tuple:
-    """(sectors, factors) of one source of _orbit_rows: np.linalg.eig (vectors) or eigvals of
-    each sector's block Q_s^T h Q_s (_block); a failed solve raises ArithmeticError."""
+    """(sectors, sites, rows, factors) of one source of _orbit_rows: its orbit rows, and
+    np.linalg.eig (vectors) or eigvals of each sector's block Q_s^T h Q_s (_block); a failed
+    solve raises ArithmeticError."""
     sectors, sites, rows = _orbit_rows(source)
     solve = np.linalg.eig if vectors else np.linalg.eigvals
     try:
-        return sectors, [solve(_block(s, rows, np.searchsorted(sites, s[0]))) for s in sectors]
+        factors = [solve(_block(s, rows, np.searchsorted(sites, s[0]))) for s in sectors]
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigensolver failed for n = {rows.shape[1]}: {exc}") from exc
+    return sectors, sites, rows, factors
 
 
 def _modes(source: EmitterArray | np.ndarray, vectors: bool = True):
     """(eigenvalues, eigenvectors or None) of one source of _orbit_rows, an array or a given h,
     from one _factor: the eigenvalues sorted by (Re, Im), and the columns Q_s W_s in that
     order in the convention of _fix_phases, each Q_s the transpose of _project."""
-    sectors, factors = _factor(source, vectors)
+    sectors, _, _, factors = _factor(source, vectors)
     vals = np.concatenate([f[0] for f in factors] if vectors else factors)
     order = np.lexsort((np.imag(vals), np.real(vals)))
     if not vectors:

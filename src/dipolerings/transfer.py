@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EmitterArray, build_two_rings
-from .spectrum import (_BLOCK_ENTRIES, _couplings, _factor, _pool_map, _project, assemble_heff,
-                       canonical_m_range, wrap_m)
+from .spectrum import (_BLOCK_ENTRIES, _couplings, _factor, _pool_map, _project, _symmetry_group,
+                       assemble_heff, canonical_m_range, wrap_m)
 
 
 @dataclass
@@ -173,61 +173,71 @@ def _time_blocks(steps: int, modes: int) -> list:
     return [slice(start, min(start + size, steps)) for start in range(0, steps, size)]
 
 
-def _evolve(source: EmitterArray | np.ndarray, psi0s: np.ndarray, times: np.ndarray,
-            basis: np.ndarray, cols: list):
+def _evolve(source: EmitterArray | np.ndarray, psi0s: np.ndarray, basis: np.ndarray,
+            cols: list) -> tuple:
     """Factor one source once for all initial states psi_j = psi0s[:, j], an array in the
     sectors of its declared symmetries or a given h as one sector, Q = I (spectrum._orbit_rows):
-    the method ('eig' or 'ode'), cond(V), and a generator of (rows, [overlaps_j]) over the
-    _time_blocks of the grid, overlaps_j the (rows, k) overlaps psi_j(t)^T basis[:, cols[j]].
+    (method, cond, sites, rows, blocks), the method ('eig' or 'ode'), cond(V), the rows h[sites]
+    that were factored, and blocks(times), which checks a time grid (finite, non-negative,
+    ascending) and returns a generator of (span, [overlaps_j]) over its _time_blocks, overlaps_j
+    the (span, k_j) overlaps psi_j(t)^T basis[:, cols[j]].
 
-    Everything but the time axis is done when _evolve is called: the times are checked (finite,
-    non-negative, ascending), h is factored, and each width's coefficients are formed.  Each
-    block Q_s^T h Q_s comes from the rows of the orbit representatives alone and is factored
-    into W_s by spectrum._factor; V = [Q_s W_s] is never formed (see _project).  An array's
-    rows come from _couplings, and its full h is assembled only for the 'ode' fallback.  Q is
-    orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
-    Z = V^T basis = [W_s^T Q_s^T basis] is formed once, and Y_j = a_j Z[:, cols_j] per j with
+    Everything but the time axis is done before the grid is given, so that a default horizon
+    can be read from the rows (_orbit_horizon): h is factored, and the widths' coefficients are
+    formed.  Each block Q_s^T h Q_s comes from the rows of the orbit representatives alone and
+    is factored into W_s by spectrum._factor; V = [Q_s W_s] is never formed (see _project).  An
+    array's rows come from _couplings, and its full h is assembled only for the 'ode' fallback.
+    Q is orthogonal, so cond(V) is the largest singular value over all W_s over the smallest.
+    Z = V^T basis = [W_s^T Q_s^T basis] is formed once, and the Y_j = a_j Z[:, cols_j], with
     W_s a_s = Q_s^T psi_j solved per sector (W_s^{-1} is not W_s^T/norms on degenerate +-m
-    pairs).  Each block of rows then takes its own phase table e^{-i lambda t} (exact exp
-    anchors joined by running products, tails below sqrt(tiny) zeroed; see _phases), whose
-    rows are those of the whole grid's table, and one product phases @ Y_j per j, so neither
-    the (t, n) states nor a table of all t rows is built: memory is O(B (n + sum_j k_j)) for
-    the B rows of a block, whatever the number of times.  When cond(V) > 1e8 all psi_j are
+    pairs), are stacked side by side into one (n, sum_j k_j) matrix Y.  Each block of times
+    then takes its own phase table e^{-i lambda t} (exact exp anchors joined by running
+    products, tails below sqrt(tiny) zeroed; see _phases), whose rows are those of the whole
+    grid's table, and one product phases @ Y, of which each psi_j reads its own columns, so
+    neither the (t, n) states nor a table of all t rows is built: memory is O(B (n + sum_j k_j))
+    for the B rows of a block, whatever the number of times.  When cond(V) > 1e8 all psi_j are
     propagated together under the full h in exact exponential steps, one e^{-i h dt}
     (scipy.linalg.expm) per distinct step dt of the grid from t = 0, the state carried
     through the same blocks, and each psi_j(t) is multiplied by the same basis[:, cols_j].
     """
-    if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be finite, non-negative and ascending")
     psi0s = np.asarray(psi0s, dtype=complex)
-    sectors, factors = _factor(source, vectors=True)
+    sectors, sites, rows, factors = _factor(source, vectors=True)
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in factors])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
-    spans = _time_blocks(len(times), len(psi0s))
     if cond > 1e8:
         from scipy.linalg import expm   # only this fallback loads scipy
-        h = source if isinstance(source, np.ndarray) else assemble_heff(source)
-        steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-        props = [expm(-1j * dt * h) for dt in steps]
+        method, h = "ode", source if isinstance(source, np.ndarray) else assemble_heff(source)
 
-        def stepped():
+        def run(times, spans):
+            steps, step_of = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+            props = [expm(-1j * dt * h) for dt in steps]
             state = psi0s
-            for rows in spans:
-                states = np.empty((rows.stop - rows.start, *psi0s.shape), dtype=complex)
-                for k, step in enumerate(step_of[rows]):
+            for span in spans:
+                states = np.empty((span.stop - span.start, *psi0s.shape), dtype=complex)
+                for k, step in enumerate(step_of[span]):
                     state = states[k] = props[step] @ state
-                yield rows, [states[:, :, j] @ basis[:, c] for j, c in enumerate(cols)]
-        return "ode", cond, stepped()
-    a = np.vstack([np.linalg.solve(w, _project(s, psi0s)) for s, (_, w) in zip(sectors, factors)])
-    vals = np.concatenate([v for v, _ in factors])
-    z = np.vstack([w.T @ _project(s, basis) for s, (_, w) in zip(sectors, factors)])
-    ys = [a_j[:, None] * z[:, c] for a_j, c in zip(a.T, cols)]
+                yield span, [states[:, :, j] @ basis[:, c] for j, c in enumerate(cols)]
+    else:
+        method = "eig"
+        a = np.vstack([np.linalg.solve(w, _project(s, psi0s))
+                       for s, (_, w) in zip(sectors, factors)])
+        vals = np.concatenate([v for v, _ in factors])
+        z = np.vstack([w.T @ _project(s, basis) for s, (_, w) in zip(sectors, factors)])
+        edges = np.cumsum([0] + [z[:1, c].shape[1] for c in cols])
+        y = np.empty((len(z), edges[-1]), dtype=complex)
+        for a_j, c, start, stop in zip(a.T, cols, edges, edges[1:]):
+            np.multiply(a_j[:, None], z[:, c], out=y[:, start:stop])
 
-    def products():
-        for rows in spans:
-            phases = _phases(times[rows], vals)
-            yield rows, [phases @ y for y in ys]
-    return "eig", cond, products()
+        def run(times, spans):
+            for span in spans:
+                overlaps = _phases(times[span], vals) @ y
+                yield span, [overlaps[:, start:stop] for start, stop in zip(edges, edges[1:])]
+
+    def blocks(times):
+        if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
+            raise ValueError("times must be finite, non-negative and ascending")
+        return run(times, _time_blocks(len(times), len(psi0s)))
+    return method, cond, sites, rows, blocks
 
 
 def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
@@ -240,11 +250,11 @@ def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     """
     times = np.asarray(times, dtype=float)
     psi0s = np.reshape(psi0, (-1, 1))
-    method, _, blocks = _evolve(np.asarray(h, dtype=complex), psi0s, times,
-                                np.eye(len(psi0s)), [slice(None)])
+    method, _, _, _, blocks = _evolve(np.asarray(h, dtype=complex), psi0s, np.eye(len(psi0s)),
+                                      [slice(None)])
     states = np.empty((len(times), len(psi0s)), dtype=complex)
-    for rows, (part,) in blocks:
-        states[rows] = part
+    for span, (part,) in blocks(times):
+        states[span] = part
     return Propagation(times=times, states=states, method=method)
 
 
@@ -322,17 +332,26 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     round-off of F(0), whose digits follow the order of the sums.
     """
     times = np.asarray(times, dtype=float)
+    return _trace(array, psi0, m, delta_theta, lambda sites, rows: times, h)
+
+
+def _trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: float, grid,
+           h: np.ndarray | None = None) -> FidelityTrace:
+    """fidelity_trace on the time grid grid(sites, rows), a function of the rows h[sites] that
+    _evolve factors, so that a default horizon is read from them (_orbit_horizon)."""
     targets = _targets(array, m, delta_theta)
-    method, cond, blocks = _evolve(array if h is None else np.asarray(h, dtype=complex),
-                                   np.reshape(psi0, (-1, 1)), times, targets, [slice(None)])
+    method, cond, sites, rows, blocks = _evolve(
+        array if h is None else np.asarray(h, dtype=complex), np.reshape(psi0, (-1, 1)),
+        targets, [slice(None)])
+    times = grid(sites, rows)
     # ties within the state's round-off floor go to the lowest site; the phase error that F
     # also carries (see FidelityTrace) is left out, since a wider floor changes argmax_site
     floor = array.n * np.finfo(float).eps * (cond if method == "eig" else 1.0)
     fid, best = np.empty(len(times)), np.empty(len(times), dtype=np.intp)
-    for rows, (overlaps,) in blocks:
-        overlaps = np.abs(overlaps)                          # (rows, k)
-        fid[rows] = np.max(overlaps, axis=1)
-        best[rows] = np.argmax(overlaps >= (fid[rows] - floor)[:, None], axis=1)
+    for span, (overlaps,) in blocks(times):
+        overlaps = np.abs(overlaps)                          # (span, k)
+        fid[span] = np.max(overlaps, axis=1)
+        best[span] = np.argmax(overlaps >= (fid[span] - floor)[:, None], axis=1)
     return FidelityTrace(times=times, fidelity=fid, argmax_site=np.where(fid > floor, best, -1),
                          method=method, cond=cond)
 
@@ -346,16 +365,52 @@ def farthest_site(array: EmitterArray, ring: int = 0) -> int:
     """
     other = _ring(array, 1 - ring).center
     idx = np.asarray(array.groups[ring])
-    dist = np.linalg.norm(array.positions[idx] - other, axis=1)
+    with np.errstate(over="ignore"):      # inf past float range, where h is out of range too
+        dist = np.linalg.norm(array.positions[idx] - other, axis=1)
     return int(np.argmax(dist >= (1.0 - 1e-12) * dist.max()))
 
 
 def default_horizon(coupling: RingRingCoupling, m: int) -> float:
     """Default evolution horizon: 20 pi over the |J_{m,-m}| coupling rate."""
-    j = abs(np.real(coupling.at(m, -m)))
+    return _horizon(coupling.at(m, -m))
+
+
+def _horizon(lam: complex) -> float:
+    """20 pi / |Re lam|; ValueError if Re lam is 0."""
+    j = abs(np.real(lam))
     if j == 0.0:
         raise ValueError("zero inter-ring coupling; specify the horizon explicitly")
     return 20.0 * np.pi / j
+
+
+def _pair_lambda(array: EmitterArray, m: int, sites: np.ndarray, rows: np.ndarray) -> complex:
+    """ring_ring_coupling(array).at(m, -m) from the rows h[sites] of spectrum._orbit_rows alone,
+    with no inter-ring block: (1/N) sum_{i in R1, j in R2} h_ij e^{i(m1 theta_i - m2 theta_j)},
+    m1 and m2 the wrapped m and -m, in O(n |sites| |G|).
+
+    A ring-1 site that is no representative is the image g(i) of one under an element g of the
+    declared group (spectrum._symmetry_group), and h[g(i), g(k)] = s_g(i) s_g(k) h[i, k] with
+    g an involution, so its row against u_j = e^{-i m2 theta_j} on ring 2 is s_g(i) times
+    rows[i] . (s_g u[g]).  Each ring-1 site is taken once, from the first (g, i) in group order;
+    the rows of ring-2 representatives (about half of a site-edge pair's) weigh 0.
+    """
+    perms, signs = _symmetry_group(array)
+    idx1, idx2 = (np.asarray(g) for g in array.groups)
+    n_ring = len(idx1)
+    u, phase = np.zeros(array.n, dtype=complex), np.zeros(array.n, dtype=complex)
+    u[idx2] = np.exp(-1j * wrap_m(-m, n_ring) * _ring(array, 1).angles)
+    phase[idx1] = np.exp(1j * wrap_m(m, n_ring) * _ring(array, 0).angles)
+    sums = rows @ (signs * u[perms]).T                       # (sites, |G|)
+    images, first = np.unique(perms[:, sites], return_index=True)
+    g, k = np.divmod(first, len(sites))
+    return complex(np.sum(phase[images] * signs[g, sites[k]] * sums[k, g]) / n_ring)
+
+
+def _orbit_horizon(array: EmitterArray, m: int, sites: np.ndarray, rows: np.ndarray) -> float:
+    """default_horizon of array's ring_ring_coupling at m, from the rows h[sites] of
+    spectrum._orbit_rows (_pair_lambda): every default time grid of `fidelity` and
+    `fidelity-scan` comes from here."""
+    return _horizon(_pair_lambda(array, m, sites, rows))
 
 
 @dataclass
@@ -375,20 +430,20 @@ def _separation_peaks(arrangement: str, n: int, d: float, polarization, m: int,
                       dts: np.ndarray, t_max: float | None, t_steps: int, x: float) -> tuple:
     """(max_t F, t at max, widths, method, cond(V)) of one fidelity_scan separation x,
     module level so that it pickles.  The couplings are the rows of h at the orbit
-    representatives (_evolve) and, for the default horizon, the N x N inter-ring block
-    (ring_ring_coupling)."""
+    representatives, one _couplings call, which _evolve factors and the default horizon reads
+    (_orbit_horizon)."""
     system = build_two_rings(arrangement, n, d, float(x), polarization)
-    horizon = default_horizon(ring_ring_coupling(system), m) if t_max is None else t_max
-    times = np.linspace(0.0, horizon, t_steps)
     k0_site = farthest_site(system, ring=0)
     psi0s = np.column_stack([gaussian_packet(system, ring=0, center_site=k0_site, m=m,
                                              delta_theta=float(dt)) for dt in dts])
     basis, cols, factors = _target_factors(system, m, dts)
-    method, cond, blocks = _evolve(system, psi0s, times, basis, cols)
+    method, cond, sites, rows, blocks = _evolve(system, psi0s, basis, cols)
+    horizon = _orbit_horizon(system, m, sites, rows) if t_max is None else t_max
+    times = np.linspace(0.0, horizon, t_steps)
     fid = np.empty((len(times), len(dts)))                   # (t, width)
-    for rows, overlaps in blocks:
+    for span, overlaps in blocks(times):
         for j, (o, r) in enumerate(zip(overlaps, factors)):
-            fid[rows, j] = np.max(np.abs(o if r is None else o @ r), axis=1)
+            fid[span, j] = np.max(np.abs(o if r is None else o @ r), axis=1)
     peak = np.argmax(fid, axis=0)
     return (fid[peak, np.arange(len(dts))], times[peak], system.ring_meta[0].radius * dts,
             method, cond)
@@ -400,15 +455,15 @@ def fidelity_scan(n: int, d: float, polarization, m: int, x_values, delta_theta_
     """Scan max_t F over ring separation and initial packet width.
 
     The packet starts on ring 1 at the site farthest from ring 2.  For each
-    separation the system is built, the rows of h at its orbit representatives (and the
-    inter-ring block, for the default horizon) are computed and h is factored once per
-    symmetry sector; all widths are propagated together on a uniform time grid of t_steps
-    points up to t_max (default 20 pi / |J_{m,-m}|), their overlaps with the ring-2 targets
-    taken in ring-2 momentum space where that is cheaper (_target_factors) and reduced to F
-    one block of times at a time (_evolve).  A t_steps below 1 or a non-finite t_max raises
-    ValueError.  methods and conds record each separation's solver path and cond(V), as
-    FidelityTrace does for one trace.  The separations run on at most `threads` worker
-    processes (spectrum._pool_map).
+    separation the system is built, the rows of h at its orbit representatives are computed
+    once and h is factored once per symmetry sector; all widths are propagated together on a
+    uniform time grid of t_steps points up to t_max (default 20 pi / |J_{m,-m}|, with
+    J_{m,-m} summed from the same rows, _orbit_horizon), one phase product per block of times
+    for all widths, their overlaps with the ring-2 targets taken in ring-2 momentum space
+    where that is cheaper (_target_factors) and reduced to F one block of times at a time
+    (_evolve).  A t_steps below 1 or a non-finite t_max raises ValueError.  methods and conds
+    record each separation's solver path and cond(V), as FidelityTrace does for one trace.
+    The separations run on at most `threads` worker processes (spectrum._pool_map).
     """
     x_values = np.asarray(x_values, dtype=float)
     dts = np.asarray(delta_theta_values, dtype=float)

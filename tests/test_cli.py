@@ -2,6 +2,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -767,3 +768,20 @@ def test_artifact_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     finally:
         set_threads(previous)
     assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--set", "geometry.d=1e300"],
+    ["fidelity", "--set", "geometry.x=1e300"],
+    ["decay-scan", "--set", "physics.wavelength_over_d=1e-300"],
+    ["fieldmap", "--set", "physics.extent=1e300"],
+])
+def test_out_of_range_geometry_prints_one_json_line_and_no_warning(tmp_path, capsys, args):
+    # a numpy RuntimeWarning would print above the JSON error on the command line's stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(args + ["--out", str(tmp_path / "x.csv")]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert json.loads(err)["error"]["code"] == 3

@@ -823,12 +823,13 @@ def test_fidelity_scan_memory_does_not_grow_with_the_number_of_steps():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_times_are_rejected_when_evolve_is_called(bad):
+def test_non_finite_times_are_rejected_when_the_grid_is_given(bad):
     pair, h = _pair_and_h("site-edge", 6, "tangential")
     psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=2, delta_theta=0.5)
     times = np.array([0.0, 1.0, bad])
+    *_, blocks = transfer._evolve(pair, psi0[:, None], np.eye(12), [slice(None)])
     with pytest.raises(ValueError, match="finite"):
-        transfer._evolve(pair, psi0[:, None], times, np.eye(12), [slice(None)])
+        blocks(times)                    # before the first block is asked for
     with pytest.raises(ValueError, match="finite"):
         propagate(h, psi0, times)
     with pytest.raises(ValueError, match="finite"):
@@ -987,12 +988,12 @@ def test_momentum_targets_match_the_explicit_targets_and_the_oracles(arrangement
     # every overlap against the explicit targets on the same factorization: n eps cond(V)
     site = farthest_site(pair, 0)
     psi0s = np.column_stack([gaussian_packet(pair, 0, site, m, dt) for dt in MOMENTUM_WIDTHS])
-    method, cond, blocks = transfer._evolve(pair, psi0s, times, basis, cols)
-    overlaps = [np.vstack(parts) for parts in zip(*(o for _, o in blocks))]   # joined per width
+    method, cond, _, _, blocks = transfer._evolve(pair, psi0s, basis, cols)
+    overlaps = [np.vstack(parts) for parts in zip(*(o for _, o in blocks(times)))]   # per width
     explicit = np.hstack([transfer._targets(pair, m, dt) for dt in MOMENTUM_WIDTHS])
-    _, _, blocks = transfer._evolve(pair, psi0s, times, explicit,
-                                    [slice(j * n, (j + 1) * n) for j in range(3)])
-    expected = [np.vstack(parts) for parts in zip(*(o for _, o in blocks))]
+    *_, blocks = transfer._evolve(pair, psi0s, explicit,
+                                  [slice(j * n, (j + 1) * n) for j in range(3)])
+    expected = [np.vstack(parts) for parts in zip(*(o for _, o in blocks(times)))]
     assert method == "eig"
     for got, r, want in zip(overlaps, factors, expected):
         got = got if r is None else got @ r
@@ -1040,10 +1041,9 @@ def test_no_eig_path_separation_builds_all_rows_of_h(monkeypatch, arrangement, n
     for t_max, (expected_f, expected_t) in expected.items():
         scan = fidelity_scan(*args, t_max=t_max, t_steps=150, arrangement=arrangement)
         assert scan.methods.tolist() == ["eig", "eig"]
-        # per separation the default horizon reads the N x N inter-ring block
-        # (ring_ring_coupling), then the representatives' rows are factored
-        per_separation = [(n, n), (reps, 2 * n)] if t_max is None else [(reps, 2 * n)]
-        assert calls == per_separation * 2
+        # per separation the representatives' rows are built once: they are factored, and a
+        # default horizon is read from them
+        assert calls == [(reps, 2 * n)] * 2
         calls.clear()
         assert np.max(np.abs(scan.max_fidelity - expected_f)) < 1e-12
         assert np.max(np.abs(scan.t_at_max - expected_t)) < 1e-12 * np.max(expected_t)
@@ -1060,6 +1060,79 @@ def test_no_eig_path_separation_builds_all_rows_of_h(monkeypatch, arrangement, n
     overlaps = np.abs(propagate(h, psi0, times).states @ np.conj(targets)).max(axis=1)
     for fidelity in (trace.fidelity, given.fidelity):
         assert np.max(np.abs(fidelity - overlaps)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 40, 41])
+@pytest.mark.parametrize("polarization", SYMMETRIC_SCHEMES)
+@pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
+def test_pair_lambda_from_the_orbit_rows_is_the_inter_ring_coupling(arrangement, polarization, n):
+    pair, h = _pair_and_h(arrangement, n, polarization)
+    _, sites, rows = spectrum._orbit_rows(pair)
+    coupling = ring_ring_coupling(pair)
+    # relative to (1/N) sum |h_ij| over the inter-ring block, the round-off scale of both sums:
+    # symmetry makes some lambda_{m,-m} zero (site-edge, even N, m = N/2), with no relative error
+    scale = np.abs(h[:n, n:]).sum() / n
+    for m in {0, 1, -1, n // 2, n // 2 + n + 1, -n - 3}:         # the last two wrap
+        want = coupling.at(m, -m)
+        assert abs(transfer._pair_lambda(pair, m, sites, rows) - want) <= 1e-13 * scale
+
+
+def test_fidelity_and_fidelity_scan_take_one_horizon(tmp_path, monkeypatch):
+    # the CLI's fidelity and a scan at the same separation read the same rows, so the same
+    # horizon, bit for bit, and neither builds the inter-ring block of ring_ring_coupling
+    from dipolerings import cli
+    n, x, m, t_steps = 12, 0.15, 3, 200
+    horizons, orbit_horizon = [], transfer._orbit_horizon
+
+    def recorded(*args):
+        horizons.append(orbit_horizon(*args))
+        return horizons[-1]
+
+    def forbidden(*args):
+        raise AssertionError("ring_ring_coupling on a default-horizon path")
+    for module in (transfer, cli):
+        monkeypatch.setattr(module, "_orbit_horizon", recorded)
+        monkeypatch.setattr(module, "ring_ring_coupling", forbidden)
+    calls = _spy_couplings(monkeypatch)
+    out = tmp_path / "trace.csv"
+    assert cli.main(["fidelity", "--set", "geometry.arrangement=site-edge",
+                     "--set", "geometry.polarization=tangential", "--set", f"geometry.n={n}",
+                     "--set", f"geometry.x={x}", "--set", f"physics.m={m}",
+                     "--set", f"physics.t_steps={t_steps}", "--out", str(out)]) == 0
+    scan = fidelity_scan(n, 0.1, "tangential", m, [x], [0.3, 1.0], t_steps=t_steps,
+                         arrangement="site-edge")
+    assert calls == [(n + 1, 2 * n)] * 2
+    assert len(horizons) == 2 and horizons[0] == horizons[1]
+    assert np.all(np.isin(scan.t_at_max, np.linspace(0.0, horizons[0], t_steps)))
+
+
+def test_a_widths_peak_does_not_depend_on_the_widths_scanned_with_it():
+    # n = 40: dtheta 0.05 and 0.3 keep their explicit targets, 2.5 takes the momentum path
+    n, args = 40, (0.1, "tangential", 3, [0.1, 0.2])
+    basis, cols, factors = transfer._target_factors(build_two_rings("site-site", n, 0.1, 0.1),
+                                                    3, MOMENTUM_WIDTHS)
+    assert [r is not None for r in factors] == [False, False, True]
+    for t_max in (None, 25.0):
+        together = fidelity_scan(n, *args, MOMENTUM_WIDTHS, t_max=t_max, t_steps=300)
+        for j, dt in enumerate(MOMENTUM_WIDTHS):
+            alone = fidelity_scan(n, *args, [dt], t_max=t_max, t_steps=300)
+            assert np.max(np.abs(alone.max_fidelity[:, 0] - together.max_fidelity[:, j])) <= 1e-13
+            assert np.array_equal(alone.t_at_max[:, 0], together.t_at_max[:, j])
+
+
+def test_one_phase_product_per_time_block_for_any_number_of_widths(monkeypatch):
+    products, phases = [], transfer._phases
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other.shape[1])
+            return np.asarray(self) @ other
+    monkeypatch.setattr(transfer, "_phases", lambda times, vals: phases(times, vals).view(Counted))
+    n, t_steps = 12, 2 * _block_rows(12) + 5                 # three time blocks
+    for widths in ([1.0], [0.3, 1.0, 2.5]):
+        fidelity_scan(n, 0.1, "tangential", 2, [0.15], widths, t_max=20.0, t_steps=t_steps)
+        assert len(products) == 3 and len(set(products)) == 1
+        products.clear()
 
 
 def test_orbit_rows_are_the_rows_of_the_full_h():

@@ -10,7 +10,8 @@ near = 1/x^2 - i/x (x = k0 r) come from `_radial`.  `radiated_field`, its
 summed form sum_j c_j G(r - r_j).p_j of a whole array at many points, expands
 the same factors in u = 1/x and folds c into p, so that a map takes few
 passes over its blocks; tests hold it to the per-tensor sum.  A map
-(`fieldmap.intensity_map`) passes it one point per symmetry orbit of the grid.
+(`fieldmap.intensity_map`) passes it one point per symmetry orbit of the grid and the state's
+distinct mirror images, which share its geometric passes.
 """
 
 from dataclasses import dataclass
@@ -153,11 +154,11 @@ def projected_green(separations: np.ndarray, p_left: np.ndarray, p_right: np.nda
 
 @np.errstate(over="ignore", invalid="ignore")   # out of range: inf or nan, which callers report
 def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, np.ndarray]:
-    """Field sum_j c_j G(r - r_j) . p_j at each of the (P, 3) points.
+    """Field sum_j c_j G(r - r_j) . p_j at each of the (P, 3) points, of one or S states.
 
-    positions (N, 3), dipoles (N, 3) and amplitudes c (N,) describe the
-    emitters.  Returns the (P, 3) complex field and the (P,) distance from each
-    point to its nearest emitter (0 and inf with no emitters).  Raises
+    positions (N, 3), dipoles (N, 3) and amplitudes c, (N,) or one state per column (N, S),
+    describe the emitters.  Returns the complex field, (P, 3) or (P, 3, S), and the (P,)
+    distance from each point to its nearest emitter (0 and inf with no emitters).  Raises
     SingularityError if a point coincides with an emitter.
 
     With w = c p, u = 1/x and pref = e^{ix} u / 2 (= e^{ix}/(4 pi r), x = k0 r),
@@ -174,30 +175,34 @@ def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, 
     elementwise pass runs along the points) that are allocated once per call
     and stay in cache.  Per block: the separations, r^2 and r (in
     np.linalg.norm's order, so `nearest` has its bits), one tan, a dozen real
-    passes for s and its u-polynomials, two complex products with the phase
-    for f and g, the matrix product f @ w, sep . w as one real matrix product
-    over (re, im) pairs, and the three sums over emitters of g sep_a.  A block
+    passes for s and its u-polynomials, and two complex products with the phase
+    for f and g, all shared by the S states; then per state the matrix product
+    f @ w, sep . w as one real matrix product over (re, im) pairs, its product
+    with g and the three sums over emitters of g (sep . w) sep_a.  A block
     of one point is evaluated as two equal columns, since numpy gives a
     one-row product to gemv and a one-column sum to pairwise summation.  So on
     one BLAS thread the result is the same to the bit at any block size (with
-    more, OpenBLAS can round a row of f @ w by the number of rows).
+    more, OpenBLAS can round a row of f @ w by the number of rows), and each
+    state's column is, to the bit, the field of a call with that state alone.
     """
     points = np.asarray(points, dtype=float)
     pos = np.asarray(positions, dtype=float)
+    amps = np.asarray(amplitudes, dtype=complex)
     n = len(pos)
     if n == 0:
-        return np.zeros((len(points), 3), dtype=complex), np.full(len(points), np.inf)
-    w = np.asarray(amplitudes, dtype=complex)[:, None] * np.asarray(dipoles, dtype=complex)
-    w_pairs = w.view(float).reshape(n, 3, 2)
+        field = np.zeros((len(points), 3, *amps.shape[1:]), dtype=complex)
+        return field, np.full(len(points), np.inf)
+    # w_k = c_k p of each state k, a contiguous (N, 3) block as a one-state call forms it
+    w = amps.reshape(n, -1).T[:, :, None] * np.asarray(dipoles, dtype=complex)
+    w_pairs = w.view(float).reshape(len(w), n, 3, 2)
     coords = np.ascontiguousarray(points.T)[:, None, :]         # (3, 1, P) against (3, N, 1)
     sites = pos.T[:, :, None]
-    field = np.empty((len(points), 3), dtype=complex)
-    nearest = np.empty(len(points))
+    field, nearest = np.empty((len(w), len(points), 3), dtype=complex), np.empty(len(points))
     step = _block_points(n)
     size = max(min(step, len(points)), 2)                       # points of the widest block
     real = np.empty((8, n * size))                              # each row: one block's (N, b)
     cplx = np.empty((2, n * size), dtype=complex)
-    block, near = np.empty((size, 3), dtype=complex), np.empty(size)
+    block, near = np.empty((len(w), size, 3), dtype=complex), np.empty(size)
     b = 0
     for start in range(0, len(points), step):
         stop = min(start + step, len(points))
@@ -207,8 +212,10 @@ def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, 
             sep = real[:3, :n * b].reshape(3, n, b)
             s0, s1, s2 = sep
             dist2, dist, t, su, su2 = real[3:, :n * b].reshape(5, n, b)
+            # the last two real rows, free once g is formed: each product g (sep . w) sep_a
+            term = real[6:].reshape(-1)[:2 * n * b].view(complex).reshape(n, b)
             phase, coef = cplx[:, :n * b].reshape(2, n, b)
-            out, near_b = block[:b], near[:b]
+            out, near_b = block[:, :b], near[:b]
         np.subtract(cols, sites, out=sep)                       # (3, N, b)
         np.add(np.multiply(s0, s0, out=dist2), np.multiply(s1, s1, out=dist), out=dist2)
         dist2 += np.multiply(s2, s2, out=dist)
@@ -227,7 +234,8 @@ def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, 
         np.subtract(s, su2, out=coef.real)                      # f = phase s (1 - u^2 + i u)
         coef.imag[...] = su
         coef *= phase
-        np.matmul(coef.T, w, out=out)
+        for w_k, out_k in zip(w, out):
+            np.matmul(coef.T, w_k, out=out_k)
         inv_r2 = np.divide(1.0, dist2, out=dist2)               # g = phase s (3u^2 - 1 - 3iu) / r^2
         su2 *= 3.0
         su2 -= s
@@ -235,10 +243,11 @@ def radiated_field(points, positions, dipoles, amplitudes) -> tuple[np.ndarray, 
         su *= -3.0
         np.multiply(su, inv_r2, out=coef.imag)
         coef *= phase
-        np.matmul(sep.transpose(1, 2, 0), w_pairs, out=phase.view(float).reshape(n, b, 2))
-        coef *= phase                                           # phase now holds sep . w
-        for a in range(3):
-            out[:, a] += np.add.reduce(np.multiply(coef, sep[a], out=phase), axis=0)
-        field[start:stop] = out[:stop - start]
+        for pairs_k, out_k in zip(w_pairs, out):
+            np.matmul(sep.transpose(1, 2, 0), pairs_k, out=phase.view(float).reshape(n, b, 2))
+            np.multiply(coef, phase, out=phase)                 # g (sep . w)
+            for a in range(3):
+                out_k[:, a] += np.add.reduce(np.multiply(phase, sep[a], out=term), axis=0)
+        field[:, start:stop] = out[:, :stop - start]
         nearest[start:stop] = near_b[:stop - start]
-    return field, nearest
+    return (np.moveaxis(field, 0, -1) if amps.ndim > 1 else field[0]), nearest

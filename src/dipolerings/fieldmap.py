@@ -6,6 +6,7 @@ import numpy as np
 
 from .emfield import _block_points, radiated_field
 from .geometry import EmitterArray
+from .spectrum import _symmetry_elements
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,21 @@ class GridSpec:
         (y0, y1), (z0, z1) = extent
         return cls((x, 0, 0), (0, 1, 0), (0, 0, 1), (y0, y1), (z0, z1), res, res)
 
+    # an extent out of float range gives inf or nan coordinates, which the callers report
+    @np.errstate(over="ignore", invalid="ignore")
     def coords(self) -> tuple:
         u = np.linspace(self.extent1[0], self.extent1[1], self.res1)
         v = np.linspace(self.extent2[0], self.extent2[1], self.res2)
         return u, v
 
+    @np.errstate(over="ignore", invalid="ignore")
     def points(self) -> np.ndarray:
-        """All grid points as an (res1*res2, 3) array, row-major in (u, v)."""
+        """All grid points as an (res1*res2, 3) array, row-major in (u, v): the transpose of
+        the contiguous (3, res1*res2) coordinate rows, each origin + u axis1 + v axis2."""
         u, v = self.coords()
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        return (self.origin[None, :]
-                + uu.reshape(-1, 1) * self.axis1[None, :]
-                + vv.reshape(-1, 1) * self.axis2[None, :])
+        rows = (self.origin[:, None, None] + u[:, None] * self.axis1[:, None, None]
+                + v * self.axis2[:, None, None])
+        return rows.reshape(3, -1).T
 
 
 @dataclass
@@ -87,35 +91,68 @@ def _mask_radius(array: EmitterArray) -> float:
 
 
 def _orbit_representatives(array: EmitterArray, state: np.ndarray, grid: GridSpec,
-                           points: np.ndarray, tol: float) -> np.ndarray:
-    """Per grid point, the lowest flat index of its orbit under the kept isometries.
+                           tol: float) -> tuple:
+    """(rep, source, states): per grid point the lowest flat index of its orbit under the kept
+    isometries and the column of the (N, S) states, the state and its distinct images, whose
+    field at that representative gives the point's intensity.
 
-    The candidates are the array's declarations (flip D, site map pi), whose flips
-    EmitterArray checked on the positions about the centroid, so all of them are used only
-    if the centroid is at the grid's origin (to tol/8).  A candidate is kept if the
-    amplitudes map onto themselves, w[pi] = chi D w for w = c p and one unit-modulus chi (to
-    1e-12 of max |w|), and if the grid's points map onto themselves, D r_(i,j) = r at (i, j)
-    with the index reversed along each grid axis that D flips (to tol).  Then E(D r) =
-    chi D E(r): |E|^2 and the nearest-emitter distance are equal on an orbit.  A build_chain
-    array (n >= 2) declares its inversion but folds nothing: its centroid is off the origin.
+    The candidates are the elements of the group that the array's declarations generate where
+    they map the dipoles onto +- their images' (spectrum._symmetry_elements: flip D, site map
+    pi, signs s with D p_i = s_i p_pi(i)), whose flips EmitterArray checked on the positions
+    about the centroid, so all of them are used only if the centroid is at the grid's origin
+    (to tol/8).  An element is kept if it reverses the index along a grid axis and maps the
+    grid's points onto themselves, D r_(i,j) = r at (i, j) with the index reversed along each
+    grid axis that D flips, to tol per coordinate, checked in O(res1 + res2) on the bound
+    |D o - o| + max_i |u_i D a1 - u_i' a1| + max_j |v_j D a2 - v_j' a2| of the points
+    r_(i,j) = o + u_i a1 + v_j a2 (GridSpec).  Then E_c(D r) = D E_c'(r) for the image state
+    c'_pi(i) = s_i c_i: |E|^2 at D r is that of c' at r, and the nearest-emitter distance is
+    equal on an orbit.  Images equal to a known state up to one unit-modulus phase (to 1e-12
+    of max |c|) share its column; of the elements with one grid map the one whose image has
+    the lowest column is used, so an element that fixes the state up to a phase adds none.  A
+    build_chain array (n >= 2) declares its inversion but folds nothing: its centroid is off
+    the origin.
     """
     shape = (grid.res1, grid.res2)
-    rep = np.arange(len(points)).reshape(shape)
-    if np.abs(array.positions.mean(axis=0)).max() > tol / 8.0:
-        return rep.reshape(-1)
-    w = state[:, None] * array.dipoles
-    pts = points.reshape(*shape, 3)
-    for flip, perm in array.symmetries:
-        flips = tuple(k for k, axis in enumerate((grid.axis1, grid.axis2))
-                      if axis @ (flip * axis) < 0)
-        turned_w = flip * w
-        chi = np.exp(1j * np.angle(np.vdot(turned_w, w[perm])))
-        if (flips
-                and np.max(np.abs(w[perm] - chi * turned_w))
-                <= 1e-12 * np.max(np.abs(w), initial=0.0)
-                and np.max(np.abs(flip * pts - np.flip(pts, flips))) <= tol):
-            rep = np.minimum(rep, np.flip(rep, flips))    # axis flips commute: whole orbits
-    return rep.reshape(-1)
+    index = np.arange(grid.res1 * grid.res2).reshape(shape)
+    states, maps = [state], {}                  # maps: reversed grid axes -> column of states
+    scale = 1e-12 * np.max(np.abs(state), initial=0.0)
+
+    def column(image):      # of the first state equal to image up to one unit phase, or a new one
+        return next((k for k, known in enumerate(states)
+                     if np.max(np.abs(image - np.exp(1j * np.angle(np.vdot(known, image))) * known))
+                     <= scale), len(states))
+    if np.abs(array.positions.mean(axis=0)).max() <= tol / 8.0:
+        lines = tuple(zip(grid.coords(), (grid.axis1, grid.axis2)))
+        images = []
+        for flip, perm, sign in zip(*_symmetry_elements(array)):
+            axes = tuple(k for k, axis in enumerate((grid.axis1, grid.axis2))
+                         if axis @ (flip * axis) < 0)
+            image = np.empty_like(state)
+            image[perm] = sign * state
+            if axes:
+                images.append((column(image) > 0, axes, flip, image))
+        for _, axes, flip, image in sorted(images, key=lambda item: item[0]):   # fixers first
+            k = column(image)
+            if axes in maps and maps[axes] <= k:
+                continue
+            offset = np.abs(flip * grid.origin - grid.origin)
+            for j, (coord, axis) in enumerate(lines):
+                target = coord[::-1] if j in axes else coord
+                offset = offset + np.abs(np.outer(coord, flip * axis)
+                                         - np.outer(target, axis)).max(axis=0)
+            if np.max(offset) <= tol:
+                if k == len(states):
+                    states.append(image)
+                maps[axes] = k
+    rep, source = index, np.zeros(shape, dtype=np.intp)
+    for axes in maps:
+        rep = np.minimum(rep, np.flip(index, axes))
+    assigned = rep == index
+    for axes, k in sorted(maps.items(), key=lambda item: item[1]):
+        hit = ~assigned & (np.flip(index, axes) == rep)       # the map carries rep onto it
+        source[hit] = k
+        assigned |= hit
+    return rep.reshape(-1), source.reshape(-1), np.column_stack(states)
 
 
 def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> IntensityMap:
@@ -126,24 +163,25 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
     not meaningful on a map).  Raises SingularityError if a grid point
     coincides with an emitter.
 
-    The field is evaluated at one point per symmetry orbit, the one with the lowest flat
-    index, and its intensity and nearest-emitter distance are copied to the orbit's
-    other points.  The candidate symmetries are the coordinate flips that the array
-    declares (EmitterArray.symmetries: a ring's mirror z -> -z and, for even n, its
-    half-turn about z), used only if the array's centroid is the grid's origin; each is
-    kept only if two O(N + P) checks pass (_orbit_representatives): the amplitudes map onto
-    themselves up to one phase, and the grid maps onto itself with its index reversed along
-    the axes the flip reverses, to 1e-12 of the largest coordinate.  An xy map of an even
-    ring halves the points, an xz or yz map through the centre quarters them; an odd ring,
-    an off-centre plane or ring, or a state without the symmetry evaluates every point.
+    The field is evaluated in one radiated_field call at one point per symmetry orbit, the
+    lowest flat index, for the state and each distinct image of it; the orbit's other points
+    take the intensity of the image that their map carries there, and the orbit's
+    nearest-emitter distance (_orbit_representatives).  The symmetries are the coordinate
+    flips that the array declares (EmitterArray.symmetries) and their products, used where
+    the array's centroid is the grid's origin and the grid maps onto itself, to 1e-12 of the
+    largest coordinate.  A ring's half-turn and mirror z -> -z map a spin wave m onto itself
+    up to a phase, its mirrors y -> -y and x -> -x onto -m: an even ring's xy map takes a
+    quarter of the points for two states, an odd ring's half of them for two, and an xz or yz
+    map a quarter, for one state through the centre and two off it.
     """
     points = grid.points()
     state = np.asarray(state, dtype=complex)
     tol = 1e-12 * max(np.max(np.abs(points)), np.max(np.abs(array.positions)))
-    rep = _orbit_representatives(array, state, grid, points, tol)
-    own = rep == np.arange(len(rep))
-    reps = np.flatnonzero(own)
-    field, nearest = radiated_field(points[reps], array.positions, array.dipoles, state)
+    rep, source, states = _orbit_representatives(array, state, grid, tol)
+    used = np.zeros(len(rep), dtype=bool)
+    used[rep] = True
+    reps = np.flatnonzero(used)
+    field, nearest = radiated_field(points[reps], array.positions, array.dipoles, states)
     # Per coordinate, a kept flip maps each emitter within 5 tol / 4 of its image about the
     # origin (tol from EmitterArray's check about the centroid c, 2|c| <= tol / 4) and each
     # grid point within tol of its image, one step per declared flip: an image on an emitter
@@ -152,8 +190,8 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
     close = reps[nearest <= 4.0 * len(array.symmetries) * tol]
     if len(close):
         radiated_field(points[np.isin(rep, close)], array.positions, array.dipoles, state)
-    slot = (np.cumsum(own) - 1)[rep]
-    values = np.sum(np.abs(field) ** 2, axis=1)[slot]
+    slot = (np.cumsum(used) - 1)[rep]
+    values = np.sum(np.abs(field) ** 2, axis=1)[slot, source]
     mask = (nearest <= _mask_radius(array))[slot]
     shape = (grid.res1, grid.res2)
     return IntensityMap(values=values.reshape(shape), mask=mask.reshape(shape), points=points)

@@ -37,8 +37,10 @@ class EmitterArray:
     A flip entry other than +-1, a perm that is not an involution of range(n) or perms that
     do not commute raise ValueError; an entry whose flip does not map the positions onto
     positions[perm], to 1e-12 of the extent about c plus 4 eps of the largest |coordinate|
-    (their round-off), is dropped.  The dipoles are left to the readers:
-    spectrum._symmetry_group and fieldmap._orbit_representatives.
+    (their round-off), is dropped.  The dipoles are left to the readers: spectrum._symmetry_group
+    keeps a declaration where F maps each dipole onto +- its image's, F p_i = s_i p_perm[i], so
+    that it is a symmetry of h and of the field map of every state up to the state's image
+    (c'_perm[i] = s_i c_i, fieldmap.intensity_map).
     """
 
     positions: np.ndarray                     # (n, 3) float
@@ -70,11 +72,13 @@ class EmitterArray:
                     and all((p.take(q) == q.take(p)).all()
                             for a, p in enumerate(perms) for q in perms[:a])):
                 raise ValueError("symmetries must be +-1 flips with commuting site involutions")
-            # r_perm[i] - c - F (r_i - c) of every declaration, on contiguous coordinate rows
+            # r_perm[i] - c - F (r_i - c) of every declaration, on contiguous coordinate rows;
+            # positions out of float range give inf or nan, which keep no declaration
             cols = self.positions.T.copy()
-            rel = cols - (cols.sum(axis=1) / n)[:, None]
-            mismatch = rel.take(perms, axis=1) - flips.T[:, :, None] * rel[:, None]
-            tol = 1e-12 * np.abs(rel).max() + 4 * np.finfo(float).eps * np.abs(cols).max()
+            with np.errstate(over="ignore", invalid="ignore"):
+                rel = cols - (cols.sum(axis=1) / n)[:, None]
+                mismatch = rel.take(perms, axis=1) - flips.T[:, :, None] * rel[:, None]
+                tol = 1e-12 * np.abs(rel).max() + 4 * np.finfo(float).eps * np.abs(cols).max()
             kept = np.abs(mismatch).max(axis=(0, 2)) <= tol
             self.symmetries = tuple(zip(flips[kept].astype(float), perms[kept]))
 
@@ -97,8 +101,11 @@ def build_ring(n: int, d: float, polarization="transverse",
     Site j (from 0) sits at angle 2*pi*j/n + angular_offset on the circle of radius
     d / (2 sin(pi/n)) about center.  polarization is one of the scheme names
     ('transverse', 'tangential', 'radial') or a fixed orientation vector.  The ring declares
-    (see EmitterArray) the mirror z -> -z of its plane, which fixes every site, and for even
-    n the half-turn about its axis, j -> j + n/2.
+    (see EmitterArray) the mirror z -> -z of its plane, which fixes every site, the mirror
+    y -> -y through site 0, j -> -j mod n, which the array keeps only where site 0 is on it
+    (angular_offset 0 or pi), and for even n the half-turn about its axis, j -> j + n/2, which
+    with y -> -y gives x -> -x.  Each maps a scheme's dipoles onto +- their images', and the
+    mirrors y -> -y and x -> -x map a spin wave m onto -m (fieldmap.intensity_map).
     """
     if n < 1:
         raise ValueError("need at least one emitter")
@@ -108,7 +115,8 @@ def build_ring(n: int, d: float, polarization="transverse",
     sites = np.arange(n)
     half_turn = [((-1, -1, 1), (sites + n // 2) % n)] if n % 2 == 0 else []
     return EmitterArray(positions=positions, dipoles=dipoles, groups=[np.arange(n)],
-                        ring_meta=[meta], symmetries=(((1, 1, -1), sites), *half_turn))
+                        ring_meta=[meta], symmetries=(((1, 1, -1), sites), ((1, -1, 1), -sites % n),
+                                                      *half_turn))
 
 
 def _ring_sites(n: int, d: float, polarization, center, angular_offset: float) -> tuple:

@@ -48,8 +48,9 @@ def _couplings(array: EmitterArray, rows=None, cols=None) -> np.ndarray:
     step = max(1, _BLOCK_ENTRIES // max(1, len(cols)))
     for start in range(0, len(rows), step):
         part, block = rows[start:start + step], h[start:start + step]
-        block[...] = projected_green(pos[part, None, :] - pos[None, cols, :],
-                                     dip[part, None, :], dip[None, cols, :])
+        with np.errstate(over="ignore"):        # a separation out of range: reported below
+            sep = pos[part, None, :] - pos[None, cols, :]
+        block[...] = projected_green(sep, dip[part, None, :], dip[None, cols, :])
         block *= -(3.0 * np.pi * GAMMA0 / K0)
         block[part[:, None] == cols] = -0.5j * GAMMA0
         bad = np.argwhere(~np.isfinite(block))
@@ -199,18 +200,25 @@ def _symmetry_group(array: EmitterArray) -> tuple[np.ndarray, np.ndarray]:
     the sign per site of F p_i against p_perm[i], kept where F p_i = sign_i p_perm[i] to 1e-12
     of the largest dipole component, O(n): then S h S^T = h, since G(F r) = F G(r) F.  A
     missing generator gives the smaller group; without a kept generator G is the identity
-    and its one sector is Q = I.
+    and its one sector is Q = I.  _symmetry_elements adds each element's flip.
     """
+    return _symmetry_elements(array)[1:]
+
+
+def _symmetry_elements(array: EmitterArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flips, perms, signs) of the group of _symmetry_group, flips[g] the (3,) coordinate flip
+    of element g about the centroid: the product of its generators' flips."""
     dip = array.dipoles
-    perms, signs = np.arange(array.n)[None], np.ones((1, array.n))
+    flips, perms, signs = np.ones((1, 3)), np.arange(array.n)[None], np.ones((1, array.n))
     for flip, perm in array.symmetries:
         turned, image = flip * dip, dip[perm]
         sign = np.where(np.real(np.sum(np.conj(image) * turned, axis=1)) < 0, -1.0, 1.0)
         kept = (np.abs(turned - sign[:, None] * image).max(initial=0.0)
                 <= 1e-12 * np.abs(dip).max(initial=0.0))
         if kept:                                                  # gen after each element of G
-            perms, signs = np.r_[perms, perm[perms]], np.r_[signs, signs * sign[perms]]
-    return perms, signs
+            flips = np.vstack([flips, flip * flips])
+            perms, signs = np.vstack([perms, perm[perms]]), np.vstack([signs, signs * sign[perms]])
+    return flips, perms, signs
 
 
 def _is_uniform_chain(array: EmitterArray) -> bool:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .emfield import K0
 from .geometry import EmitterArray, build_two_rings
 from .spectrum import (_BLOCK_ENTRIES, _couplings, _factor, _pool_map, _project, _symmetry_group,
                        assemble_heff, canonical_m_range, wrap_m)
@@ -91,13 +92,15 @@ def _packets(array: EmitterArray, ring: int, centers: np.ndarray, m: int,
     idx = np.asarray(array.groups[ring])
     pos = array.positions[idx]
     chord = np.linalg.norm(pos[None, :, :] - pos[centers, None, :], axis=2)   # (centre, site)
-    if meta.radius > 0:
-        envelope = np.exp(-(chord**2) / (2.0 * meta.radius**2 * delta_theta**2))
-    else:                                   # a one-site ring: the packet is that site
-        envelope = np.ones_like(chord)
-    amps = np.exp(1j * m * meta.angles) * envelope
-    states = np.zeros((array.n, len(centers)), dtype=complex)
-    states[idx] = (amps / np.linalg.norm(amps, axis=1, keepdims=True)).T
+    # a width out of range gives inf or nan amplitudes, which the callers report
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if meta.radius > 0:
+            envelope = np.exp(-(chord**2) / (2.0 * meta.radius**2 * delta_theta**2))
+        else:                                   # a one-site ring: the packet is that site
+            envelope = np.ones_like(chord)
+        amps = np.exp(1j * m * meta.angles) * envelope
+        states = np.zeros((array.n, len(centers)), dtype=complex)
+        states[idx] = (amps / np.linalg.norm(amps, axis=1, keepdims=True)).T
     return states
 
 
@@ -375,18 +378,20 @@ def default_horizon(coupling: RingRingCoupling, m: int) -> float:
     return _horizon(coupling.at(m, -m))
 
 
-def _horizon(lam: complex) -> float:
-    """20 pi / |Re lam|; ValueError if Re lam is 0."""
+def _horizon(lam: complex, floor: float = 0.0) -> float:
+    """20 pi / |Re lam|; ValueError if |Re lam| is at or below floor (0: exactly 0)."""
     j = abs(np.real(lam))
-    if j == 0.0:
+    if j <= floor:
         raise ValueError("zero inter-ring coupling; specify the horizon explicitly")
     return 20.0 * np.pi / j
 
 
-def _pair_lambda(array: EmitterArray, m: int, sites: np.ndarray, rows: np.ndarray) -> complex:
-    """ring_ring_coupling(array).at(m, -m) from the rows h[sites] of spectrum._orbit_rows alone,
-    with no inter-ring block: (1/N) sum_{i in R1, j in R2} h_ij e^{i(m1 theta_i - m2 theta_j)},
-    m1 and m2 the wrapped m and -m, in O(n |sites| |G|).
+def _pair_lambda(array: EmitterArray, m: int, sites: np.ndarray,
+                 rows: np.ndarray) -> tuple[complex, float]:
+    """(lambda, scale): ring_ring_coupling(array).at(m, -m) from the rows h[sites] of
+    spectrum._orbit_rows alone, with no inter-ring block, (1/N) sum_{i in R1, j in R2} h_ij
+    e^{i(m1 theta_i - m2 theta_j)}, m1 and m2 the wrapped m and -m, and the same gather of the
+    magnitudes, (1/N) sum_{i in R1, j in R2} |h_ij|, the sum's round-off scale, in O(n |sites| |G|).
 
     A ring-1 site that is no representative is the image g(i) of one under an element g of the
     declared group (spectrum._symmetry_group), and h[g(i), g(k)] = s_g(i) s_g(k) h[i, k] with
@@ -400,17 +405,27 @@ def _pair_lambda(array: EmitterArray, m: int, sites: np.ndarray, rows: np.ndarra
     u, phase = np.zeros(array.n, dtype=complex), np.zeros(array.n, dtype=complex)
     u[idx2] = np.exp(-1j * wrap_m(-m, n_ring) * _ring(array, 1).angles)
     phase[idx1] = np.exp(1j * wrap_m(m, n_ring) * _ring(array, 0).angles)
-    sums = rows @ (signs * u[perms]).T                       # (sites, |G|)
+    weights = signs * u[perms]
+    sums, magnitudes = rows @ weights.T, np.abs(rows) @ np.abs(weights).T   # (sites, |G|)
     images, first = np.unique(perms[:, sites], return_index=True)
     g, k = np.divmod(first, len(sites))
-    return complex(np.sum(phase[images] * signs[g, sites[k]] * sums[k, g]) / n_ring)
+    return (complex(np.sum(phase[images] * signs[g, sites[k]] * sums[k, g]) / n_ring),
+            float(np.sum(np.abs(phase[images]) * magnitudes[k, g]) / n_ring))
 
 
 def _orbit_horizon(array: EmitterArray, m: int, sites: np.ndarray, rows: np.ndarray) -> float:
     """default_horizon of array's ring_ring_coupling at m, from the rows h[sites] of
     spectrum._orbit_rows (_pair_lambda): every default time grid of `fidelity` and
-    `fidelity-scan` comes from here."""
-    return _horizon(_pair_lambda(array, m, sites, rows))
+    `fidelity-scan` comes from here.
+
+    |Re lambda_{m,-m}| at or below its round-off floor counts as zero (ValueError), as where
+    symmetry cancels it (site-edge, even N, m = N/2): 4 eps (1 + k0 max|r_i|) (1/N) sum |h_ij|,
+    the sum's own round-off and the phase error k0 eps |r_i| of the positions' round-off,
+    which a far ring's cancelling terms carry (up to 1.4 of 4 at N = 2, 1 <= x <= 100).
+    """
+    lam, scale = _pair_lambda(array, m, sites, rows)
+    return _horizon(lam, 4.0 * np.finfo(float).eps * (1.0 + K0 * np.abs(array.positions).max())
+                    * scale)
 
 
 @dataclass

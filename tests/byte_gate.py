@@ -61,10 +61,13 @@ CI_SMOKE = [
                               *sets("geometry.n=12", "geometry.d=0.3", "physics.m=3",
                                     "physics.plane=xz", "physics.resolution=73")])
       for fmt in ("csv", "json")),
-    ("ci-fieldmap-odd-xy.csv", ["fieldmap", *sets("geometry.n=11", "geometry.d=0.3",
-                                                  "geometry.polarization=tangential",
-                                                  "physics.m=3", "physics.plane_offset=0.1",
-                                                  "physics.resolution=41")]),
+    *((f"ci-fieldmap-{name}.csv", ["fieldmap", *sets(f"geometry.n={n}", "geometry.d=0.3",
+                                                     "geometry.polarization=tangential",
+                                                     f"physics.m={m}", "physics.plane_offset=0.1",
+                                                     "physics.resolution=41",
+                                                     "output.precision=17")])
+      for name, n, m in (("odd-xy", 11, 3), ("odd-xy-minus", 11, -3), ("even-xy-plus", 12, 3),
+                         ("even-xy-minus", 12, -3))),
     *((f"ci-{cmd}.{fmt}", [cmd, "--format", fmt,
                            *sets("geometry.arrangement=site-edge", "geometry.n=64",
                                  "geometry.d=0.3", "geometry.polarization=tangential")])

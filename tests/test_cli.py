@@ -499,7 +499,6 @@ def test_bad_output_flag_is_the_config_error_of_its_key(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy warns of the overflow first
 @pytest.mark.parametrize("args", [
     ["spectrum", "--set", "geometry.d=1e308"],
     ["fidelity", "--set", "geometry.arrangement=site-site", "--set", "physics.delta_theta=1e-300"],
@@ -511,6 +510,18 @@ def test_overflow_to_non_finite_is_a_numeric_error(tmp_path, capsys, args):
     assert run_cli(args + ["--out", str(out)]) == 3
     info = json.loads(capsys.readouterr().err)["error"]
     assert info["code"] == 3 and "non-finite" in info["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fidelity", "fidelity-scan"])
+def test_a_default_horizon_that_symmetry_cancels_is_a_numeric_error(tmp_path, capsys, command):
+    # site-edge n = 6 at m = 3: lambda_{3,-3} is round-off, once a horizon of 1e17 with F = 0
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--out", str(out), "--set", "geometry.arrangement=site-edge",
+                    "--set", "geometry.n=6", "--set", "physics.m=3",
+                    "--set", "physics.t_steps=5"]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "code": 3, "message": "zero inter-ring coupling; specify the horizon explicitly"}}
     assert not out.exists()
 
 
@@ -539,7 +550,6 @@ def test_underflowing_spacing_is_a_numeric_error_naming_the_couplings(tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy warns of the overflow first
 @pytest.mark.parametrize("arrangement", ["chain", "site-site"])
 @pytest.mark.parametrize("d, shown", [("1e-200", "1e-200"), ("1e200", "1e+200")])
 def test_out_of_range_spacing_names_the_couplings(tmp_path, capsys, arrangement, d, shown):

@@ -152,33 +152,57 @@ def _random_state(n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-# (build_ring arguments, spin wave m or None for random amplitudes, grid, points that the
-# field kernel receives)
+# (build_ring arguments, spin wave m or None for random amplitudes, grid, (points, states) of the
+# one field-kernel call).  Before the mirror y -> -y was declared the kernel took every point of
+# the odd-ring, random-state and mirror-only maps, half of the even-ring xy and off-centre xz
+# maps and the same quarter of the centre xz and yz maps, one state each.
 ORBIT_CASES = {
     "xy-even-half-turn": ((50, 0.4, "tangential"), 5, GridSpec.xy(0.13, ((-2.0, 2.0),) * 2, 201),
-                          20201),
+                          (101 ** 2, 2)),
     "xy-even-plane-of-the-ring": ((8, 0.3, "radial"), 2, GridSpec.xy(0.0, ((-1.0, 1.0),) * 2, 41),
-                                  (41 ** 2 + 1) // 2),
-    "xz-centre": ((12, 0.3, "transverse"), 3, GridSpec.xz(0.0, ((-1.0, 1.0),) * 2, 73), 37 ** 2),
-    "yz-centre": ((12, 0.3, "radial"), 2, GridSpec.yz(0.0, ((-1.0, 1.0),) * 2, 41), 21 ** 2),
+                                  (21 ** 2, 2)),
+    "xz-centre": ((12, 0.3, "transverse"), 3, GridSpec.xz(0.0, ((-1.0, 1.0),) * 2, 73),
+                  (37 ** 2, 1)),
+    "yz-centre": ((12, 0.3, "radial"), 2, GridSpec.yz(0.0, ((-1.0, 1.0),) * 2, 41), (21 ** 2, 1)),
     "xz-off-centre-mirror": ((12, 0.3, "tangential"), -4,
-                             GridSpec.xz(0.1, ((-1.0, 1.0), (-0.5, 0.5)), 41), 41 * 21),
-    "xy-odd-ring": ((11, 0.3, "tangential"), 3, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41), 41 ** 2),
+                             GridSpec.xz(0.1, ((-1.0, 1.0), (-0.5, 0.5)), 41), (21 * 21, 2)),
+    "yz-off-centre-mirror": ((12, 0.3, "transverse"), 4,
+                             GridSpec.yz(0.1, ((-1.0, 1.0), (-0.5, 0.5)), 41), (21 * 21, 2)),
+    "xy-odd-ring": ((11, 0.3, "tangential"), 3, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41),
+                    (41 * 21, 2)),
+    "xy-odd-plane-of-the-ring": ((11, 0.3, "transverse"), -2,
+                                 GridSpec.xy(0.0, ((-1.0, 1.0),) * 2, 41), (41 * 21, 2)),
+    # turned by pi/(2n), site 0 is off the mirror y -> -y: the half-turn alone, as before
+    "xy-turned-off-the-mirror": ((12, 0.3, "tangential", (0.0, 0.0, 0.0), np.pi / 24), 3,
+                                 GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41), ((41 ** 2 + 1) // 2, 1)),
+    # m = 0 and m = n/2 are their own mirror images
+    "xy-m-0": ((12, 0.3, "tangential"), 0, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41), (21 ** 2, 1)),
+    "xy-m-half": ((12, 0.3, "radial"), 6, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41), (21 ** 2, 1)),
     "xy-random-state": ((12, 0.3, "tangential"), None, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41),
-                        41 ** 2),
+                        (21 ** 2, 4)),
+    "xy-odd-random-state": ((9, 0.3, "radial"), None, GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41),
+                            (41 * 21, 2)),
     "xy-off-centre-ring": ((12, 0.3, "tangential", (0.2, 0.0, 0.0)), 3,
-                           GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41), 41 ** 2),
+                           GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 41), (41 ** 2, 1)),
+    # x from -1 to 1.2: no flip of x maps the grid onto itself, and y -> -y alone folds it
+    "xy-lopsided-grid": ((12, 0.3, "tangential"), 3,
+                         GridSpec.xy(0.1, ((-1.0, 1.2), (-1.0, 1.0)), 41), (41 * 21, 2)),
+    # a vertical plane at 53 degrees to x: the half-turn and z -> -z map it onto itself, and
+    # y -> -y, which also reverses its first axis, maps it onto another plane
+    "tilted-vertical-plane": ((12, 0.3, "tangential"), 3,
+                              GridSpec((0, 0, 0), (0.6, 0.8, 0), (0, 0, 1), (-1.0, 1.0),
+                                       (-1.0, 1.0), 41, 41), (21 ** 2, 1)),
 }
 
 
 @pytest.fixture
-def kernel_points(monkeypatch):
-    """The number of points of each radiated_field call that intensity_map makes."""
+def kernel_calls(monkeypatch):
+    """(points, states) of each radiated_field call that intensity_map makes."""
     received = []
 
-    def spy(points, *args):
-        received.append(len(points))
-        return radiated_field(points, *args)
+    def spy(points, positions, dipoles, amplitudes):
+        received.append((len(points), 1 if np.ndim(amplitudes) == 1 else np.shape(amplitudes)[1]))
+        return radiated_field(points, positions, dipoles, amplitudes)
 
     monkeypatch.setattr(fieldmap, "radiated_field", spy)
     return received
@@ -191,28 +215,28 @@ def _every_point(array, state, grid):
 
 
 @pytest.mark.parametrize("case", ORBIT_CASES)
-def test_intensity_map_on_symmetry_orbits_matches_every_point(case, kernel_points):
+def test_intensity_map_on_symmetry_orbits_matches_every_point(case, kernel_calls):
     args, m, grid, evaluated = ORBIT_CASES[case]
     ring = build_ring(*args)
     state = _random_state(ring.n) if m is None else spin_wave_state(ring, m)
     expected, nearest = _every_point(ring, state, grid)
     fmap = intensity_map(ring, state, grid)
-    assert kernel_points == [evaluated]
+    assert kernel_calls == [evaluated]
     assert np.max(np.abs(fmap.values - expected)) <= 1e-12 * np.max(expected)
     assert np.array_equal(fmap.mask, nearest <= fieldmap._mask_radius(ring))
 
 
-def test_intensity_map_without_ring_metadata_evaluates_every_point(kernel_points):
+def test_intensity_map_without_ring_metadata_evaluates_every_point(kernel_calls):
     ring = build_ring(12, 0.3, "tangential")
     plain = EmitterArray(ring.positions, ring.dipoles)
     state = spin_wave_state(ring, 3)
     grid = GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 21)
     assert np.array_equal(intensity_map(plain, state, grid).values, _every_point(ring, state, grid)[0])
-    assert kernel_points == [21 ** 2]
+    assert kernel_calls == [(21 ** 2, 1)]
 
 
 @pytest.mark.parametrize("case", ORBIT_CASES)
-def test_intensity_map_folds_a_hand_built_ring_as_it_folds_the_ring(case, kernel_points):
+def test_intensity_map_folds_a_hand_built_ring_as_it_folds_the_ring(case, kernel_calls):
     # the fold reads the declarations alone: ring metadata plays no part
     args, m, grid, evaluated = ORBIT_CASES[case]
     ring = build_ring(*args)
@@ -221,5 +245,35 @@ def test_intensity_map_folds_a_hand_built_ring_as_it_folds_the_ring(case, kernel
     state = _random_state(ring.n) if m is None else spin_wave_state(ring, m)
     expected = intensity_map(ring, state, grid).values
     values = intensity_map(plain, state, grid).values
-    assert kernel_points == [evaluated, evaluated]
+    assert kernel_calls == [evaluated, evaluated]
     assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(expected)
+
+
+def test_intensity_map_folds_flips_that_turn_some_dipoles_over(kernel_calls):
+    # dipoles z, z, z, -z on a square: y -> -y and the half-turn map site 1 onto site 3 with
+    # its dipole turned over and the others as they are, so each image state takes a sign per
+    # site (c'_pi(i) = s_i c_i), which no phase of the whole state makes up for
+    ring = build_ring(4, 0.3, "transverse")
+    array = EmitterArray(ring.positions, ring.dipoles * np.array([1, 1, 1, -1])[:, None],
+                         symmetries=ring.symmetries)
+    state = _random_state(4)
+    grid = GridSpec.xy(0.1, ((-1.0, 1.0),) * 2, 21)
+    expected, nearest = _every_point(array, state, grid)
+    fmap = intensity_map(array, state, grid)
+    assert kernel_calls == [(11 ** 2, 4)]
+    assert np.max(np.abs(fmap.values - expected)) <= 1e-12 * np.max(expected)
+    assert np.array_equal(fmap.mask, nearest <= fieldmap._mask_radius(array))
+
+
+def test_intensity_map_raises_on_an_emitter_that_only_a_mirror_image_hits():
+    # site 1 of a triangle is the grid point (0, 4); its image under y -> -y, the point (0, 0),
+    # is the orbit's representative and lies off site 2 by the round-off of cos and sin, so the
+    # kernel at the representatives alone sees no zero distance
+    ring = build_ring(3, 1.0, "tangential")
+    (x1, y1, _), site2 = ring.positions[1], ring.positions[2]
+    grid = GridSpec((0.0, 0.0, 0.0), (1, 0, 0), (0, 1, 0), (x1, -x1), (-y1, y1), 5, 5)
+    points = grid.points().reshape(5, 5, 3)
+    assert np.array_equal(points[0, 4], ring.positions[1])
+    assert not np.array_equal(points[0, 0], site2) and np.allclose(points[0, 0], site2)
+    with pytest.raises(SingularityError):
+        intensity_map(ring, spin_wave_state(ring, 1), grid)

@@ -147,6 +147,8 @@ def test_no_emitters_radiate_no_field():
     field, nearest = radiated_field(points, np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
     assert field.shape == (5, 3) and field.dtype == complex and not field.any()
     assert nearest.shape == (5,) and np.all(nearest == np.inf)
+    field, _ = radiated_field(points, np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 2)))
+    assert field.shape == (5, 3, 2) and not field.any()
 
 
 # (_BLOCK_PAIRS, _MIN_BLOCK_POINTS) for one point per block and for one block per call, each
@@ -186,3 +188,23 @@ def test_intensity_map_bits_do_not_depend_on_the_blocks(monkeypatch, budget, n, 
         got = intensity_map(ring, state, grid)
     assert np.array_equal(got.values, fmap.values)
     assert np.array_equal(got.mask, fmap.mask)
+
+
+@pytest.mark.parametrize("budget", [None, *BUDGETS])
+@pytest.mark.parametrize("count", [1, 2, EDGE, EDGE + 1, 2 * EDGE + 1])
+def test_states_side_by_side_are_each_state_alone_to_the_bit(monkeypatch, budget, count):
+    # (N, S) amplitudes share every geometric pass; each column is the one-state field, at the
+    # default blocks (a lone last point at 2 EDGE + 1) and at one point or one block per call
+    ring = build_ring(8, D, "radial")
+    points = sample_points(ring, count, seed=count)
+    states = np.column_stack([random_state(8, seed) for seed in range(3)])
+    if budget is not None:
+        monkeypatch.setattr(emfield, "_BLOCK_PAIRS", BUDGETS[budget][0])
+        monkeypatch.setattr(emfield, "_MIN_BLOCK_POINTS", BUDGETS[budget][1])
+    with _one_blas_thread():
+        field, nearest = radiated_field(points, ring.positions, ring.dipoles, states)
+        alone = [radiated_field(points, ring.positions, ring.dipoles, c) for c in states.T]
+    assert field.shape == (count, 3, 3)
+    for k, (column, column_nearest) in enumerate(alone):
+        assert column.shape == (count, 3)
+        assert np.array_equal(field[:, :, k], column) and np.array_equal(nearest, column_nearest)

@@ -375,8 +375,8 @@ def test_fixed_dipole_ring_decay_scan_takes_eigenvalues_only(monkeypatch):
     expected = np.min(eigenmodes(assemble_heff(ring)).rates)
     calls = _count_solvers(monkeypatch)
     table = min_decay_scan("ring", [12], 3.0, polarization=(1, 0, 0))
-    # the half-turn turns the dipole x into -x: two sectors of 6 sites
-    assert calls["eig"] == [] and calls["eigvals"] == [(6, 6), (6, 6)]
+    # the half-turn turns the dipole x into -x and the mirror y -> -y keeps it: four sectors
+    assert calls["eig"] == [] and calls["eigvals"] == [(3, 3), (3, 3), (4, 4), (2, 2)]
     assert abs(table[0, 1] - expected) <= 1e-10 * expected
 
 

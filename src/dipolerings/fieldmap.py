@@ -91,7 +91,7 @@ def _mask_radius(array: EmitterArray) -> float:
 
 
 def _orbit_representatives(array: EmitterArray, state: np.ndarray, grid: GridSpec,
-                           tol: float) -> tuple:
+                           points: np.ndarray, tol: float) -> tuple:
     """(rep, source, states): per grid point the lowest flat index of its orbit under the kept
     isometries and the column of the (N, S) states, the state and its distinct images, whose
     field at that representative gives the point's intensity.
@@ -102,11 +102,9 @@ def _orbit_representatives(array: EmitterArray, state: np.ndarray, grid: GridSpe
     about the centroid, so all of them are used only if the centroid is at the grid's origin
     (to tol/8).  An element is kept if it reverses the index along a grid axis and maps the
     grid's points onto themselves, D r_(i,j) = r at (i, j) with the index reversed along each
-    grid axis that D flips, to tol per coordinate, checked in O(res1 + res2) on the bound
-    |D o - o| + max_i |u_i D a1 - u_i' a1| + max_j |v_j D a2 - v_j' a2| of the points
-    r_(i,j) = o + u_i a1 + v_j a2 (GridSpec).  Then E_c(D r) = D E_c'(r) for the image state
-    c'_pi(i) = s_i c_i: |E|^2 at D r is that of c' at r, and the nearest-emitter distance is
-    equal on an orbit.  Images equal to a known state up to one unit-modulus phase (to 1e-12
+    grid axis that D flips, to tol per coordinate.  Then E_c(D r) = D E_c'(r) for the image
+    state c'_pi(i) = s_i c_i: |E|^2 at D r is that of c' at r, and the nearest-emitter distance
+    is equal on an orbit.  Images equal to a known state up to one unit-modulus phase (to 1e-12
     of max |c|) share its column; of the elements with one grid map the one whose image has
     the lowest column is used, so an element that fixes the state up to a phase adds none.  A
     build_chain array (n >= 2) declares its inversion but folds nothing: its centroid is off
@@ -122,7 +120,7 @@ def _orbit_representatives(array: EmitterArray, state: np.ndarray, grid: GridSpe
                      if np.max(np.abs(image - np.exp(1j * np.angle(np.vdot(known, image))) * known))
                      <= scale), len(states))
     if np.abs(array.positions.mean(axis=0)).max() <= tol / 8.0:
-        lines = tuple(zip(grid.coords(), (grid.axis1, grid.axis2)))
+        pts = points.reshape(*shape, 3)
         images = []
         for flip, perm, sign in zip(*_symmetry_elements(array)):
             axes = tuple(k for k, axis in enumerate((grid.axis1, grid.axis2))
@@ -135,12 +133,7 @@ def _orbit_representatives(array: EmitterArray, state: np.ndarray, grid: GridSpe
             k = column(image)
             if axes in maps and maps[axes] <= k:
                 continue
-            offset = np.abs(flip * grid.origin - grid.origin)
-            for j, (coord, axis) in enumerate(lines):
-                target = coord[::-1] if j in axes else coord
-                offset = offset + np.abs(np.outer(coord, flip * axis)
-                                         - np.outer(target, axis)).max(axis=0)
-            if np.max(offset) <= tol:
+            if np.max(np.abs(flip * pts - np.flip(pts, axes))) <= tol:
                 if k == len(states):
                     states.append(image)
                 maps[axes] = k
@@ -177,7 +170,7 @@ def intensity_map(array: EmitterArray, state: np.ndarray, grid: GridSpec) -> Int
     points = grid.points()
     state = np.asarray(state, dtype=complex)
     tol = 1e-12 * max(np.max(np.abs(points)), np.max(np.abs(array.positions)))
-    rep, source, states = _orbit_representatives(array, state, grid, tol)
+    rep, source, states = _orbit_representatives(array, state, grid, points, tol)
     used = np.zeros(len(rep), dtype=bool)
     used[rep] = True
     reps = np.flatnonzero(used)

@@ -550,15 +550,16 @@ def _pair_declarations(arrangement, n):
             + ([((-1, -1, 1), np.r_[sites + n, sites])] if edge == 0 or n == 1 else []))
 
 
-def _assert_kept(array, declarations, symmetric):
+def _assert_kept(array, declarations, symmetric, group_size=None):
     """array keeps every declaration; with a C_N-symmetric scheme the dipoles keep them too,
-    so that the group has 2^k elements."""
+    so that the group has 2^k elements (group_size where the dipoles break some), and its
+    sectors split h."""
     assert len(array.symmetries) == len(declarations)
     for (flip, perm), (expected_flip, expected_perm) in zip(array.symmetries, declarations):
         assert np.array_equal(flip, expected_flip) and np.array_equal(perm, expected_perm)
     if symmetric:
         perms, signs = spectrum._symmetry_group(array)
-        assert len(perms) == 2 ** len(declarations)
+        assert len(perms) == (group_size or 2 ** len(declarations))
         _assert_sectors_split_h(_sectors(perms, signs), assemble_heff(array))
 
 
@@ -570,11 +571,12 @@ def _assert_kept(array, declarations, symmetric):
 def test_every_ring_declaration_is_realised_and_kept(n, polarization, placement):
     ring = build_ring(n, 0.2, polarization, **placement)
     # turned by 0.37, site 0 is off the mirror y -> -y, which the ring drops; a one-site ring,
-    # its site at the centre, keeps it, and its turned in-plane dipole is no symmetry of it
+    # its site at the centre, keeps it, and its turned in-plane dipole breaks it: the group is
+    # the mirror z -> -z alone
     turned = "angular_offset" in placement
-    symmetric = isinstance(polarization, str) and not (turned and n == 1
-                                                      and polarization != "transverse")
-    _assert_kept(ring, _ring_declarations(n, not turned or n == 1), symmetric)
+    broken = turned and n == 1 and polarization in ("tangential", "radial")
+    _assert_kept(ring, _ring_declarations(n, not turned or n == 1),
+                 isinstance(polarization, str), group_size=2 if broken else None)
 
 
 @pytest.mark.parametrize("polarization", [*SYMMETRIC_SCHEMES, (0.3, 0.4, 0.5)])
@@ -1089,7 +1091,7 @@ def test_pair_lambda_from_the_orbit_rows_is_the_inter_ring_coupling(arrangement,
 
 @pytest.mark.parametrize("x", [0.15, 3.0])
 @pytest.mark.parametrize("polarization", SYMMETRIC_SCHEMES)
-@pytest.mark.parametrize("n", [2, 6, 40])
+@pytest.mark.parametrize("n", [2, 6, 40, 64, 100])
 def test_a_coupling_that_symmetry_cancels_has_no_default_horizon(n, polarization, x):
     # site-edge, even N, m = N/2: lambda_{m,-m} is 0 but for round-off (8e-17 at N = 6, once a
     # horizon of 1e17); the radiant m = 0 keeps its horizon

@@ -7,8 +7,8 @@ import numpy as np
 
 from .emfield import K0
 from .geometry import EmitterArray, build_two_rings
-from .spectrum import (_BLOCK_ENTRIES, _couplings, _factor, _pool_map, _project, _symmetry_group,
-                       assemble_heff, canonical_m_range, wrap_m)
+from .spectrum import (_BLOCK_ENTRIES, _couplings, _factor, _orbit_rows, _pool_map, _project,
+                       _symmetry_group, assemble_heff, canonical_m_range, wrap_m)
 
 
 @dataclass
@@ -41,10 +41,8 @@ def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> Ring
     with each ring's local site angles.  Without h only the N x N inter-ring
     block of h is built.  Groups without ring metadata raise ValueError.
     """
-    if len(array.groups) != 2 or len(array.groups[0]) != len(array.groups[1]):
-        raise ValueError("need exactly two equal-size ring groups")
+    idx1, idx2 = _ring_groups(array)
     th1, th2 = (_ring(array, group).angles for group in (0, 1))
-    idx1, idx2 = (np.asarray(g) for g in array.groups)
     block = _couplings(array, idx1, idx2) if h is None else h[np.ix_(idx1, idx2)]
     n = len(idx1)
     ms = canonical_m_range(n)
@@ -52,6 +50,13 @@ def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> Ring
     e2 = np.exp(-1j * np.outer(th2, ms))         # (j, m2)
     lam = e1 @ block @ e2 / n
     return RingRingCoupling(m_values=ms, lambda_mm=lam)
+
+
+def _ring_groups(array: EmitterArray) -> tuple[np.ndarray, np.ndarray]:
+    """The site indices of a pair's two rings; ValueError unless there are two of equal size."""
+    if len(array.groups) != 2 or len(array.groups[0]) != len(array.groups[1]):
+        raise ValueError("need exactly two equal-size ring groups")
+    return np.asarray(array.groups[0]), np.asarray(array.groups[1])
 
 
 def _ring(array: EmitterArray, group: int):
@@ -373,17 +378,10 @@ def farthest_site(array: EmitterArray, ring: int = 0) -> int:
     return int(np.argmax(dist >= (1.0 - 1e-12) * dist.max()))
 
 
-def default_horizon(coupling: RingRingCoupling, m: int) -> float:
-    """Default evolution horizon: 20 pi over the |J_{m,-m}| coupling rate."""
-    return _horizon(coupling.at(m, -m))
-
-
-def _horizon(lam: complex, floor: float = 0.0) -> float:
-    """20 pi / |Re lam|; ValueError if |Re lam| is at or below floor (0: exactly 0)."""
-    j = abs(np.real(lam))
-    if j <= floor:
-        raise ValueError("zero inter-ring coupling; specify the horizon explicitly")
-    return 20.0 * np.pi / j
+def default_horizon(array: EmitterArray, m: int) -> float:
+    """20 pi / |J_{m,-m}| of a ring pair, bit for bit the end of the default time grid of
+    `fidelity` and `fidelity-scan` (_orbit_horizon, which raises where J_{m,-m} is round-off)."""
+    return _orbit_horizon(array, m, *_orbit_rows(array)[1:])
 
 
 def _pair_lambda(array: EmitterArray, m: int, sites: np.ndarray,
@@ -399,8 +397,8 @@ def _pair_lambda(array: EmitterArray, m: int, sites: np.ndarray,
     rows[i] . (s_g u[g]).  Each ring-1 site is taken once, from the first (g, i) in group order;
     the rows of ring-2 representatives (about half of a site-edge pair's) weigh 0.
     """
+    idx1, idx2 = _ring_groups(array)
     perms, signs = _symmetry_group(array)
-    idx1, idx2 = (np.asarray(g) for g in array.groups)
     n_ring = len(idx1)
     u, phase = np.zeros(array.n, dtype=complex), np.zeros(array.n, dtype=complex)
     u[idx2] = np.exp(-1j * wrap_m(-m, n_ring) * _ring(array, 1).angles)
@@ -414,9 +412,8 @@ def _pair_lambda(array: EmitterArray, m: int, sites: np.ndarray,
 
 
 def _orbit_horizon(array: EmitterArray, m: int, sites: np.ndarray, rows: np.ndarray) -> float:
-    """default_horizon of array's ring_ring_coupling at m, from the rows h[sites] of
-    spectrum._orbit_rows (_pair_lambda): every default time grid of `fidelity` and
-    `fidelity-scan` comes from here.
+    """default_horizon from the rows h[sites] of spectrum._orbit_rows (_pair_lambda): every
+    default time grid of `fidelity` and `fidelity-scan` comes from here.
 
     |Re lambda_{m,-m}| at or below its round-off floor counts as zero (ValueError), as where
     symmetry cancels it (site-edge, even N, m = N/2): 4 eps (1 + k0 max|r_i|) (1/N) sum |h_ij|,
@@ -424,8 +421,10 @@ def _orbit_horizon(array: EmitterArray, m: int, sites: np.ndarray, rows: np.ndar
     which a far ring's cancelling terms carry (up to 1.4 of 4 at N = 2, 1 <= x <= 100).
     """
     lam, scale = _pair_lambda(array, m, sites, rows)
-    return _horizon(lam, 4.0 * np.finfo(float).eps * (1.0 + K0 * np.abs(array.positions).max())
-                    * scale)
+    j = abs(np.real(lam))
+    if j <= 4.0 * np.finfo(float).eps * (1.0 + K0 * np.abs(array.positions).max()) * scale:
+        raise ValueError("zero inter-ring coupling; specify the horizon explicitly")
+    return 20.0 * np.pi / j
 
 
 @dataclass

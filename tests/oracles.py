@@ -8,7 +8,7 @@ The fidelity-scan reference `fidelity_scan_from_states` steps the full state thr
 time grid by one exact propagator scipy.linalg.expm(-1j h dt), one matrix-vector product a
 step, and projects each state onto the targets: no eigendecomposition, no time block and
 no phase table of `transfer`.  Both scan oracles take a default horizon from the package
-(`_default_horizon`), so that their time grids are those of the code under test.
+(`transfer.default_horizon`), so that their time grids are those of the code under test.
 The label oracle `classify_modes` names the modes of a dense `eig` of a ring's h
 by angular momentum: the best spin-wave overlap assignment, with degenerate
 clusters rotated onto the spin waves first.
@@ -31,9 +31,9 @@ from scipy.optimize import linear_sum_assignment
 
 from dipolerings.emfield import pair_coupling, radiated_field
 from dipolerings.geometry import EmitterArray, build_two_rings
-from dipolerings.spectrum import (ModeSpectrum, _fix_phases, _orbit_rows, assemble_heff,
-                                  canonical_m_range, ring_spectrum, spin_wave_state, wrap_m)
-from dipolerings.transfer import _orbit_horizon, farthest_site, gaussian_packet
+from dipolerings.spectrum import (ModeSpectrum, _fix_phases, assemble_heff, canonical_m_range,
+                                  ring_spectrum, spin_wave_state, wrap_m)
+from dipolerings.transfer import default_horizon, farthest_site, gaussian_packet
 
 K0 = 2.0 * np.pi
 # Largest |S h S^T - h| / max|h| at which geometric_symmetry_group keeps a site involution S.
@@ -157,14 +157,6 @@ def exact_steps(h, psi0, times):
     return states
 
 
-def _default_horizon(system, h, m):
-    """The package's default horizon (transfer._orbit_horizon), read from this h's rows at the
-    orbit representatives of spectrum._orbit_rows, so that a scan's default time grid is the
-    code under test's, bit for bit."""
-    _, sites, _ = _orbit_rows(system)
-    return _orbit_horizon(system, m, sites, h[sites])
-
-
 def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_values,
                               t_max, t_steps, arrangement):
     """(max_fidelity, t_at_max) over (x, dtheta) from the full (t, n) states of
@@ -174,7 +166,7 @@ def fidelity_scan_from_states(n, d, polarization, m, x_values, delta_theta_value
     for i, x in enumerate(x_values):
         system = build_two_rings(arrangement, n, d, float(x), polarization)
         h = assemble_heff(system)
-        horizon = t_max if t_max is not None else _default_horizon(system, h, m)
+        horizon = t_max if t_max is not None else default_horizon(system, m)
         times = np.linspace(0.0, horizon, t_steps)
         for j, dt in enumerate(delta_theta_values):
             psi0 = gaussian_packet(system, 0, farthest_site(system, 0), m, dt)
@@ -194,7 +186,7 @@ def fidelity_scan_from_dense_eig(n, d, polarization, m, x_values, delta_theta_va
     for i, x in enumerate(x_values):
         system = build_two_rings(arrangement, n, d, float(x), polarization)
         h = assemble_heff(system)
-        horizon = t_max if t_max is not None else _default_horizon(system, h, m)
+        horizon = t_max if t_max is not None else default_horizon(system, m)
         times = np.linspace(0.0, horizon, t_steps)
         vals, vecs = np.linalg.eig(h)
         phases = np.exp(np.outer(times, -1j * vals))

@@ -232,7 +232,7 @@ def test_criterion_09_transfer_fidelity():
     system = dr.build_two_rings("site-site", 20, d, 0.15, "tangential")
     h = dr.assemble_heff(system)
     site = farthest_site(system, 0)
-    horizon = dr.default_horizon(ring_ring_coupling(system, h), 5)
+    horizon = dr.default_horizon(system, 5)
     times = np.linspace(0.0, horizon, 2000)
     psi0 = gaussian_packet(system, 0, site, 5, 1e-3)
     narrow = fidelity_trace(system, psi0, 5, 1e-3, times, h=h).fidelity.max()

@@ -1,4 +1,5 @@
 import concurrent.futures.process
+import json
 import multiprocessing
 import os
 from dataclasses import FrozenInstanceError, fields
@@ -49,8 +50,8 @@ def test_coupling_shape_and_group_check(arrangement, n, polarization):
 
 @pytest.mark.parametrize("call", [
     ring_ring_coupling, lambda a: ring_ring_coupling(a, assemble_heff(a)),
-    lambda a: farthest_site(a, 0), lambda a: farthest_site(a, 1),
-], ids=["coupling", "coupling-given-h", "farthest-site-0", "farthest-site-1"])
+    lambda a: farthest_site(a, 0), lambda a: farthest_site(a, 1), lambda a: default_horizon(a, 1),
+], ids=["coupling", "coupling-given-h", "farthest-site-0", "farthest-site-1", "horizon"])
 def test_groups_without_ring_metadata_raise_value_error(call):
     pair = build_two_rings("site-site", 6, 0.1, 0.15, "tangential")
     bare = EmitterArray(pair.positions, pair.dipoles, pair.groups)
@@ -179,10 +180,19 @@ def test_farthest_site(pair10):
     assert k == 5  # site at angle pi, opposite the facing site
 
 
-def test_default_horizon(pair10, h10):
-    cpl = ring_ring_coupling(pair10, h10)
-    horizon = default_horizon(cpl, 5)
-    assert abs(horizon - 20.0 * np.pi / abs(np.real(cpl.at(5, -5)))) < 1e-9
+def test_default_horizon(pair10):
+    # against the independent inter-ring block path of ring_ring_coupling
+    want = 20.0 * np.pi / abs(np.real(ring_ring_coupling(pair10).at(5, -5)))
+    assert default_horizon(pair10, 5) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("groups", [
+    None, [np.arange(3), np.arange(3, 20)], [np.arange(5), np.arange(5, 10), np.arange(10, 20)],
+], ids=["one-group", "unequal-groups", "three-groups"])
+def test_default_horizon_needs_two_equal_size_ring_groups(pair10, groups):
+    array = EmitterArray(pair10.positions, pair10.dipoles, groups)
+    with pytest.raises(ValueError, match="need exactly two equal-size ring groups"):
+        default_horizon(array, 1)
 
 
 def test_fidelity_scan_grid_shape():
@@ -968,7 +978,7 @@ def test_mirror_image_sites_tie_to_the_lower_index(arrangement):
     # mirror images give equal overlaps; round-off must not decide which one is reported
     pair, h = _pair_and_h(arrangement, 10, "transverse")
     psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=0, delta_theta=1.0)
-    times = np.linspace(0.0, default_horizon(ring_ring_coupling(pair, h), 0), 2000)
+    times = np.linspace(0.0, default_horizon(pair, 0), 2000)
     trace = fidelity_trace(pair, psi0, m=0, delta_theta=1.0, times=times, h=h)
     angles = pair.ring_meta[1].angles
     mirror = np.argmin(np.abs(np.exp(-1j * angles)[:, None] - np.exp(1j * angles)), axis=1)
@@ -1094,18 +1104,22 @@ def test_pair_lambda_from_the_orbit_rows_is_the_inter_ring_coupling(arrangement,
 @pytest.mark.parametrize("n", [2, 6, 40, 64, 100])
 def test_a_coupling_that_symmetry_cancels_has_no_default_horizon(n, polarization, x):
     # site-edge, even N, m = N/2: lambda_{m,-m} is 0 but for round-off (8e-17 at N = 6, once a
-    # horizon of 1e17); the radiant m = 0 keeps its horizon
+    # horizon of 1e17, and 8.3e17 from the public horizon at transverse N = 6, x = 0.15 while it
+    # had no floor); the radiant m = 0 keeps its horizon, that of the inter-ring block path
     pair = build_two_rings("site-edge", n, 0.1, x, polarization)
     _, sites, rows = spectrum._orbit_rows(pair)
-    with pytest.raises(ValueError, match="zero inter-ring coupling"):
-        transfer._orbit_horizon(pair, n // 2, sites, rows)
-    assert transfer._orbit_horizon(pair, 0, sites, rows) == pytest.approx(
-        default_horizon(ring_ring_coupling(pair), 0), rel=1e-10)
+    for horizon in (lambda m: transfer._orbit_horizon(pair, m, sites, rows),
+                    lambda m: default_horizon(pair, m)):
+        with pytest.raises(ValueError, match="zero inter-ring coupling"):
+            horizon(n // 2)
+        assert horizon(0) == pytest.approx(
+            20.0 * np.pi / abs(np.real(ring_ring_coupling(pair).at(0, 0))), rel=1e-10)
 
 
 def test_fidelity_and_fidelity_scan_take_one_horizon(tmp_path, monkeypatch):
-    # the CLI's fidelity and a scan at the same separation read the same rows, so the same
-    # horizon, bit for bit, and neither builds the inter-ring block of ring_ring_coupling
+    # the CLI's fidelity, a scan at the same separation and the public default_horizon read the
+    # same rows, so the same horizon, bit for bit, and none builds the inter-ring block of
+    # ring_ring_coupling
     from dipolerings import cli
     n, x, m, t_steps = 12, 0.15, 3, 200
     horizons, orbit_horizon = [], transfer._orbit_horizon
@@ -1120,16 +1134,20 @@ def test_fidelity_and_fidelity_scan_take_one_horizon(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "_orbit_horizon", recorded)
         monkeypatch.setattr(module, "ring_ring_coupling", forbidden)
     calls = _spy_couplings(monkeypatch)
-    out = tmp_path / "trace.csv"
+    out = tmp_path / "trace.json"
     assert cli.main(["fidelity", "--set", "geometry.arrangement=site-edge",
                      "--set", "geometry.polarization=tangential", "--set", f"geometry.n={n}",
                      "--set", f"geometry.x={x}", "--set", f"physics.m={m}",
-                     "--set", f"physics.t_steps={t_steps}", "--out", str(out)]) == 0
+                     "--set", f"physics.t_steps={t_steps}", "--format", "json",
+                     "--out", str(out)]) == 0
     scan = fidelity_scan(n, 0.1, "tangential", m, [x], [0.3, 1.0], t_steps=t_steps,
                          arrangement="site-edge")
     assert calls == [(n + 1, 2 * n)] * 2
     assert len(horizons) == 2 and horizons[0] == horizons[1]
     assert np.all(np.isin(scan.t_at_max, np.linspace(0.0, horizons[0], t_steps)))
+    system = build_two_rings("site-edge", n, 0.1, x, "tangential")
+    last = json.loads(out.read_text())["trace"][-1]["t"]
+    assert default_horizon(system, m) == horizons[0] == last
 
 
 def test_a_widths_peak_does_not_depend_on_the_widths_scanned_with_it():

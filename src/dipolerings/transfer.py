@@ -97,10 +97,11 @@ def _packets(array: EmitterArray, ring: int, centers: np.ndarray, m: int,
     idx = np.asarray(array.groups[ring])
     pos = array.positions[idx]
     chord = np.linalg.norm(pos[None, :, :] - pos[centers, None, :], axis=2)   # (centre, site)
-    # a width out of range gives inf or nan amplitudes, which the callers report
+    # a width out of range gives inf or nan amplitudes, which the callers report; the
+    # exponent is formed in float64, so a width past sqrt(float max) gives envelope 1
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if meta.radius > 0:
-            envelope = np.exp(-(chord**2) / (2.0 * meta.radius**2 * delta_theta**2))
+            envelope = np.exp(-(chord**2) / (2.0 * meta.radius**2 * np.float64(delta_theta)**2))
         else:                                   # a one-site ring: the packet is that site
             envelope = np.ones_like(chord)
         amps = np.exp(1j * m * meta.angles) * envelope
@@ -138,6 +139,7 @@ _ANCHOR_ROWS = 64
 _LOG_PHASE_FLOOR = 0.5 * np.log(np.finfo(float).tiny)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # t out of range: nan, which callers report
 def _phases(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The (t, n) table e^{-i vals t} over ascending times, allocating nothing else of its size.
 

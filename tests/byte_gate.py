@@ -6,7 +6,8 @@ Runs one fixed command set through `dipolerings.cli.main`, writes every artifact
 OUTDIR and prints one `sha256  name` line per artifact, in run order.  The set is:
 
 - every command in each arrangement it runs, as CSV and as JSON, at small sizes;
-- the CLI smoke commands of the CI workflow;
+- the CLI smoke commands, CI_SMOKE, which tests/test_ci_checks.py reads by artifact name
+  and checks against its references;
 - the four benchmark workloads' full-size configs at seed 1 (perfbench/workloads.py).
 
 Each artifact header echoes its own path (output.out), so run both trees with the same

@@ -20,6 +20,9 @@ EmitterArray's check of them.
 sorted by (Re, Im) of the eigenvalues and phased by `_fix_phases`, with no symmetry sector.
 `reference_cell` is the text of one artifact cell by the CSV rules, one value at a
 time, apart from the column writer of `output.write_csv`.
+`chain_toeplitz_h` is a chain's dense h from one row of pair_coupling calls, and
+`green_tensor_field` sums a state's field one emitter's green_tensor at a time, apart from
+the blocked kernel `radiated_field`.
 `ring_eigenvalue`, `decay_matrix` and `field_amplitude` are not oracles: they are
 thin wrappers over the code under test, kept here for the tests that call them."""
 
@@ -29,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from dipolerings.emfield import pair_coupling, radiated_field
+from dipolerings.emfield import green_tensor, pair_coupling, radiated_field
 from dipolerings.geometry import EmitterArray, build_two_rings
 from dipolerings.spectrum import (ModeSpectrum, _fix_phases, assemble_heff, canonical_m_range,
                                   ring_spectrum, spin_wave_state, wrap_m)
@@ -112,6 +115,15 @@ def chain_eigenvalues(n, d, dipole):
     h = np.array([[-0.5j if i == j else pair_coupling(sites[i], p, sites[j], p).h
                    for j in range(n)] for i in range(n)])
     return np.linalg.eigvals(h)
+
+
+def chain_toeplitz_h(n, d):
+    """Dense h of an open chain of n z dipoles at spacing d along x: row 0 from n - 1
+    pair_coupling calls, and h_ij = row[|i-j|]."""
+    z = np.array([0.0, 0.0, 1.0])
+    row = np.array([-0.5j] + [pair_coupling(np.zeros(3), z, np.array([k * d, 0.0, 0.0]), z).h
+                              for k in range(1, n)])
+    return row[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
 
 
 def chain_parity_eigenvalues(row):
@@ -247,6 +259,12 @@ def reference_cell(v, digits):
     if abs(v) < 1e-4:
         return f"{v:.{digits - 1}e}"
     return f"{v:.{digits}g}"
+
+
+def green_tensor_field(array: EmitterArray, state, point) -> np.ndarray:
+    """E+(point) = sum_i c_i G(point - r_i) . p_i, one green_tensor call per emitter."""
+    return sum(c * green_tensor(point - r) @ p
+               for c, r, p in zip(state, array.positions, array.dipoles))
 
 
 def ring_eigenvalue(array: EmitterArray, m: int, group: int = 0) -> complex:

@@ -513,6 +513,37 @@ def test_overflow_to_non_finite_is_a_numeric_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key", [("fidelity", "physics.delta_theta"),
+                                          ("fidelity-scan", "physics.dtheta_max")])
+def test_a_width_whose_square_overflows_runs_as_the_spin_wave_limit(tmp_path, command, key):
+    tables = []
+    for width in ("1e150", "1e200"):
+        out = tmp_path / f"{width}.csv"
+        assert run_cli([command, "--out", str(out), *SMALL, "--set", f"{key}={width}"]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()
+                         if not line.startswith("#")]
+        kept = [k for k, column in enumerate(header) if column not in ("width", "delta_theta")]
+        tables.append([[row[k] for k in kept] for row in rows])
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("command, column", [("fidelity", 1), ("fidelity-scan", 3)])
+def test_a_horizon_at_the_float_limit_writes_zero_fidelities_and_no_warning(tmp_path, command,
+                                                                            column):
+    # t lambda overflows on the phase table's exp anchors, where pyproject turns a warning into
+    # an error
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--out", str(out), "--set", "physics.t_max=1e308",
+                    "--set", "physics.t_steps=200", "--set", "physics.x_points=2",
+                    "--set", "physics.dtheta_points=2"]) == 0
+    _, *rows = [line.split(",") for line in out.read_text().splitlines()
+                if not line.startswith("#")]
+    if command == "fidelity":
+        assert [row[column] for row in rows[1:]] == ["0"] * (len(rows) - 1)
+    else:       # the largest fidelity is the round-off at t = 0
+        assert all(float(row[column]) < 1e-12 and row[column + 1] == "0" for row in rows)
+
+
 @pytest.mark.parametrize("command", ["fidelity", "fidelity-scan"])
 def test_a_default_horizon_that_symmetry_cancels_is_a_numeric_error(tmp_path, capsys, command):
     # site-edge n = 6 at m = 3: lambda_{3,-3} is round-off, once a horizon of 1e17 with F = 0

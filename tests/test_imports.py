@@ -17,9 +17,11 @@ SRC = str(Path(dipolerings.__file__).resolve().parents[1])
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
-def fresh(code: str, tmp_path=None):
-    """Run code in a new interpreter with dipolerings importable; its last stdout line as JSON."""
-    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+def fresh(code: str, tmp_path=None, **variables):
+    """Run code in a new interpreter with dipolerings importable, BLAS on one thread and the
+    environment variables given set (None: removed); its last stdout line as JSON."""
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1", **variables}
+    env = {name: value for name, value in env.items() if value is not None}
     proc = subprocess.run([sys.executable, "-c", "import sys\n" + textwrap.dedent(code)],
                           env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
                           check=False)

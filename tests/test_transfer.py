@@ -110,6 +110,12 @@ def test_gaussian_packet_limits(pair10):
         gaussian_packet(pair10, 0, 1, m=1, delta_theta=0.0)
 
 
+def test_a_width_whose_square_overflows_is_the_widest_packet(pair10):
+    # dtheta^2 leaves float range above about 1.3e154: the exponent is inf, the envelope 1
+    assert np.array_equal(gaussian_packet(pair10, 0, 3, m=4, delta_theta=1e200),
+                          gaussian_packet(pair10, 0, 3, m=4, delta_theta=1e150))
+
+
 def test_propagate_identity_at_t0_and_single_emitter():
     arr = EmitterArray([[0, 0, 0]], [[0, 0, 1]])
     h = assemble_heff(arr)

@@ -37,7 +37,7 @@ class EmitterArray:
     A flip entry other than +-1, a perm that is not an involution of range(n) or perms that
     do not commute raise ValueError; an entry whose flip does not map the positions onto
     positions[perm], to 1e-12 of the extent about c plus 4 eps of the largest |coordinate|
-    (their round-off), is dropped.  The dipoles are left to the readers: spectrum._symmetry_group
+    (their round-off), is dropped.  The dipoles are left to the readers: spectrum._symmetry_elements
     keeps a declaration where F maps each dipole onto +- its image's, F p_i = s_i p_perm[i], so
     that it is a symmetry of h and of the field map of every state up to the state's image
     (c'_perm[i] = s_i c_i, fieldmap.intensity_map).
@@ -163,7 +163,7 @@ def build_two_rings(arrangement: str, n: int, d: float, gap: float,
     facing site (R sin(pi), about 1e-16 R), raises ValueError.  The pair declares (see
     EmitterArray) the mirror sigma_y, y -> -y, and, for site-site pairs and one-site rings,
     the C2 rotation about z, j <-> j + n; the dipoles decide where each is a symmetry of h
-    (spectrum._symmetry_group).  Each ring's sites are built as build_ring's, without its own
+    (spectrum._symmetry_elements).  Each ring's sites are built as build_ring's, without its own
     declarations.
     """
     if arrangement not in ("site-site", "site-edge"):

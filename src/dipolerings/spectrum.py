@@ -112,11 +112,16 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def eigenmodes(h: np.ndarray) -> ModeSpectrum:
-    """Full eigendecomposition of a coupling matrix: _modes of its one sector, Q = I (dense)."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("coupling matrix must be square")
-    return ModeSpectrum(*_modes(h))
+    """Eigendecomposition of a square coupling matrix: _modes of its one sector, Q = I (dense)."""
+    return ModeSpectrum(*_modes(np.asarray(h, dtype=complex)))
+
+
+def _ring(array: EmitterArray, group: int):
+    """The RingMeta of one group of array; ValueError if the group has no ring metadata."""
+    meta = array.ring_meta[group]
+    if meta is None:
+        raise ValueError(f"group {group} has no ring metadata")
+    return meta
 
 
 def spin_wave_state(array: EmitterArray, m: int, group: int = 0) -> np.ndarray:
@@ -125,9 +130,7 @@ def spin_wave_state(array: EmitterArray, m: int, group: int = 0) -> np.ndarray:
     Amplitudes N^{-1/2} e^{i m theta_j} on the group's sites, zero elsewhere.
     m outside the canonical range is wrapped mod N with a warning.
     """
-    meta = array.ring_meta[group]
-    if meta is None:
-        raise ValueError("group has no ring metadata")
+    meta = _ring(array, group)
     idx = np.asarray(array.groups[group])
     n = len(idx)
     mc = wrap_m(m, n)
@@ -147,8 +150,7 @@ def ring_spectrum(array: EmitterArray, group: int = 0) -> tuple[np.ndarray, np.n
     are the exact eigenvectors.  Requires one of the rotationally symmetric
     dipole schemes.
     """
-    meta = array.ring_meta[group]
-    if meta is None or meta.scheme not in SYMMETRIC_SCHEMES:
+    if _ring(array, group).scheme not in SYMMETRIC_SCHEMES:
         raise ValueError("analytic ring eigenvalues need a symmetric polarization scheme")
     idx = np.asarray(array.groups[group])
     n = len(idx)
@@ -192,22 +194,18 @@ def _project(sector, x: np.ndarray) -> np.ndarray:
     return (np.sqrt(sizes) / len(idx))[:, None] * sum(c[:, None] * x[i] for i, c in zip(idx, coef))
 
 
-def _symmetry_group(array: EmitterArray) -> tuple[np.ndarray, np.ndarray]:
-    """The site symmetries of the h of array as the group G = (perms, signs) of _sectors, each
-    (|G|, n), from the array's declarations alone; h is never read.
+def _symmetry_elements(array: EmitterArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The site symmetries of the h of array as the group G = (flips, perms, signs), from the
+    array's declarations alone; h is never read.  perms and signs, each (|G|, n), are the group
+    of _sectors; flips[g] is the (3,) coordinate flip of element g about the centroid, the
+    product of its generators' flips.
 
     The generators are the declarations (flip F, site map perm; see EmitterArray), each with
     the sign per site of F p_i against p_perm[i], kept where F p_i = sign_i p_perm[i] to 1e-12
     of the largest dipole component, O(n): then S h S^T = h, since G(F r) = F G(r) F.  A
     missing generator gives the smaller group; without a kept generator G is the identity
-    and its one sector is Q = I.  _symmetry_elements adds each element's flip.
+    and its one sector is Q = I.
     """
-    return _symmetry_elements(array)[1:]
-
-
-def _symmetry_elements(array: EmitterArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flips, perms, signs) of the group of _symmetry_group, flips[g] the (3,) coordinate flip
-    of element g about the centroid: the product of its generators' flips."""
     dip = array.dipoles
     flips, perms, signs = np.ones((1, 3)), np.arange(array.n)[None], np.ones((1, array.n))
     for flip, perm in array.symmetries:
@@ -232,14 +230,16 @@ def _is_uniform_chain(array: EmitterArray) -> bool:
 
 def _orbit_rows(source: EmitterArray | np.ndarray) -> tuple:
     """(sectors, sites, rows), rows[k] = h[sites[k]] at ascending sites, of one source: an ndarray
-    h is one sector, Q = I, with every site and rows = h; an EmitterArray has the sectors of its
-    declared symmetries (_symmetry_group) and each orbit representative's rows from _couplings,
-    but a uniform chain (_is_uniform_chain) every site with rows a view of h_0|i-j| built from
-    its row 0, off the full h by about 3 n eps max|h|."""
+    h, which must be square (else ValueError), is one sector, Q = I, with every site and rows = h;
+    an EmitterArray has the sectors of its declared symmetries (_symmetry_elements) and each orbit
+    representative's rows from _couplings, but a uniform chain (_is_uniform_chain) every site
+    with rows a view of h_0|i-j| built from its row 0, off the full h by about 3 n eps max|h|."""
     if isinstance(source, np.ndarray):
+        if source.ndim != 2 or source.shape[0] != source.shape[1]:
+            raise ValueError("coupling matrix must be square")
         n = len(source)
         return _sectors(np.arange(n)[None], np.ones((1, n))), np.arange(n), source
-    sectors = _sectors(*_symmetry_group(source))
+    sectors = _sectors(*_symmetry_elements(source)[1:])
     if not _is_uniform_chain(source):
         sites = np.unique(np.concatenate([s[0] for s in sectors]))
         return sectors, sites, _couplings(source, sites)

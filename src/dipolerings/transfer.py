@@ -8,7 +8,7 @@ import numpy as np
 from .emfield import K0
 from .geometry import EmitterArray, build_two_rings
 from .spectrum import (_BLOCK_ENTRIES, _couplings, _factor, _orbit_rows, _pool_map, _project,
-                       _symmetry_group, assemble_heff, canonical_m_range, wrap_m)
+                       _ring, _symmetry_elements, assemble_heff, canonical_m_range, wrap_m)
 
 
 @dataclass
@@ -34,21 +34,20 @@ class RingRingCoupling:
         return complex(self.lambda_mm[wrap_m(m1, n) - m0, wrap_m(m2, n) - m0])
 
 
-def ring_ring_coupling(array: EmitterArray, h: np.ndarray | None = None) -> RingRingCoupling:
+def ring_ring_coupling(array: EmitterArray) -> RingRingCoupling:
     """Angular-momentum-basis coupling between the two rings of a pair system.
 
     lambda_{m1,m2} = (1/N) sum_{i in R1, j in R2} h_ij e^{i(m1 theta_i - m2 theta_j)}
-    with each ring's local site angles.  Without h only the N x N inter-ring
-    block of h is built.  Groups without ring metadata raise ValueError.
+    with each ring's local site angles, from the N x N inter-ring block of h alone.
+    Groups without ring metadata raise ValueError.
     """
     idx1, idx2 = _ring_groups(array)
     th1, th2 = (_ring(array, group).angles for group in (0, 1))
-    block = _couplings(array, idx1, idx2) if h is None else h[np.ix_(idx1, idx2)]
     n = len(idx1)
     ms = canonical_m_range(n)
     e1 = np.exp(1j * np.outer(ms, th1))          # (m1, i)
     e2 = np.exp(-1j * np.outer(th2, ms))         # (j, m2)
-    lam = e1 @ block @ e2 / n
+    lam = e1 @ _couplings(array, idx1, idx2) @ e2 / n
     return RingRingCoupling(m_values=ms, lambda_mm=lam)
 
 
@@ -57,14 +56,6 @@ def _ring_groups(array: EmitterArray) -> tuple[np.ndarray, np.ndarray]:
     if len(array.groups) != 2 or len(array.groups[0]) != len(array.groups[1]):
         raise ValueError("need exactly two equal-size ring groups")
     return np.asarray(array.groups[0]), np.asarray(array.groups[1])
-
-
-def _ring(array: EmitterArray, group: int):
-    """The RingMeta of one group of array; ValueError if the group has no ring metadata."""
-    meta = array.ring_meta[group]
-    if meta is None:
-        raise ValueError(f"group {group} has no ring metadata")
-    return meta
 
 
 def eta_map(coupling: RingRingCoupling, ring_lambdas: np.ndarray) -> np.ndarray:
@@ -190,7 +181,8 @@ def _evolve(source: EmitterArray | np.ndarray, psi0s: np.ndarray, basis: np.ndar
     (method, cond, sites, rows, blocks), the method ('eig' or 'ode'), cond(V), the rows h[sites]
     that were factored, and blocks(times), which checks a time grid (finite, non-negative,
     ascending) and returns a generator of (span, [overlaps_j]) over its _time_blocks, overlaps_j
-    the (span, k_j) overlaps psi_j(t)^T basis[:, cols[j]].
+    the (span, k_j) overlaps psi_j(t)^T basis[:, cols[j]].  psi0s and basis must have one row
+    per site of the source, else ValueError.
 
     Everything but the time axis is done before the grid is given, so that a default horizon
     can be read from the rows (_orbit_horizon): h is factored, and the widths' coefficients are
@@ -212,6 +204,9 @@ def _evolve(source: EmitterArray | np.ndarray, psi0s: np.ndarray, basis: np.ndar
     """
     psi0s = np.asarray(psi0s, dtype=complex)
     sectors, sites, rows, factors = _factor(source, vectors=True)
+    for name, x in (("initial state", psi0s), ("target basis", basis)):
+        if len(x) != rows.shape[1]:
+            raise ValueError(f"{name} has {len(x)} entries for {rows.shape[1]} sites")
     sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for _, w in factors])
     cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf   # singular W_s
     if cond > 1e8:
@@ -256,7 +251,8 @@ def propagate(h: np.ndarray, psi0: np.ndarray, times) -> Propagation:
     Uses the eigendecomposition psi(t) = V exp(-i Lambda t) V^{-1} psi0 with h factored
     once as one sector, Q = I, filling the (t, n) states one block of times at a time
     (_evolve).  Falls back to exact exponential steps when the eigenvector matrix is
-    ill-conditioned (condition number above 1e8).
+    ill-conditioned (condition number above 1e8).  A non-square h or a psi0 of another length
+    raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     psi0s = np.reshape(psi0, (-1, 1))
@@ -337,7 +333,8 @@ def fidelity_trace(array: EmitterArray, psi0: np.ndarray, m: int, delta_theta: f
     the unnormalized evolved state (photon loss lowers F).  Without h only the rows of h
     at one site per orbit of the array's declared and realised symmetries are built
     (spectrum._orbit_rows), and the full h only if the eigenvectors are ill-conditioned; a
-    given h is factored as it is, as one sector (Q = I).  The one width keeps its explicit
+    given h is factored as it is, as one sector (Q = I), and must be square with one row per
+    emitter of the array and of psi0 (else ValueError).  The one width keeps its explicit
     targets rather than _target_factors: the trace reports F at every step, down to the
     round-off of F(0), whose digits follow the order of the sums.
     """
@@ -394,13 +391,13 @@ def _pair_lambda(array: EmitterArray, m: int, sites: np.ndarray,
     magnitudes, (1/N) sum_{i in R1, j in R2} |h_ij|, the sum's round-off scale, in O(n |sites| |G|).
 
     A ring-1 site that is no representative is the image g(i) of one under an element g of the
-    declared group (spectrum._symmetry_group), and h[g(i), g(k)] = s_g(i) s_g(k) h[i, k] with
+    declared group (spectrum._symmetry_elements), and h[g(i), g(k)] = s_g(i) s_g(k) h[i, k] with
     g an involution, so its row against u_j = e^{-i m2 theta_j} on ring 2 is s_g(i) times
     rows[i] . (s_g u[g]).  Each ring-1 site is taken once, from the first (g, i) in group order;
     the rows of ring-2 representatives (about half of a site-edge pair's) weigh 0.
     """
     idx1, idx2 = _ring_groups(array)
-    perms, signs = _symmetry_group(array)
+    _, perms, signs = _symmetry_elements(array)
     n_ring = len(idx1)
     u, phase = np.zeros(array.n, dtype=complex), np.zeros(array.n, dtype=complex)
     u[idx2] = np.exp(-1j * wrap_m(-m, n_ring) * _ring(array, 1).angles)

@@ -2,8 +2,11 @@ import inspect
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -826,3 +829,13 @@ def test_out_of_range_geometry_prints_one_json_line_and_no_warning(tmp_path, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert json.loads(err)["error"]["code"] == 3
+
+
+def test_ab_time_runs_the_checkout_against_itself():
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run([sys.executable, str(tests / "ab_time.py"), str(tests.parent),
+                           str(tests.parent), "--rounds", "2", "--", "spectrum", "--set",
+                           "geometry.n=8"], capture_output=True, text=True, timeout=120,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "data lines identical" in proc.stdout

@@ -53,14 +53,6 @@ def test_block_equals_the_slice_of_the_full_matrix(name):
         assert np.array_equal(block, h[np.ix_(rows, cols)])
 
 
-@pytest.mark.parametrize("arrangement, n", [("site-site", 10), ("site-edge", 12),
-                                            ("site-edge", 64)])
-def test_ring_ring_coupling_from_the_block_equals_the_one_from_h(arrangement, n):
-    pair = two_rings(arrangement, n)
-    assert np.array_equal(ring_ring_coupling(pair).lambda_mm,
-                          ring_ring_coupling(pair, assemble_heff(pair)).lambda_mm)
-
-
 def test_projected_green_does_not_depend_on_the_batch_size():
     rng = np.random.default_rng(11)
     sep = rng.normal(size=(200, 200, 3))

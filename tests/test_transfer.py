@@ -15,8 +15,9 @@ from dipolerings.spectrum import (_block, _project, _sectors, assemble_heff, can
 from dipolerings.transfer import (FidelityScan, default_horizon, eta_map, farthest_site,
                                   fidelity_scan, fidelity_trace, gaussian_packet, propagate,
                                   ring_ring_coupling)
-from oracles import (decay_matrix, fidelity_scan_from_dense_eig, fidelity_scan_from_states,
-                     geometric_symmetry_group, random_geometry, rk4_propagate)
+from oracles import (decay_matrix, exact_steps, fidelity_scan_from_dense_eig,
+                     fidelity_scan_from_states, geometric_symmetry_group, random_geometry,
+                     rk4_propagate)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def h10(pair10):
 @pytest.mark.parametrize("arrangement", ["site-site", "site-edge"])
 def test_coupling_shape_and_group_check(arrangement, n, polarization):
     pair = build_two_rings(arrangement, n, 0.1, 0.15, polarization)
-    cpl = ring_ring_coupling(pair, assemble_heff(pair))
+    cpl = ring_ring_coupling(pair)
     assert cpl.lambda_mm.shape == (n, n)
     assert list(cpl.m_values) == list(canonical_m_range(n))
     # the rings of a pair are mirror images: one spectrum and one m axis serve both
@@ -49,9 +50,11 @@ def test_coupling_shape_and_group_check(arrangement, n, polarization):
 
 
 @pytest.mark.parametrize("call", [
-    ring_ring_coupling, lambda a: ring_ring_coupling(a, assemble_heff(a)),
-    lambda a: farthest_site(a, 0), lambda a: farthest_site(a, 1), lambda a: default_horizon(a, 1),
-], ids=["coupling", "coupling-given-h", "farthest-site-0", "farthest-site-1", "horizon"])
+    ring_ring_coupling, lambda a: farthest_site(a, 0), lambda a: farthest_site(a, 1),
+    lambda a: default_horizon(a, 1), lambda a: spin_wave_state(a, 1, group=1), ring_spectrum,
+    lambda a: gaussian_packet(a, 0, 0, m=1, delta_theta=0.5),
+], ids=["coupling", "farthest-site-0", "farthest-site-1", "horizon", "spin-wave", "ring-spectrum",
+        "packet"])
 def test_groups_without_ring_metadata_raise_value_error(call):
     pair = build_two_rings("site-site", 6, 0.1, 0.15, "tangential")
     bare = EmitterArray(pair.positions, pair.dipoles, pair.groups)
@@ -68,8 +71,8 @@ def test_coupling_vanishes_at_large_separation():
     assert np.max(np.abs(very_far.lambda_mm)) < 0.15 * np.max(np.abs(far.lambda_mm))
 
 
-def test_mirror_symmetry_selection(pair10, h10):
-    cpl = ring_ring_coupling(pair10, h10)
+def test_mirror_symmetry_selection(pair10):
+    cpl = ring_ring_coupling(pair10)
     for m1 in (-2, 1, 3):
         for m2 in (-4, 0, 2):
             assert abs(abs(cpl.at(m1, m2)) - abs(cpl.at(-m1, -m2))) < 1e-10
@@ -81,12 +84,12 @@ def test_site_edge_exact_null():
     assert abs(cpl.at(5, 5)) < 1e-12
 
 
-def test_eta_map_nonnegative_and_zero_with_j(pair10, h10):
-    cpl = ring_ring_coupling(pair10, h10)
+def test_eta_map_nonnegative_and_zero_with_j(pair10):
+    cpl = ring_ring_coupling(pair10)
     lams = ring_spectrum(build_ring(10, 0.1, "tangential"))[1]
     eta = eta_map(cpl, lams)
     assert np.all(eta >= 0.0) and np.all(np.isfinite(eta))
-    zeroed = ring_ring_coupling(pair10, h10)
+    zeroed = ring_ring_coupling(pair10)
     zeroed.lambda_mm = 1j * np.imag(zeroed.lambda_mm)
     assert np.allclose(eta_map(zeroed, lams), 0.0)
 
@@ -169,7 +172,7 @@ def test_fidelity_starts_at_zero_and_bounded(pair10, h10):
 
 def test_two_mode_model_retention(pair10, h10):
     # subradiant edge-mode dynamics stay in the {ring, +/-m} subspace
-    cpl = ring_ring_coupling(pair10, h10)
+    cpl = ring_ring_coupling(pair10)
     j = abs(np.real(cpl.at(5, 5)))
     psi0 = spin_wave_state(pair10, 5, group=0)
     times = np.linspace(0.0, np.pi / j, 150)
@@ -286,6 +289,51 @@ def test_fidelity_trace_factors_a_given_h_as_one_sector(monkeypatch, tmp_path, p
     assert take() == [len(h10)]
     assert trace.method == "eig"
     assert np.max(np.abs(trace.fidelity - overlaps.max(axis=1))) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    spectrum.eigenmodes, lambda h: propagate(h, np.ones(2), [0.0, 1.0]),
+    lambda h: fidelity_trace(build_two_rings("site-site", 1, 0.1, 0.15), np.ones(2), 0, 1.0,
+                             [0.0, 1.0], h=h),
+], ids=["eigenmodes", "propagate", "fidelity-trace-given-h"])
+def test_a_coupling_matrix_that_is_not_square_raises_value_error(call):
+    with pytest.raises(ValueError, match="coupling matrix must be square"):
+        call(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("length", [5, 7])
+@pytest.mark.parametrize("path", ["propagate", "fidelity-trace", "fidelity-trace-given-h"])
+def test_an_initial_state_of_another_length_raises_value_error(path, length):
+    pair = build_two_rings("site-site", 3, 0.1, 0.15, "tangential")          # 6 sites
+    h, psi0, times = assemble_heff(pair), np.full(length, length ** -0.5), [0.0, 1.0]
+    with pytest.raises(ValueError, match=f"initial state has {length} entries for 6 sites"):
+        if path == "propagate":
+            propagate(h, psi0, times)
+        else:
+            fidelity_trace(pair, psi0, 1, 1.0, times, h=h if path.endswith("given-h") else None)
+
+
+def test_a_given_h_of_another_size_than_the_pair_raises_value_error():
+    pair = build_two_rings("site-site", 3, 0.1, 0.15, "tangential")          # 6 sites
+    h = assemble_heff(build_two_rings("site-site", 4, 0.1, 0.15, "tangential"))
+    with pytest.raises(ValueError, match="target basis has 6 entries for 8 sites"):
+        fidelity_trace(pair, np.full(8, 8 ** -0.5), 1, 1.0, [0.0, 1.0], h=h)
+
+
+def test_fidelity_trace_of_an_array_takes_the_ode_fallback(monkeypatch):
+    # the `fidelity` command's path: the array's sectors are factored, then cond(V) is forced
+    # past 1e8, so the full h is assembled and stepped in exact exponentials
+    pair = build_two_rings("site-edge", 7, 0.1, 0.15, "tangential")
+    psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=2, delta_theta=1.0)
+    times = np.linspace(0.0, 30.0, 301)
+    targets = np.column_stack([gaussian_packet(pair, 1, k, -2, 1.0) for k in range(7)])
+    exact = np.abs(exact_steps(assemble_heff(pair), psi0, times) @ np.conj(targets)).max(axis=1)
+    eig = fidelity_trace(pair, psi0, 2, 1.0, times)
+    monkeypatch.setattr(np.linalg, "svd", lambda a, compute_uv: np.array([1e9, 1.0]))
+    ode = fidelity_trace(pair, psi0, 2, 1.0, times)
+    assert (eig.method, ode.method, ode.cond) == ("eig", "ode", 1e9)
+    assert np.max(np.abs(ode.fidelity - exact)) < 1e-12
+    assert np.array_equal(ode.argmax_site, eig.argmax_site)
 
 
 def test_defective_h_takes_the_ode_fallback():
@@ -433,7 +481,7 @@ def _assert_sectors_split_h(sectors, h):
 ])
 def test_sectors_split_h_into_orthonormal_blocks(arrangement, polarization, count, n):
     pair, h = _pair_and_h(arrangement, n, polarization)
-    sectors = _sectors(*spectrum._symmetry_group(pair))
+    sectors = _sectors(*spectrum._symmetry_elements(pair)[1:])
     assert len(sectors) == count
     _assert_sectors_split_h(sectors, h)
     from scipy.optimize import linear_sum_assignment
@@ -450,7 +498,7 @@ def test_sectors_of_a_chain(n, dipole):
     chain = build_chain(n, 1.0 / 3.0, dipole)
     h = assemble_heff(chain)
     # the declared inversion j -> n-1-j is kept, with sign -1 on every site (p -> -p)
-    perms, signs = spectrum._symmetry_group(chain)
+    _, perms, signs = spectrum._symmetry_elements(chain)
     sites = np.arange(n)
     assert np.array_equal(perms, [sites, sites[::-1]])
     assert np.array_equal(signs, [np.ones(n), -np.ones(n)])
@@ -471,7 +519,7 @@ def test_build_chain_keeps_its_inversion(n, dipole):
         (flip, perm), = chain.symmetries
         assert flip.tolist() == [-1, -1, -1] and perm.tolist() == list(range(n))[::-1]
         # the inversion turns every dipole, real or complex, into its negative
-        perms, signs = spectrum._symmetry_group(chain)
+        _, perms, signs = spectrum._symmetry_elements(chain)
         assert len(perms) == 2 and np.array_equal(signs[1], -np.ones(n))
 
 
@@ -484,7 +532,7 @@ def test_build_chain_keeps_its_inversion(n, dipole):
 ], ids=["site-site-1", "site-site-2", "site-edge-1", "site-edge-2", "ring-8"])
 def test_sectors_of_small_pairs_and_a_ring(array, count):
     h = assemble_heff(array)
-    sectors = _sectors(*spectrum._symmetry_group(array))
+    sectors = _sectors(*spectrum._symmetry_elements(array)[1:])
     assert len(sectors) == count
     _assert_sectors_split_h(sectors, h)
 
@@ -493,7 +541,7 @@ def test_sectors_without_a_verified_symmetry_is_the_identity():
     rng = np.random.default_rng(5)
     pos, dip = random_geometry(rng, 9)
     asymmetric = EmitterArray(pos, dip)
-    sectors = _sectors(*spectrum._symmetry_group(asymmetric))
+    sectors = _sectors(*spectrum._symmetry_elements(asymmetric)[1:])
     assert len(sectors) == 1 and np.array_equal(_dense_bases(sectors, 9)[0], np.eye(9))
     # a given h, even a defective one that a C2 site swap does not map onto itself, is one
     # sector with every site, and its rows are h itself
@@ -516,11 +564,11 @@ def test_declared_pair_symmetries_match_the_geometric_search(arrangement, dipole
     pair, h = _pair_and_h(arrangement, n, PAIR_DIPOLES[dipole])
     expected_perms, expected_signs = geometric_symmetry_group(pair, h)
     # the coordinate flips alone, never h, give the group of the residual search
-    perms, signs = spectrum._symmetry_group(pair)
+    _, perms, signs = spectrum._symmetry_elements(pair)
     assert np.array_equal(perms, expected_perms) and np.array_equal(signs, expected_signs)
     # a copy with the same sites and dipoles but no declaration has only the identity
     plain = EmitterArray(pair.positions, pair.dipoles, pair.groups, pair.ring_meta)
-    perms, signs = spectrum._symmetry_group(plain)
+    _, perms, signs = spectrum._symmetry_elements(plain)
     assert np.array_equal(perms, [np.arange(2 * n)]) and np.array_equal(signs, np.ones((1, 2 * n)))
 
 
@@ -574,7 +622,7 @@ def _assert_kept(array, declarations, symmetric, group_size=None):
     for (flip, perm), (expected_flip, expected_perm) in zip(array.symmetries, declarations):
         assert np.array_equal(flip, expected_flip) and np.array_equal(perm, expected_perm)
     if symmetric:
-        perms, signs = spectrum._symmetry_group(array)
+        _, perms, signs = spectrum._symmetry_elements(array)
         assert len(perms) == (group_size or 2 ** len(declarations))
         _assert_sectors_split_h(_sectors(perms, signs), assemble_heff(array))
 
@@ -612,7 +660,7 @@ def test_a_false_declaration_of_a_small_ring_far_from_the_origin_is_dropped():
     declared = EmitterArray(ring.positions, ring.dipoles, ring.groups, ring.ring_meta,
                             symmetries=(swapped,))
     assert declared.symmetries == ()
-    perms, signs = spectrum._symmetry_group(declared)
+    _, perms, signs = spectrum._symmetry_elements(declared)
     assert np.array_equal(perms, [np.arange(6)]) and np.array_equal(signs, np.ones((1, 6)))
 
 
@@ -645,7 +693,7 @@ def test_sector_fidelity_scan_matches_the_full_state_oracle(arrangement):
 def test_sector_transfer_factors_no_full_size_system(monkeypatch, arrangement, sizes):
     pair, h = _pair_and_h(arrangement, 40, "tangential")
     psi0 = gaussian_packet(pair, 0, farthest_site(pair, 0), m=6, delta_theta=1.0)
-    bases = _dense_bases(_sectors(*spectrum._symmetry_group(pair)), len(h))
+    bases = _dense_bases(_sectors(*spectrum._symmetry_elements(pair)[1:]), len(h))
     dense = np.linalg.cond(np.hstack([q @ np.linalg.eig(q.T @ h @ q)[1] for q in bases]))
     shapes = {"solve": [], "svd": []}
     for name in shapes:
@@ -886,7 +934,7 @@ def test_gathers_project_as_the_dense_basis(arrangement):
     for n in (1, 6, 7, 40):
         pair, h = _pair_and_h(arrangement, n, "tangential")
         x = np.random.default_rng(n).normal(size=(2 * n, 3)) + 1j
-        sectors = _sectors(*spectrum._symmetry_group(pair))
+        sectors = _sectors(*spectrum._symmetry_elements(pair)[1:])
         for sector, q in zip(sectors, _dense_bases(sectors, 2 * n)):
             # each orbit gathers at most |G| distinct sites
             assert np.max(sector[3]) <= {"site-site": 4, "site-edge": 2}[arrangement]
@@ -1194,8 +1242,8 @@ def test_orbit_rows_are_the_rows_of_the_full_h():
                 assert np.array_equal(rows, h[sites])
                 # the inter-ring block built alone is the full h's, bit for bit, also a
                 # one-site ring's 1 x 1 block
-                alone, given = (ring_ring_coupling(pair, a).lambda_mm for a in (None, h))
-                assert np.array_equal(alone, given)
+                block = spectrum._couplings(pair, *pair.groups)
+                assert np.array_equal(block, h[np.ix_(*pair.groups)])
 
 
 def _false_declarations(n):
@@ -1231,7 +1279,7 @@ def test_a_declared_generator_that_no_flip_realises_is_dropped(generator):
     sign = np.where(np.real(np.sum(np.conj(pair.dipoles[perm]) * np.multiply(flip, pair.dipoles),
                                    axis=1)) < 0, -1.0, 1.0)
     assert np.max(np.abs(np.outer(sign, sign) * h[np.ix_(perm, perm)] - h)) > 1e-3
-    perms, signs = spectrum._symmetry_group(declared)
+    _, perms, signs = spectrum._symmetry_elements(declared)
     assert np.array_equal(perms, [np.arange(2 * n)]) and np.array_equal(signs, np.ones((1, 2 * n)))
     psi0 = gaussian_packet(declared, 0, farthest_site(declared, 0), m, dt)
     times = np.linspace(0.0, 60.0, 200)
